@@ -148,7 +148,7 @@ def _op_joint(scenario: Scenario, table: ResultTable, seed: int):
 def _op_prospect(scenario: Scenario, table: ResultTable, seed: int):
     state = scenario.need_composite()
     b = scenario.need_multimode()
-    normalized = bool(scenario.run.get("normalized", True))
+    normalized = scenario.run.get("normalized", True)
     lattice = prospect_lattice(state, b, normalize=normalized)
     for n, entry in enumerate(lattice):
         table.add(f"p[{n}]", entry.p, "prospect_lattice")

@@ -35,9 +35,13 @@ def _resolve_base(log_base) -> float | None:
     """Normalize a log-base argument; None means natural logarithm."""
     if log_base in (None, "natural", "e"):
         return None
-    base = float(log_base)
-    if base <= 1.0:
-        raise ValidationError(f"log base must exceed 1, got {base}")
+    try:
+        base = float(log_base)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"log base must be 'natural', 'e' or a number, got {log_base!r}") from None
+    if not (math.isfinite(base) and base > 1.0):
+        raise ValidationError(f"log base must be finite and exceed 1, got {base}")
     return base
 
 

@@ -19,10 +19,9 @@ fraction converges on the closed-form one.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import policy
-from .errors import NumericContractError, ValidationError, ZeroProbabilityError
+from .errors import ValidationError, ZeroProbabilityError
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,20 +147,24 @@ class InterferenceDistribution:
         return cls("tabulated", np.asarray(grid, dtype=float), np.asarray(density, dtype=float))
 
 
-def _half_line_moment(dist: InterferenceDistribution, lo: float, hi: float) -> float:
-    interior = ()
-    if dist.kind == "tabulated":
-        interior = tuple(x for x in dist.grid if lo < x < hi)
-    value, estimate = quad(
-        lambda q: q * dist.pdf(q), lo, hi,
-        points=interior or None, epsabs=1e-12,
-        limit=max(200, len(interior) + 10),
-    )
-    if estimate > 1e-10:
-        raise NumericContractError(
-            f"quadrature error estimate {estimate:.3e} exceeds 1e-10"
-        )
-    return value
+def _half_line(dist: InterferenceDistribution, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and density of the piecewise-linear density on one half-line.
+
+    A tabulated grid that straddles 0 gets a knot there, interpolated, so
+    each half is itself piecewise linear.  Outside its grid the density is
+    zero (it jumps at the grid ends), so no knot is added at 0 when the
+    grid only touches or misses that half-line.
+    """
+    if dist.kind == "uniform":
+        grid = np.array([0.0, 1.0]) if positive else np.array([-1.0, 0.0])
+        return grid, np.array([0.5, 0.5])
+    grid, density = dist.grid, dist.density
+    if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
+        cut = int(np.searchsorted(grid, 0.0))
+        grid = np.insert(grid, cut, 0.0)
+        density = np.insert(density, cut, np.interp(0.0, dist.grid, dist.density))
+    keep = grid >= 0.0 if positive else grid <= 0.0
+    return grid[keep], density[keep]
 
 
 def quarter_law(dist: InterferenceDistribution) -> tuple[float, float]:
@@ -169,29 +172,18 @@ def quarter_law(dist: InterferenceDistribution) -> tuple[float, float]:
 
     Returns ``(q_plus, q_minus)`` with ``q_plus`` the integral of
     ``q mu(q)`` over [0, 1] and ``q_minus`` over [-1, 0]; for the uniform
-    density these are exactly (+1/4, -1/4).  Adaptive quadrature with
-    absolute error below 1e-10.
+    density these are exactly (+1/4, -1/4).  The moments are exact for the
+    uniform and every piecewise-linear density: the integrand is piecewise
+    quadratic and is integrated in closed form.
     """
     return (
-        _half_line_moment(dist, 0.0, 1.0),
-        _half_line_moment(dist, -1.0, 0.0),
+        _piecewise_linear_moments(*_half_line(dist, positive=True))[1],
+        _piecewise_linear_moments(*_half_line(dist, positive=False))[1],
     )
 
 
 def _positive_mass(dist: InterferenceDistribution) -> float:
-    if dist.kind == "uniform":
-        return 0.5
-    grid, density = dist.grid, dist.density
-    if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
-        cut = np.searchsorted(grid, 0.0)
-        g0 = np.concatenate([[0.0], grid[cut:]])
-        d0 = np.concatenate([[float(dist.pdf(0.0))], density[cut:]])
-    else:
-        keep = grid >= 0.0
-        g0, d0 = grid[keep], density[keep]
-    if g0.size < 2:
-        return 0.0
-    return _piecewise_linear_moments(g0, d0)[0]
+    return _piecewise_linear_moments(*_half_line(dist, positive=True))[0]
 
 
 @dataclass(frozen=True)

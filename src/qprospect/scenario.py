@@ -64,14 +64,17 @@ def _require(condition: bool, message: str, path: str):
 
 def _scalar(value, path: str) -> complex:
     """A JSON number, or an ``[re, im]`` pair."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return complex(value)
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        ):
+            return complex(value[0], value[1])
+    except OverflowError:
+        raise ScenarioError("integer too large for a float", path) from None
     raise ScenarioError(f"expected a number or [re, im] pair, got {value!r}", path)
 
 
@@ -87,6 +90,17 @@ def _int(value, path: str) -> int:
         isinstance(value, int) and not isinstance(value, bool),
         f"expected an integer, got {value!r}", path,
     )
+    return value
+
+
+def _seed(value, path: str) -> int:
+    seed = _int(value, path)
+    _require(seed >= 0, f"seed must be nonnegative, got {seed}", path)
+    return seed
+
+
+def _bool(value, path: str) -> bool:
+    _require(isinstance(value, bool), f"expected true or false, got {value!r}", path)
     return value
 
 
@@ -217,8 +231,8 @@ class Scenario:
 
     def seed(self, override: int | None = None) -> int:
         if override is not None:
-            return int(override)
-        return _int(self.run.get("seed", 0), "run.seed")
+            return _seed(int(override), "--seed")
+        return _seed(self.run.get("seed", 0), "run.seed")
 
 
 def _parse_state(section, scenario: Scenario):
@@ -383,7 +397,7 @@ def _parse_game(section, scenario: Scenario):
         options["cohort"] = {
             "n_pairs": _int(body["n_pairs"], "game.cohort.n_pairs"),
             "symmetry": body.get("symmetry", "broken"),
-            "fixed_q": bool(body.get("fixed_q", False)),
+            "fixed_q": _bool(body.get("fixed_q", False), "game.cohort.fixed_q"),
         }
     scenario.game_options = options
 
@@ -402,6 +416,9 @@ def _parse_interference(section, scenario: Scenario):
              "interference.kind")
     _require("grid" in section and "density" in section,
              "tabulated interference needs 'grid' and 'density'", "interference")
+    for key in ("grid", "density"):
+        _require(isinstance(section[key], list), "expected a list of numbers",
+                 f"interference.{key}")
     grid = [_real(x, f"interference.grid[{k}]")
             for k, x in enumerate(section["grid"])]
     density = [_real(x, f"interference.density[{k}]")
@@ -413,13 +430,22 @@ def _parse_interference(section, scenario: Scenario):
 def parse_scenario(text) -> Scenario:
     """Parse and validate one scenario document (str or bytes)."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(
+                f"not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+            ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except RecursionError as exc:
+        raise ScenarioError("not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ScenarioError(f"not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "scenario must be a JSON object", "")
     unknown = set(data) - set(_TOP_LEVEL)
     _require(not unknown, f"unknown sections {sorted(unknown)}", "")
@@ -436,7 +462,16 @@ def parse_scenario(text) -> Scenario:
                  f"format must be one of {FORMATS}, got {run['format']!r}",
                  "run.format")
     if "seed" in run:
-        _int(run["seed"], "run.seed")
+        _seed(run["seed"], "run.seed")
+    if "normalized" in run:
+        _bool(run["normalized"], "run.normalized")
+    if "log_base" in run and run["log_base"] not in ("natural", "e"):
+        base = run["log_base"]
+        _require(isinstance(base, (int, float)) and not isinstance(base, bool),
+                 f"log base must be \"natural\", \"e\" or a number, got {base!r}",
+                 "run.log_base")
+        _require(_real(base, "run.log_base") > 1.0,
+                 f"log base must exceed 1, got {base!r}", "run.log_base")
     if "tolerance" in run:
         tol = _real(run["tolerance"], "run.tolerance")
         _require(0.0 < tol < 1.0, "tolerance must lie in (0, 1)", "run.tolerance")

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import qprospect
 from qprospect import policy
 from qprospect.cli import main, run
 from qprospect.scenario import parse_scenario
@@ -158,6 +159,40 @@ class TestExitCodes:
         assert policy.tolerance() == before
 
 
+class TestMalformedScenarios:
+    """Bytes and directives that once escaped as tracebacks exit 2."""
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+    ], ids=["non-utf8", "deeply-nested"])
+    def test_unreadable_document_is_2(self, raw, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["born", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("bell_entanglement", "log_base", "ten"),
+        ("bell_entanglement", "log_base", 1),
+        ("prospect_witness", "normalized", "no"),
+        ("prospect_witness", "normalized", 0),
+    ])
+    def test_mistyped_directive_is_2(self, name, key, value, tmp_path, capsys):
+        with open(data(f"{name}.json")) as handle:
+            doc = json.load(handle)
+        doc["run"][key] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
+        assert f"run.{key}" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_2(self, capsys):
+        code = main(["game", "--scenario", data("game_cohort.json"), "--seed", "-1"])
+        assert code == 2
+        assert "--seed: seed must be nonnegative" in capsys.readouterr().err
+
+
 class TestGolden:
     @pytest.mark.parametrize("subcommand,name", [
         ("joint", "bell_joint"),
@@ -225,3 +260,57 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0
         assert result.stdout.strip()
+
+
+def run_cli_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this qprospect."""
+    src = os.path.dirname(os.path.dirname(qprospect.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+
+
+REFUSE_SCIPY = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is refused: {name}", name=name)
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+RUN_MAIN = "from qprospect.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        result = run_cli_python(
+            "import sys, qprospect.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_selftest_runs_without_scipy(self):
+        result = run_cli_python(REFUSE_SCIPY + RUN_MAIN, "selftest")
+        assert result.returncode == 0, result.stderr
+        assert "13/13 criteria passed" in result.stdout
+
+    def test_quarter_law_runs_without_scipy(self, tmp_path):
+        target = tmp_path / "quarter_law_uniform.csv"
+        result = run_cli_python(
+            REFUSE_SCIPY + RUN_MAIN, "quarter-law",
+            "--scenario", data("quarter_law_uniform.json"),
+            "--format", "csv", "--out", str(target))
+        assert result.returncode == 0, result.stderr
+        with open(os.path.join(GOLDEN, "quarter_law_uniform.csv"), "rb") as handle:
+            assert target.read_bytes() == handle.read()
+
+    def test_refusing_finder_does_refuse(self):
+        # guards the two tests above: the finder must really block scipy
+        result = run_cli_python(REFUSE_SCIPY + "import scipy.integrate\n")
+        assert result.returncode != 0
+        assert "scipy is refused" in result.stderr

@@ -100,6 +100,10 @@ class TestReportInvariants:
             entanglement_production(bell_state(2), log_base=1.0)
         with pytest.raises(ValidationError):
             entanglement_production(bell_state(2), log_base=0.5)
+        with pytest.raises(ValidationError):
+            entanglement_production(bell_state(2), log_base="ten")
+        with pytest.raises(ValidationError):
+            entanglement_production(bell_state(2), log_base=math.inf)
 
 
 class TestWitnesses:

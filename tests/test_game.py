@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qprospect import (
     GameSpec,
@@ -12,6 +13,7 @@ from qprospect import (
     monte_carlo_cohort,
     quarter_law,
 )
+from qprospect.game import _piecewise_linear_moments, _positive_mass
 
 # joint-action statistics of the canonical disjunction-effect experiment:
 # cooperation is rare whatever the partner does
@@ -86,14 +88,14 @@ class TestInterferenceDistribution:
 
 class TestQuarterLaw:
     def test_uniform_gives_quarter(self):
-        q_plus, q_minus = quarter_law(InterferenceDistribution.uniform())
-        assert abs(q_plus - 0.25) <= 1e-10
-        assert abs(q_minus + 0.25) <= 1e-10
+        uniform = InterferenceDistribution.uniform()
+        assert quarter_law(uniform) == (0.25, -0.25)
+        assert _positive_mass(uniform) == 0.5
 
     def test_triangular_gives_sixth(self):
         # int_0^1 q (1 - q) dq = 1/6
         q_plus, q_minus = quarter_law(triangular_density())
-        assert abs(q_plus - 1.0 / 6.0) <= 1e-6
+        assert abs(q_plus - 1.0 / 6.0) <= 1e-12
         assert abs(q_plus + q_minus) <= 1e-12
 
     def test_asymmetric_zero_mean_density(self):
@@ -104,8 +106,80 @@ class TestQuarterLaw:
         density = np.array([0.0, 0.5, 1.0, 0.0])
         dist = InterferenceDistribution.tabulated(grid, density)
         q_plus, q_minus = quarter_law(dist)
-        assert abs(q_plus - 1.0 / 6.0) < 1e-9
-        assert abs(q_plus + q_minus) < 1e-9
+        assert abs(q_plus - 1.0 / 6.0) <= 1e-12
+        assert abs(q_plus + q_minus) <= 1e-12
+
+
+def random_zero_mean_density(rng, with_zero_knot):
+    """A random tabulated density with unit mass and zero mean.
+
+    Knots are random on both sides of 0, with 0 itself a knot or not; the
+    values at the grid ends are nonzero, so the density jumps there.  Zero
+    mean comes from mixing a left-leaning and a right-leaning shape with
+    weights that cancel their first moments; draws where the two shapes
+    do not lean opposite ways are redrawn.
+    """
+    m_left = m_right = 0.0
+    while not m_left < 0.0 < m_right:
+        left = -np.sort(rng.uniform(0.02, rng.uniform(0.3, 1.0), rng.integers(1, 6)))
+        right = np.sort(rng.uniform(0.02, rng.uniform(0.3, 1.0), rng.integers(1, 6)))
+        grid = np.unique(np.concatenate([left, [0.0] if with_zero_knot else [], right]))
+        values = rng.uniform(0.1, 1.0, grid.size)
+        lean_left = values * np.where(grid < 0.0, 1.0, 0.05)
+        lean_right = values * np.where(grid > 0.0, 1.0, 0.05)
+        m_left = _piecewise_linear_moments(grid, lean_left)[1]
+        m_right = _piecewise_linear_moments(grid, lean_right)[1]
+    density = m_right * lean_left - m_left * lean_right
+    density /= _piecewise_linear_moments(grid, density)[0]
+    return InterferenceDistribution.tabulated(grid, density)
+
+
+def quad_moment(dist, lo, hi, power):
+    """Adaptive quadrature of ``q**power * mu(q)`` over ``[lo, hi]``, split at the knots."""
+    knots = tuple(x for x in dist.grid if lo < x < hi) or None
+    value, _ = quad(lambda q: q**power * dist.pdf(q), lo, hi,
+                    points=knots, epsabs=1e-14, epsrel=1e-14, limit=200)
+    return value
+
+
+def unvalidated(grid, density):
+    """A tabulated distribution built without the mass and mean checks."""
+    dist = object.__new__(InterferenceDistribution)
+    object.__setattr__(dist, "kind", "tabulated")
+    object.__setattr__(dist, "grid", np.asarray(grid, dtype=float))
+    object.__setattr__(dist, "density", np.asarray(density, dtype=float))
+    return dist
+
+
+class TestExactMomentsAgainstQuadrature:
+    """The closed-form half-line moments agree with scipy's adaptive quadrature."""
+
+    @pytest.mark.parametrize("with_zero_knot", [True, False], ids=["knot-at-0", "straddles-0"])
+    def test_random_zero_mean_densities(self, with_zero_knot):
+        rng = np.random.default_rng(1308 + with_zero_knot)
+        for _ in range(40):
+            dist = random_zero_mean_density(rng, with_zero_knot)
+            assert (0.0 in dist.grid) == with_zero_knot
+            q_plus, q_minus = quarter_law(dist)
+            assert abs(q_plus - quad_moment(dist, 0.0, 1.0, 1)) <= 1e-12
+            assert abs(q_minus - quad_moment(dist, -1.0, 0.0, 1)) <= 1e-12
+            assert abs(_positive_mass(dist) - quad_moment(dist, 0.0, 1.0, 0)) <= 1e-12
+
+    @pytest.mark.parametrize("sign,edge", [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.1), (-1.0, 0.1)],
+                             ids=["starts-at-0", "ends-at-0", "starts-above-0", "ends-below-0"])
+    def test_one_sided_grid_adds_no_ramp(self, rng, sign, edge):
+        # no zero-mean density can live on one half-line, so this grid is
+        # built without validation; it checks that the split adds no mass
+        # on the side the grid only touches or misses
+        grid = np.sort(sign * np.concatenate([[edge], rng.uniform(edge + 0.05, 1.0, 6)]))
+        dist = unvalidated(grid, rng.uniform(0.1, 1.0, grid.size))
+        q_plus, q_minus = quarter_law(dist)
+        assert abs(q_plus - quad_moment(dist, 0.0, 1.0, 1)) <= 1e-12
+        assert abs(q_minus - quad_moment(dist, -1.0, 0.0, 1)) <= 1e-12
+        assert abs(_positive_mass(dist) - quad_moment(dist, 0.0, 1.0, 0)) <= 1e-12
+        assert (q_minus if sign > 0 else q_plus) == 0.0
+        if sign < 0:
+            assert _positive_mass(dist) == 0.0
 
 
 class TestBrokenSymmetry:

@@ -99,6 +99,38 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="tolerance"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        "1" * 5000,
+    ], ids=["nested-str", "long-integer"])
+    def test_unparsable_json_rejected(self, text):
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            parse_scenario(text)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        doc = minimal_born(run={"op": "born", "tolerance": 10**400})
+        with pytest.raises(ScenarioError, match="run.tolerance.*too large"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("normalized", True), ("normalized", False),
+        ("log_base", "natural"), ("log_base", "e"), ("log_base", 2), ("log_base", 10.0),
+    ])
+    def test_typed_directives_accepted(self, key, value):
+        sc = parse_scenario(minimal_born(run={"op": "born", key: value}))
+        assert sc.run[key] == value
+
+    @pytest.mark.parametrize("key,value", [
+        ("normalized", "no"), ("normalized", 0), ("normalized", None),
+        ("log_base", "ten"), ("log_base", True), ("log_base", [10, 0]),
+        ("log_base", 1), ("log_base", 0.5), ("log_base", 1e400),
+        ("seed", -1), ("seed", 1.5),
+    ])
+    def test_mistyped_directives_rejected(self, key, value):
+        doc = minimal_born(run={"op": "born", key: value})
+        with pytest.raises(ScenarioError, match=f"run.{key}"):
+            parse_scenario(doc)
+
     def test_ragged_matrix_carries_row_path(self):
         doc = minimal_born(state={"density": [[1, 0], [0]]})
         with pytest.raises(ScenarioError, match=r"state\.density\[1\]"):
@@ -160,6 +192,15 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="game.favored"):
             parse_scenario(doc)
 
+    def test_game_cohort_fixed_q_must_be_boolean(self):
+        doc = json.dumps({
+            "run": {"op": "game"},
+            "game": {"joint": [[0.25, 0.25], [0.25, 0.25]],
+                     "cohort": {"n_pairs": 10, "fixed_q": "no"}},
+        })
+        with pytest.raises(ScenarioError, match="game.cohort.fixed_q"):
+            parse_scenario(doc)
+
     def test_uniform_interference_rejects_tabulation(self):
         doc = json.dumps({
             "run": {"op": "quarter-law"},
@@ -180,6 +221,14 @@ class TestParsing:
         sc = parse_scenario(doc)
         assert sc.interference is not None
         assert sc.interference.kind == "tabulated"
+
+    def test_tabulated_interference_needs_lists(self):
+        doc = json.dumps({
+            "run": {"op": "quarter-law"},
+            "interference": {"kind": "tabulated", "grid": 5, "density": [0, 1, 0]},
+        })
+        with pytest.raises(ScenarioError, match="interference.grid"):
+            parse_scenario(doc)
 
     def test_stage_validation_path(self):
         doc = minimal_born(stages=[{"kind": "warp"}])
