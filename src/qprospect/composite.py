@@ -134,17 +134,15 @@ def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
 
 
 def joint_table(state: CompositeState) -> np.ndarray:
-    """All elementary joint probabilities as a ``dim_a x dim_b`` table."""
+    """All elementary joint probabilities as a ``dim_a x dim_b`` table.
+
+    The diagonal of the state, window-checked and clamped entrywise like
+    :func:`joint_probability`.
+    """
     da, db = state.dims
-    diag = state.matrix.diagonal()
-    if np.abs(diag.imag).max() > policy.PROBABILITY_TOL:
-        raise NumericContractError(
-            f"joint table has imaginary residue {np.abs(diag.imag).max():.3e}"
-        )
-    table = diag.real.reshape(da, db)
-    if table.min() < -policy.PROBABILITY_TOL or table.max() > 1 + policy.PROBABILITY_TOL:
-        raise NumericContractError("joint probability outside the unit window")
-    return np.clip(table, 0.0, 1.0)
+    return qcore.real_probabilities(
+        state.matrix.diagonal().reshape(da, db), "joint probability"
+    )
 
 
 def marginals(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:

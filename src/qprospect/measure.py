@@ -38,9 +38,21 @@ def born_probability(rho: DensityOperator, obs: Observable, n: int) -> float:
     return qcore.real_probability(raw, f"p({obs.label}_{n})")
 
 
+def _diagonal_in(rho: DensityOperator, obs: Observable) -> np.ndarray:
+    """Raw ``<n|rho|n>`` for every eigenvector: the diagonal of ``E^dag rho E``."""
+    e = obs.eigenbasis
+    return np.sum(e.conj() * (rho.matrix @ e), axis=0)
+
+
 def born_distribution(rho: DensityOperator, obs: Observable) -> np.ndarray:
-    """All event probabilities of one observable, in index order."""
-    return np.array([born_probability(rho, obs, n) for n in range(obs.dim)])
+    """All event probabilities of one observable, in index order.
+
+    With ``A`` the eigenbasis matrix (eigenvectors as columns) this is
+    ``diag(A^dag rho A)``, window-checked and clamped entrywise like
+    :func:`born_probability`; one d x d product, no per-event projector.
+    """
+    _check_dims(rho, obs)
+    return qcore.real_probabilities(_diagonal_in(rho, obs), f"p({obs.label})")
 
 
 def expected_value(rho: DensityOperator, obs: Observable) -> float:
@@ -167,25 +179,30 @@ def kirkwood_form(
 def wigner_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> np.ndarray:
     """All sequential probabilities at once, indexed ``[n, alpha]``.
 
-    Rows sum to the marginal second-step distribution, columns to the
-    first-step Born distribution, and the whole table to one.
+    With ``A``, ``B`` the eigenbasis matrices, entry ``[n, alpha]`` of
+    :func:`wigner_distribution` is ``|<n|alpha>|^2 <alpha|rho|alpha>``, so the
+    table is ``|A^dag B|^2 * diag(B^dag rho B)[None, :]``, window-checked
+    and clamped entrywise.  Rows sum to the marginal second-step
+    distribution, columns to the first-step Born distribution, and the
+    whole table to one.
     """
-    return np.array(
-        [
-            [wigner_distribution(rho, obs_a, n, obs_b, alpha) for alpha in range(obs_b.dim)]
-            for n in range(obs_a.dim)
-        ]
-    )
+    _check_dims(rho, obs_a)
+    _check_dims(rho, obs_b)
+    raw = transition_matrix(obs_a, obs_b) * _diagonal_in(rho, obs_b)[None, :]
+    return qcore.real_probabilities(raw, "sequential probability")
 
 
 def kirkwood_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> np.ndarray:
-    """All time-ordered quasiprobabilities at once, indexed ``[n, alpha]``."""
-    return np.array(
-        [
-            [kirkwood_form(rho, obs_a, n, obs_b, alpha) for alpha in range(obs_b.dim)]
-            for n in range(obs_a.dim)
-        ]
-    )
+    """All time-ordered quasiprobabilities at once, indexed ``[n, alpha]``.
+
+    Entry ``[n, alpha]`` of :func:`kirkwood_form` is
+    ``<alpha|rho|n><n|alpha>``, so with ``A``, ``B`` the eigenbasis matrices
+    the table is ``(B^dag rho A).T * (A^dag B)``.
+    """
+    _check_dims(rho, obs_a)
+    _check_dims(rho, obs_b)
+    a, b = obs_a.eigenbasis, obs_b.eigenbasis
+    return (b.conj().T @ rho.matrix @ a).T * (a.conj().T @ b)
 
 
 def identity_chain_residual(

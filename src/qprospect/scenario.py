@@ -337,8 +337,10 @@ def _parse_hamiltonian(section, scenario: Scenario):
     _require(isinstance(section, dict) and "h0" in section,
              "hamiltonian needs at least 'h0'", "hamiltonian")
     h0 = _matrix(section["h0"], "hamiltonian.h0")
+    raw = section.get("pieces", [])
+    _require(isinstance(raw, list), "pieces must be a list", "hamiltonian.pieces")
     pieces = []
-    for k, body in enumerate(section.get("pieces", [])):
+    for k, body in enumerate(raw):
         path = f"hamiltonian.pieces[{k}]"
         _require(isinstance(body, dict) and "start" in body and "matrix" in body,
                  "piece needs 'start' and 'matrix'", path)
@@ -386,8 +388,12 @@ def _parse_game(section, scenario: Scenario):
         raw = section["empirical"]
         _require(isinstance(raw, list) and len(raw) == 2,
                  "empirical must be [p1, p2]", "game.empirical")
-        options["empirical"] = tuple(
-            _real(x, f"game.empirical[{k}]") for k, x in enumerate(raw))
+        empirical = tuple(_real(x, f"game.empirical[{k}]") for k, x in enumerate(raw))
+        _require(all(0.0 <= p <= 1.0 for p in empirical)
+                 and abs(sum(empirical) - 1.0) <= policy.PROBABILITY_TOL,
+                 f"empirical must be two probabilities summing to 1, got {list(empirical)}",
+                 "game.empirical")
+        options["empirical"] = empirical
     if "cohort" in section:
         body = section["cohort"]
         _require(isinstance(body, dict) and "n_pairs" in body,

@@ -187,6 +187,43 @@ class TestMalformedScenarios:
         assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
         assert f"run.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empirical", [
+        [2, -1], [0.5, 0.6], [0.37, 0.63 + 1e-9], [-0.0001, 1.0001], [1.5, -0.5],
+    ])
+    def test_empirical_must_be_a_probability_pair(self, empirical, tmp_path, capsys):
+        with open(data("game_broken.json")) as handle:
+            doc = json.load(handle)
+        doc["game"]["empirical"] = empirical
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        assert main(["game", "--scenario", str(path), "--format", "csv"]) == 2
+        assert "game.empirical: empirical must be two probabilities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["game_broken", "game_cohort"])
+    def test_shipped_empirical_pairs_still_run(self, name, capsys):
+        with open(data(f"{name}.json")) as handle:
+            assert json.load(handle)["game"]["empirical"] == [0.37, 0.63]
+        assert main(["game", "--scenario", data(f"{name}.json"), "--format", "csv"]) == 0
+        assert "deviation[cooperate]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pieces", [{}, {"a": 1}, "pieces", 3, None])
+    def test_hamiltonian_pieces_must_be_a_list(self, pieces, tmp_path, capsys):
+        with open(data("dynamics_rabi.json")) as handle:
+            doc = json.load(handle)
+        doc["hamiltonian"]["pieces"] = pieces
+        path = tmp_path / "dynamics.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dynamics", "--scenario", str(path)]) == 2
+        assert "hamiltonian.pieces: pieces must be a list" in capsys.readouterr().err
+
+    def test_absent_hamiltonian_pieces_mean_none(self, tmp_path, capsys):
+        with open(data("dynamics_rabi.json")) as handle:
+            doc = json.load(handle)
+        del doc["hamiltonian"]["pieces"]
+        path = tmp_path / "dynamics.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dynamics", "--scenario", str(path)]) == 0
+
     def test_negative_seed_flag_is_2(self, capsys):
         code = main(["game", "--scenario", data("game_cohort.json"), "--seed", "-1"])
         assert code == 2

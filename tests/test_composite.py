@@ -91,6 +91,21 @@ class TestJointEvents:
         state = random_composite(3, 3, rng)
         assert abs(joint_table(state).sum() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("diagonal,entry,message", [
+        ([0.5, 0.5, 1.5, -0.5], (1, 0), "= 1.5 lies outside"),
+        ([0.5, 0.5j, 0.0, 0.0], (0, 1), "has imaginary residue 5.000e-01"),
+    ])
+    def test_table_window_names_the_entry(self, diagonal, entry, message):
+        state = object.__new__(CompositeState)  # unvalidated, to reach the contract
+        object.__setattr__(state, "matrix", np.diag(np.array(diagonal, dtype=complex)))
+        object.__setattr__(state, "dims", (2, 2))
+        with pytest.raises(NumericContractError) as caught:
+            joint_table(state)
+        assert str(caught.value).startswith(
+            f"joint probability[{entry[0]}, {entry[1]}] {message}")
+        with pytest.raises(NumericContractError):
+            joint_probability(state, *entry)
+
     def test_product_state_joint_factorizes(self, rng):
         rho_a = random_density(2, rng)
         rho_b = random_density(3, rng)

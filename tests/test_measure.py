@@ -5,6 +5,8 @@ import pytest
 
 from qprospect import (
     DensityOperator,
+    DimensionMismatchError,
+    NumericContractError,
     Observable,
     ValidationError,
     ZeroProbabilityError,
@@ -14,14 +16,17 @@ from qprospect import (
     disjoint_union_probability,
     expected_value,
     identity_chain_residual,
+    kirkwood_form,
     kirkwood_table,
     luders_reduce,
     luders_transition,
     most_probable,
     projector_of,
     transition_matrix,
+    wigner_distribution,
     wigner_table,
 )
+from qprospect import events, measure
 
 from helpers import random_density, random_observable
 
@@ -233,3 +238,148 @@ class TestIdentityChain:
     def test_hand_worked_case(self):
         # p(A_0) splits into the two Wigner terms plus one cross term
         assert identity_chain_residual(PLUS, Z, 0, X) <= 1e-12
+
+
+# ------------------------------------------- whole tables at realistic d
+
+def scalar_tables(rho, a, b):
+    """The tables entry by entry through the scalar, projector-based route."""
+    d = rho.dim
+    wigner = np.array([[wigner_distribution(rho, a, n, b, alpha) for alpha in range(d)]
+                       for n in range(d)])
+    kirkwood = np.array([[kirkwood_form(rho, a, n, b, alpha) for alpha in range(d)]
+                         for n in range(d)])
+    born = np.array([born_probability(rho, a, n) for n in range(d)])
+    return wigner, kirkwood, born
+
+
+@pytest.fixture(scope="module", params=[16, 64], ids=lambda d: f"d{d}")
+def large_case(request):
+    d = request.param
+    rng = np.random.default_rng(7100 + d)
+    rho = random_density(d, rng)
+    a = random_observable(d, rng, "A")
+    b = random_observable(d, rng, "B")
+    return rho, a, b, scalar_tables(rho, a, b)
+
+
+class TestTablesAtScale:
+    def test_entries_match_the_scalar_route(self, large_case):
+        rho, a, b, (wigner, kirkwood, born) = large_case
+        assert np.abs(wigner_table(rho, a, b) - wigner).max() <= 1e-12
+        assert np.abs(kirkwood_table(rho, a, b) - kirkwood).max() <= 1e-12
+        assert np.abs(born_distribution(rho, a) - born).max() <= 1e-12
+
+    def test_wigner_marginals(self, large_case):
+        rho, a, b, _ = large_case
+        table = wigner_table(rho, a, b)
+        assert np.abs(table.sum(axis=0) - born_distribution(rho, b)).max() <= 1e-12
+        assert abs(table.sum() - 1.0) <= 1e-12
+
+    def test_kirkwood_total_is_one(self, large_case):
+        rho, a, b, _ = large_case
+        assert abs(kirkwood_table(rho, a, b).sum() - 1.0) <= 1e-12
+
+    def test_kirkwood_of_one_observable_is_classical(self, large_case):
+        rho, a, _, _ = large_case
+        table = kirkwood_table(rho, a, a)
+        assert np.abs(table.imag).max() <= 1e-12
+        assert np.abs(np.diag(table).real - born_distribution(rho, a)).max() <= 1e-12
+        assert np.abs(table - np.diag(np.diag(table))).max() <= 1e-12
+
+
+def unvalidated_density(m) -> DensityOperator:
+    """A DensityOperator that skips validation, to reach the numeric contracts."""
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "matrix", np.asarray(m, dtype=complex))
+    return rho
+
+
+def first_failure(compute, shape):
+    """Index of the first entry whose scalar computation raises, in table order."""
+    for index in np.ndindex(*shape):
+        try:
+            compute(*index)
+        except NumericContractError:
+            return index
+    return None
+
+
+class TestTableContracts:
+    @pytest.mark.parametrize("defect,raises", [
+        (lambda m, e: m + 1e-6j * np.eye(len(m)), True),       # imaginary diagonal
+        (lambda m, e: m + 1e-14j * np.eye(len(m)), False),     # residue inside the window
+        (lambda m, e: (e * [1.5, -0.5, 0, 0, 0, 0]) @ e.conj().T, True),  # not PSD in B
+        (lambda m, e: -m, True),                               # trace -1
+    ], ids=["imaginary", "tiny-imaginary", "not-psd", "negative"])
+    def test_tables_raise_where_the_scalar_route_raises(self, rng, defect, raises):
+        d = 6
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        rho = unvalidated_density(defect(random_density(d, rng).matrix, b.eigenbasis))
+        routes = [
+            (lambda n, alpha: wigner_distribution(rho, a, n, b, alpha), (d, d),
+             lambda: wigner_table(rho, a, b)),
+            (lambda n: born_probability(rho, b, n), (d,),
+             lambda: born_distribution(rho, b)),
+        ]
+        for scalar, shape, table in routes:
+            failure = first_failure(scalar, shape)
+            assert (failure is not None) == raises
+            if failure is None:
+                table()
+                continue
+            with pytest.raises(NumericContractError) as caught:
+                table()
+            assert f"[{', '.join(map(str, failure))}]" in str(caught.value)
+
+    def test_dimension_mismatch(self, rng):
+        rho = random_density(3, rng)
+        a = random_observable(3, rng, "A")
+        b = random_observable(4, rng, "B")
+        for call in (lambda: wigner_table(rho, a, b), lambda: kirkwood_table(rho, b, a),
+                     lambda: born_distribution(rho, b)):
+            with pytest.raises(DimensionMismatchError, match="observable 'B' dim 4"):
+                call()
+
+
+class TestChainResidualIndependence:
+    def test_diagonal_goes_through_the_scalar_route(self, rng, monkeypatch):
+        d = 16
+        rho = random_density(d, rng)
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        assert identity_chain_residual(rho, a, 3, b) <= 1e-10
+        scalar = measure.wigner_distribution
+        monkeypatch.setattr(measure, "wigner_distribution",
+                            lambda *args: scalar(*args) + 1e-8)
+        assert identity_chain_residual(rho, a, 3, b) > 1e-10
+
+
+class TestNoPerEntryProjectors:
+    """The table kernels are O(d^3): a d^2 loop of projectors would be O(d^5)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        original = events.Projector.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            original(self)
+
+        monkeypatch.setattr(events.Projector, "__post_init__", counting)
+        return count
+
+    def test_tables_build_no_projectors(self, builds):
+        d = 64
+        rng = np.random.default_rng(6464)
+        rho = random_density(d, rng)
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        wigner_table(rho, a, b)
+        kirkwood_table(rho, a, b)
+        born_distribution(rho, a)
+        assert builds[0] == 0
+        identity_chain_residual(rho, a, 0, b)  # the counter does count
+        assert builds[0] == 2 * d

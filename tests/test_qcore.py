@@ -15,7 +15,12 @@ from qprospect import (
     spectral_norm,
     tensor_product,
 )
-from qprospect.qcore import as_complex_matrix, as_complex_vector, real_probability
+from qprospect.qcore import (
+    as_complex_matrix,
+    as_complex_vector,
+    real_probabilities,
+    real_probability,
+)
 
 from helpers import random_density, random_unitary
 
@@ -156,3 +161,28 @@ class TestConversionGuards:
             real_probability(1.5, "p")
         with pytest.raises(NumericContractError):
             real_probability(0.5 + 1e-6j, "p")
+
+    def test_scalar_window_messages_name_no_index(self):
+        with pytest.raises(NumericContractError, match=r"^p = 1\.5 lies outside"):
+            real_probability(1.5, "p")
+        with pytest.raises(NumericContractError, match=r"^p has imaginary residue 1\.000e-06"):
+            real_probability(0.5 + 1e-6j, "p")
+
+    def test_scalar_clamp_keeps_float_semantics(self):
+        for x in (-0.0, 0.0, 0.25, 1.0, -1e-13, 1.0 + 1e-13):
+            got = real_probability(x, "p")
+            assert type(got) is float
+            assert repr(got) == repr(min(max(x, 0.0), 1.0))
+        assert np.isnan(real_probability(float("nan"), "p"))
+
+    def test_table_window_names_the_first_offending_entry(self):
+        table = np.array([[0.5, 1e-14j], [-1e-13, 1.0 + 1e-13]])
+        got = real_probabilities(table, "w")
+        assert got.dtype == float and got.shape == (2, 2)
+        assert np.array_equal(got, [[0.5, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericContractError, match=r"^w\[1, 0\] = -0\.1 lies outside"):
+            real_probabilities(np.array([[0.5, 0.2], [-0.1, 2.0]]), "w")
+        with pytest.raises(NumericContractError, match=r"^w\[0, 1\] has imaginary residue"):
+            real_probabilities(np.array([[0.5, 0.2 + 1e-9j], [-0.1, 2.0]]), "w")
+        with pytest.raises(NumericContractError, match=r"^p\[2\] = 1\.5 lies"):
+            real_probabilities([0.1, 0.2, 1.5, -3.0], "p")
