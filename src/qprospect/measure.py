@@ -134,14 +134,18 @@ def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) 
     return qcore.real_probability(abs(amp) ** 2, "transition probability")
 
 
-def transition_matrix(obs_a: Observable, obs_b: Observable) -> np.ndarray:
-    """Full doubly stochastic table, row ``n`` and column ``alpha``."""
+def _overlaps(obs_a: Observable, obs_b: Observable) -> np.ndarray:
+    """Basis change ``A^dag B``: entry ``[n, alpha]`` is ``<n|alpha>``."""
     if obs_a.dim != obs_b.dim:
         raise DimensionMismatchError(
             f"observables {obs_a.label!r} and {obs_b.label!r} act on different spaces"
         )
-    overlaps = obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
-    return np.abs(overlaps) ** 2
+    return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
+
+
+def transition_matrix(obs_a: Observable, obs_b: Observable) -> np.ndarray:
+    """Full doubly stochastic table, row ``n`` and column ``alpha``."""
+    return np.abs(_overlaps(obs_a, obs_b)) ** 2
 
 
 def wigner_distribution(
@@ -188,7 +192,7 @@ def wigner_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> 
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
-    raw = transition_matrix(obs_a, obs_b) * _diagonal_in(rho, obs_b)[None, :]
+    raw = np.abs(_overlaps(obs_a, obs_b)) ** 2 * _diagonal_in(rho, obs_b)[None, :]
     return qcore.real_probabilities(raw, "sequential probability")
 
 
@@ -201,8 +205,8 @@ def kirkwood_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
-    a, b = obs_a.eigenbasis, obs_b.eigenbasis
-    return (b.conj().T @ rho.matrix @ a).T * (a.conj().T @ b)
+    sandwich = obs_b.eigenbasis.conj().T @ rho.matrix @ obs_a.eigenbasis
+    return sandwich.T * _overlaps(obs_a, obs_b)
 
 
 def identity_chain_residual(

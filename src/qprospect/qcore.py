@@ -72,14 +72,6 @@ def require_unitary(m, name: str = "matrix", tol: float | None = None) -> np.nda
     return a
 
 
-def _window_breaks(x, y, w: float):
-    """Imaginary residue beyond ``w``, and real part outside ``[-w, 1 + w]``.
-
-    Entrywise on arrays, plain booleans on floats.
-    """
-    return abs(y) > w, (x < -w) | (x > 1.0 + w)
-
-
 def real_probabilities(values, name: str = "probability") -> np.ndarray:
     """Check raw probability-like values entrywise and clamp them to [0, 1].
 
@@ -92,8 +84,8 @@ def real_probabilities(values, name: str = "probability") -> np.ndarray:
     """
     w = policy.PROBABILITY_TOL
     a = np.asarray(values, dtype=complex)
-    imaginary, outside = _window_breaks(a.real, a.imag, w)
-    broken = imaginary | outside
+    imaginary = np.abs(a.imag) > w
+    broken = imaginary | (a.real < -w) | (a.real > 1.0 + w)
     if broken.any():
         at = tuple(int(k) for k in np.argwhere(broken)[0])
         where = f"{name}[{', '.join(map(str, at))}]" if at else name
@@ -109,16 +101,8 @@ def real_probabilities(values, name: str = "probability") -> np.ndarray:
 
 
 def real_probability(value: complex, name: str = "probability") -> float:
-    """Scalar case of :func:`real_probabilities`.
-
-    Checked on Python floats, which costs a microsecond where numpy's
-    per-call overhead costs several; this sits in per-entry loops.
-    """
-    z = complex(value)
-    imaginary, outside = _window_breaks(z.real, z.imag, policy.PROBABILITY_TOL)
-    if imaginary or outside:
-        real_probabilities(z, name)  # raises, naming the violation
-    return min(max(z.real, 0.0), 1.0)
+    """Scalar case of :func:`real_probabilities`."""
+    return float(real_probabilities(value, name))
 
 
 def tensor_product(a, b) -> np.ndarray:

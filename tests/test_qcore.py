@@ -15,6 +15,7 @@ from qprospect import (
     spectral_norm,
     tensor_product,
 )
+from qprospect import policy
 from qprospect.qcore import (
     as_complex_matrix,
     as_complex_vector,
@@ -161,6 +162,16 @@ class TestConversionGuards:
             real_probability(1.5, "p")
         with pytest.raises(NumericContractError):
             real_probability(0.5 + 1e-6j, "p")
+
+    def test_window_edges_sit_at_the_tolerance(self):
+        w = policy.PROBABILITY_TOL
+        inside = [0.5 + 0.5j * w, -0.5 * w, 1.0 + 0.5 * w]
+        assert np.array_equal(real_probabilities(inside, "p"), [0.5, 0.0, 1.0])
+        for bad in (0.5 + 2j * w, 0.5 - 2j * w, -2 * w, 1.0 + 2 * w):
+            with pytest.raises(NumericContractError):
+                real_probability(bad, "p")
+            with pytest.raises(NumericContractError, match=r"^p\[1\]"):
+                real_probabilities([0.5, bad], "p")
 
     def test_scalar_window_messages_name_no_index(self):
         with pytest.raises(NumericContractError, match=r"^p = 1\.5 lies outside"):
