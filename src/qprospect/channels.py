@@ -24,11 +24,6 @@ from .errors import DimensionMismatchError, ProtocolError, ValidationError
 from .events import DensityOperator, Observable
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurerSpec:
     """A measuring device: its dimension, ready state, and system coupling.
@@ -55,7 +50,7 @@ class MeasurerSpec:
                 f"coupling dimension {coupling.shape[0]} is not a multiple "
                 f"of the measurer dimension {self.dim}"
             )
-        object.__setattr__(self, "coupling", _freeze(coupling))
+        object.__setattr__(self, "coupling", qcore.freeze(coupling))
 
     @property
     def system_dim(self) -> int:
@@ -81,7 +76,7 @@ class PipelineStage:
             if self.transform is None:
                 raise ValidationError("transform stage needs a matrix")
             t = np.array(qcore.require_unitary(self.transform, "basis transform"))
-            object.__setattr__(self, "transform", _freeze(t))
+            object.__setattr__(self, "transform", qcore.freeze(t))
         elif self.transform is not None:
             raise ValidationError(f"{self.kind} stages carry no transform")
 

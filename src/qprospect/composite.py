@@ -17,7 +17,7 @@ difference, which makes the lattice a proper distribution whose classical
 part is itself a distribution and whose interference terms sum to zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,43 +29,27 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .events import DensityOperator, MultimodeState, multimode_probability
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .events import DensityOperator, MultimodeState, _trusted, multimode_probability
 
 
 @dataclass(frozen=True, eq=False)
 class CompositeState:
-    """Density operator on a bipartite space with factor dimensions ``dims``."""
+    """Density operator on a bipartite space with factor dimensions ``dims``.
+
+    ``spectrum`` holds the ascending eigenvalues found while validating.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, int]
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         da, db = int(self.dims[0]), int(self.dims[1])
         if da < 1 or db < 1:
             raise ValidationError(f"factor dimensions must be positive, got {self.dims}")
-        m = np.array(qcore.require_hermitian(self.matrix, "composite state"))
-        if m.shape[0] != da * db:
-            raise DimensionMismatchError(
-                f"matrix dimension {m.shape[0]} does not match dims {da} x {db}"
-            )
-        tol = policy.tolerance()
-        tr = m.trace()
-        if abs(tr - 1.0) > tol:
-            raise ValidationError(
-                f"composite state breaks unit trace: Tr = {float(tr.real)!r}"
-            )
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -tol:
-            raise ValidationError(
-                f"composite state not positive-semidefinite: "
-                f"lowest eigenvalue {w.min():.3e}"
-            )
-        object.__setattr__(self, "matrix", _freeze(m))
+        m, w = qcore.validate_state(self.matrix, "composite state", (da, db))
+        object.__setattr__(self, "matrix", qcore.freeze(m))
+        object.__setattr__(self, "spectrum", qcore.freeze(w))
         object.__setattr__(self, "dims", (da, db))
 
     @property
@@ -89,7 +73,12 @@ class CompositeState:
         return DensityOperator(qcore.partial_trace(self.matrix, self.dims, keep))
 
     def as_density(self) -> DensityOperator:
-        return DensityOperator(self.matrix)
+        """The same state without its factor structure.
+
+        Shares the matrix and the spectrum, which were checked on
+        construction with the same tests a ``DensityOperator`` makes.
+        """
+        return _trusted(DensityOperator, self.matrix, self.spectrum)
 
     @classmethod
     def from_amplitudes(cls, c) -> "CompositeState":
@@ -97,7 +86,14 @@ class CompositeState:
 
         The flattened amplitudes are the coefficients of the state in the
         ``|n alpha>`` basis, so the density matrix elements are
-        ``c[m, a] * conj(c[n, b])``.  Total squared amplitude must be one.
+        ``c[m, a] * conj(c[n, b])``.
+
+        Checked here, in this order: ``c`` is 2-d and nonempty, its entries
+        are finite, its total squared amplitude is 1 within the tolerance,
+        the state dimension ``c.size`` is within ``MAX_DIM`` (before the
+        ``D x D`` matrix is built), and the built matrix has unit trace.
+        Held by construction and not checked: hermiticity and positivity
+        (see :func:`qcore.pure_state`); the spectrum is ``(0, ..., 0, Tr)``.
         """
         c = np.asarray(c, dtype=complex)
         if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
@@ -111,8 +107,9 @@ class CompositeState:
             raise ValidationError(
                 f"amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}"
             )
-        v = c.reshape(-1)
-        return cls(np.outer(v, v.conj()), c.shape)
+        return _trusted(
+            cls, *qcore.pure_state(c.reshape(-1), "composite state", c.shape), dims=c.shape
+        )
 
     @classmethod
     def product(cls, rho_a: DensityOperator, rho_b: DensityOperator) -> "CompositeState":
@@ -210,7 +207,7 @@ class ProspectOperator:
             raise ValidationError(
                 f"prospect operator has rank > 1: second eigenvalue {w[-2]:.3e}"
             )
-        object.__setattr__(self, "operator", _freeze(m))
+        object.__setattr__(self, "operator", qcore.freeze(m))
         object.__setattr__(self, "dims", (int(da), int(db)))
 
 

@@ -25,11 +25,6 @@ from .errors import (
 from .events import MultimodeState
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
     """Static generator plus piecewise-constant perturbations.
@@ -45,7 +40,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         h0 = np.array(qcore.require_hermitian(self.h0, "static generator"))
-        object.__setattr__(self, "h0", _freeze(h0))
+        object.__setattr__(self, "h0", qcore.freeze(h0))
         cleaned = []
         previous = -np.inf
         for k, (start, matrix) in enumerate(self.pieces):
@@ -60,7 +55,7 @@ class HamiltonianSpec:
                 raise DimensionMismatchError(
                     f"piece {k} has shape {m.shape}, expected {h0.shape}"
                 )
-            cleaned.append((start, _freeze(m)))
+            cleaned.append((start, qcore.freeze(m)))
         object.__setattr__(self, "pieces", tuple(cleaned))
 
     @property
@@ -94,7 +89,7 @@ class WaveState:
             )
         if not np.isfinite(self.time):
             raise ValidationError("time must be finite")
-        object.__setattr__(self, "coefficients", _freeze(c))
+        object.__setattr__(self, "coefficients", qcore.freeze(c))
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -157,7 +152,7 @@ class AmplitudeMatrix:
         t0, t = float(self.times[0]), float(self.times[1])
         if not (np.isfinite(t0) and np.isfinite(t)) or t < t0:
             raise ValidationError(f"invalid time pair {self.times}")
-        object.__setattr__(self, "c", _freeze(np.array(c)))
+        object.__setattr__(self, "c", qcore.freeze(np.array(c)))
         object.__setattr__(self, "times", (t0, t))
 
     @property

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
 from .composite import CompositeState
 from .errors import ValidationError
 
@@ -85,10 +84,11 @@ def entanglement_production(state: CompositeState, log_base="natural") -> Entang
         measurement_basis_norm(rho_a.matrix),
         measurement_basis_norm(rho_b.matrix),
     )
+    # the top eigenvalues found while validating the three states
     spectral = (
-        qcore.spectral_norm(state.matrix),
-        qcore.spectral_norm(rho_a.matrix),
-        qcore.spectral_norm(rho_b.matrix),
+        float(state.spectrum[-1]),
+        float(rho_a.spectrum[-1]),
+        float(rho_b.spectrum[-1]),
     )
     epsilon = _log(norms[0] / (norms[1] * norms[2]), base)
     epsilon_spectral = _log(spectral[0] / (spectral[1] * spectral[2]), base)

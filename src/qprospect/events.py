@@ -8,18 +8,13 @@ generalized proposition ``|B><B|``.  Families of generalized propositions
 that resolve the identity form a positive operator-valued measure.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import policy, qcore
 from .errors import DimensionMismatchError, NumericContractError, ValidationError
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +53,8 @@ class Observable:
                 f"{gaps.min():.3e} at or below {policy.EIGENVALUE_GAP:.0e}"
             )
         qcore.require_unitary(basis, f"eigenbasis of {self.label!r}")
-        object.__setattr__(self, "eigenvalues", _freeze(values))
-        object.__setattr__(self, "eigenbasis", _freeze(basis))
+        object.__setattr__(self, "eigenvalues", qcore.freeze(values))
+        object.__setattr__(self, "eigenbasis", qcore.freeze(basis))
 
     @property
     def dim(self) -> int:
@@ -83,28 +78,35 @@ class Observable:
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
 
 
+def _trusted(cls, matrix: np.ndarray, spectrum: np.ndarray, **fields):
+    """An instance of a state class from a matrix whose checks already hold.
+
+    The one way past ``__post_init__``: for a pure state built by
+    :func:`qcore.pure_state` after its input checks, and for a validated
+    state handed on with its spectrum.  Both arrays are frozen, not copied.
+    """
+    state = object.__new__(cls)
+    object.__setattr__(state, "matrix", qcore.freeze(matrix))
+    object.__setattr__(state, "spectrum", qcore.freeze(spectrum))
+    for name, value in fields.items():
+        object.__setattr__(state, name, value)
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Statistical operator: Hermitian, unit trace, positive-semidefinite."""
+    """Statistical operator: Hermitian, unit trace, positive-semidefinite.
+
+    ``spectrum`` holds the ascending eigenvalues found while validating.
+    """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(qcore.require_hermitian(self.matrix, "density operator"))
-        tol = policy.tolerance()
-        tr = m.trace()
-        if abs(tr - 1.0) > tol:
-            raise ValidationError(
-                f"density operator breaks unit trace: Tr = {float(tr.real)!r} "
-                f"(deviation {abs(tr - 1.0):.3e} exceeds {tol:.1e})"
-            )
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -tol:
-            raise ValidationError(
-                f"density operator not positive-semidefinite: "
-                f"lowest eigenvalue {w.min():.3e}"
-            )
-        object.__setattr__(self, "matrix", _freeze(m))
+        m, w = qcore.validate_state(self.matrix, "density operator")
+        object.__setattr__(self, "matrix", qcore.freeze(m))
+        object.__setattr__(self, "spectrum", qcore.freeze(w))
 
     @property
     def dim(self) -> int:
@@ -115,13 +117,22 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, vector) -> "DensityOperator":
+        """Pure state ``|v><v|`` of a unit vector, without a decomposition.
+
+        Checked here: the vector is 1-d, nonempty, finite and within
+        ``MAX_DIM`` (before the outer product is built), its norm is 1
+        within ``NORM_TOL``, and the built matrix has unit trace within the
+        tolerance.  Held by construction and not checked: hermiticity and
+        positivity (see :func:`qcore.pure_state`); the spectrum is
+        ``(0, ..., 0, Tr)``.
+        """
         v = qcore.as_complex_vector(vector, "state vector")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > policy.NORM_TOL:
             raise ValidationError(
                 f"state vector norm {float(norm)!r} deviates from 1 beyond {policy.NORM_TOL:.0e}"
             )
-        return cls(np.outer(v, v.conj()))
+        return _trusted(cls, *qcore.pure_state(v, "density operator"))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -140,7 +151,7 @@ class Projector:
         defect = float(np.abs(m @ m - m).max())
         if defect > policy.tolerance():
             raise ValidationError(f"not idempotent: max |P^2 - P| = {defect:.3e}")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", qcore.freeze(m))
 
     @property
     def dim(self) -> int:
@@ -173,7 +184,7 @@ class MultimodeState:
             )
         if not np.any(b != 0):
             raise ValidationError("multimode state needs at least one nonzero coefficient")
-        object.__setattr__(self, "coefficients", _freeze(b))
+        object.__setattr__(self, "coefficients", qcore.freeze(b))
 
     @property
     def dim(self) -> int:
@@ -219,7 +230,7 @@ class GeneralizedProposition:
             )
         if w[-1] <= tol:
             raise ValidationError("generalized proposition is (numerically) zero")
-        object.__setattr__(self, "operator", _freeze(m))
+        object.__setattr__(self, "operator", qcore.freeze(m))
 
     @property
     def dim(self) -> int:

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import policy
+from . import policy, qcore
 from .errors import ValidationError, ZeroProbabilityError
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +50,7 @@ class GameSpec:
             raise ValidationError(
                 f"joint table must sum to 1, got {float(table.sum())!r}"
             )
-        object.__setattr__(self, "joint", _freeze(np.clip(table, 0.0, 1.0)))
+        object.__setattr__(self, "joint", qcore.freeze(np.clip(table, 0.0, 1.0)))
         if self.payoffs is not None:
             x1, x2, x3, x4 = (float(x) for x in self.payoffs)
             if not all(np.isfinite(x) for x in (x1, x2, x3, x4)):
@@ -126,8 +121,8 @@ class InterferenceDistribution:
             raise ValidationError(f"density is not normalized: integral = {mass!r}")
         if abs(mean) > 1e-10:
             raise ValidationError(f"density has nonzero mean: {mean!r}")
-        object.__setattr__(self, "grid", _freeze(grid))
-        object.__setattr__(self, "density", _freeze(density))
+        object.__setattr__(self, "grid", qcore.freeze(grid))
+        object.__setattr__(self, "density", qcore.freeze(density))
 
     def pdf(self, q):
         """Density value(s) at ``q``; zero outside the support."""

@@ -18,6 +18,12 @@ from .errors import (
 )
 
 
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
+    a.setflags(write=False)
+    return a
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex ndarray; raise on anything else."""
     a = np.asarray(m, dtype=complex)
@@ -158,8 +164,77 @@ def matrix_exponential(h, t: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
+def _require_dims(dim: int, dims: tuple[int, int] | None):
+    if dims is not None and dim != dims[0] * dims[1]:
+        raise DimensionMismatchError(
+            f"matrix dimension {dim} does not match dims {dims[0]} x {dims[1]}"
+        )
+
+
+def _require_unit_trace(a: np.ndarray, name: str, composite: bool):
+    tol = policy.tolerance()
+    tr = a.trace()
+    if abs(tr - 1.0) > tol:
+        # a composite state has always reported the trace alone
+        detail = "" if composite else f" (deviation {abs(tr - 1.0):.3e} exceeds {tol:.1e})"
+        raise ValidationError(f"{name} breaks unit trace: Tr = {float(tr.real)!r}{detail}")
+
+
+def validate_state(m, name: str, dims: tuple[int, int] | None = None):
+    """Check a statistical operator once; return it with its spectrum.
+
+    The checks run in this order: square, finite and within the dimension
+    cap; Hermitian; of dimension ``dims[0] * dims[1]`` when the factor
+    dimensions ``dims`` of a composite state are given; unit trace;
+    positive-semidefinite (lowest eigenvalue at or above minus the
+    tolerance).
+
+    Returns ``(matrix, spectrum)``: a private copy of the input and its
+    ascending eigenvalues, computed once by the positivity check and kept
+    so that no caller decomposes the same matrix again.
+    """
+    a = np.array(require_hermitian(m, name))
+    _require_dims(a.shape[0], dims)
+    _require_unit_trace(a, name, composite=dims is not None)
+    w = np.linalg.eigvalsh(a)
+    if w.min() < -policy.tolerance():
+        raise ValidationError(
+            f"{name} not positive-semidefinite: lowest eigenvalue {w.min():.3e}"
+        )
+    return a, w
+
+
+def pure_state(v, name: str, dims: tuple[int, int] | None = None):
+    """The pure state ``|v><v|`` with its spectrum, without a decomposition.
+
+    ``v`` must be a finite nonempty vector within the dimension cap, of
+    size ``dims[0] * dims[1]`` when the factor dimensions ``dims`` of a
+    composite state are given, and the built matrix must have unit trace;
+    the messages are the ones :func:`validate_state` gives.
+
+    Hermiticity and positivity are not checked because they hold by
+    construction.  Each entry ``v_i conj(v_j)`` is one rounded complex
+    product, so ``|a_ij - conj(a_ji)|`` stays within a few units in the
+    last place of ``|v_i v_j|`` (below 1e-15 for a unit vector), and the
+    exact ``|v><v|`` has rank one with eigenvalues ``(0, ..., 0, <v|v>)``.
+    That spectrum, ascending like ``eigvalsh``, is returned with the trace
+    of the built matrix as its top entry.
+    """
+    v = as_complex_vector(v, name)
+    _require_dims(v.size, dims)
+    a = np.outer(v, v.conj())
+    _require_unit_trace(a, name, composite=dims is not None)
+    w = np.zeros(a.shape[0])
+    w[-1] = a.trace().real
+    return a, w
+
+
 def spectral_norm(m) -> float:
-    """Largest eigenvalue of a Hermitian positive-semidefinite matrix."""
+    """Largest eigenvalue of a Hermitian positive-semidefinite matrix.
+
+    For a validated state, the top of its stored ``spectrum`` is the same
+    number without a second decomposition.
+    """
     a = require_hermitian(m, "operator")
     w = np.linalg.eigvalsh(a)
     if w.min() < -policy.tolerance():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import qprospect
-from qprospect import policy
+from qprospect import ScenarioError, policy
 from qprospect.cli import main, run
 from qprospect.scenario import parse_scenario
 
@@ -223,6 +223,19 @@ class TestMalformedScenarios:
         path = tmp_path / "dynamics.json"
         path.write_text(json.dumps(doc))
         assert main(["dynamics", "--scenario", str(path)]) == 0
+
+    def test_oversized_amplitudes_are_2(self, tmp_path, capsys):
+        with open(data("prospect_witness.json")) as handle:
+            doc = json.load(handle)
+        doc["state"]["amplitudes"] = [[1.0 / 4160 ** 0.5] * 64 for _ in range(65)]
+        doc["multimode"]["b"] = [1.0] * 64
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(doc))
+        message = "state.amplitudes: composite state has size 4160, above the cap 4096"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(path.read_bytes())
+        assert main(["prospect", "--scenario", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_negative_seed_flag_is_2(self, capsys):
         code = main(["game", "--scenario", data("game_cohort.json"), "--seed", "-1"])

@@ -1,5 +1,7 @@
 """Composite systems: joint events, marginals, prospects, interference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,14 @@ from qprospect import (
     NumericContractError,
     Prospect,
     ProspectProbability,
+    SizeLimitError,
     ValidationError,
     ZeroProbabilityError,
     bayes_conditional,
     bell_state,
     classical_limit_check,
     conditional_under_uncertainty,
+    entanglement_production,
     joint_probability,
     joint_table,
     marginals,
@@ -26,6 +30,7 @@ from qprospect import (
     prospect_probability,
     resolution_residuals,
 )
+from qprospect import policy
 
 from helpers import (
     random_amplitudes,
@@ -72,6 +77,78 @@ class TestCompositeState:
     def test_dims_must_divide_matrix(self):
         with pytest.raises(ValidationError):
             CompositeState(np.eye(6) / 6.0, (2, 2))
+
+    @pytest.mark.parametrize("shape", [(65, 64), (1000, 1000)])
+    def test_oversized_amplitudes_rejected_before_the_matrix_is_built(self, shape):
+        c = np.ones(shape) / np.sqrt(shape[0] * shape[1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError,
+                               match=f"composite state has size {c.size}, above the cap 4096"):
+                CompositeState.from_amplitudes(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few copies of the amplitudes, not the (c.size)^2 complex matrix
+        assert peak < 8 * 16 * c.size
+
+    def test_spectrum_is_kept_and_handed_on(self, rng):
+        state = random_composite(3, 4, rng)
+        assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
+        assert "spectrum" not in repr(state)
+        rho = state.as_density()
+        assert rho.spectrum is state.spectrum and rho.matrix is state.matrix
+        with pytest.raises(TypeError):
+            CompositeState(state.matrix, (3, 4), spectrum=state.spectrum)
+
+
+class TestEachStateValidatedOnce:
+    """A state is decomposed once when built from outside, never when pure."""
+
+    @pytest.fixture
+    def eigvalsh_sizes(self, monkeypatch):
+        sizes = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return sizes
+
+    def test_pure_states_are_not_decomposed(self, eigvalsh_sizes, rng):
+        states = [CompositeState.from_amplitudes(random_amplitudes(32, 32, rng)), bell_state(32)]
+        assert eigvalsh_sizes == []
+        for state in states:
+            entanglement_production(state)
+            state.as_density()
+        # only the two 32 x 32 reductions of each state are validated
+        assert eigvalsh_sizes == [32, 32, 32, 32]
+
+    def test_external_state_is_decomposed_once(self, eigvalsh_sizes, rng):
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        m = a @ a.conj().T
+        state = CompositeState(m / np.trace(m), (16, 16))
+        entanglement_production(state)
+        state.as_density()
+        assert eigvalsh_sizes.count(256) == 1
+        assert eigvalsh_sizes == [256, 16, 16]
+
+    def test_stored_spectra_match_eigvalsh(self, rng):
+        pure = CompositeState.from_amplitudes(random_amplitudes(8, 16, rng))
+        states = [pure, bell_state(8), random_composite(4, 8, rng),
+                  pure.as_density(), pure.reduced(0), pure.reduced(1)]
+        for state in states:
+            assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
+
+    def test_trusted_pure_state_passes_the_skipped_checks(self, rng):
+        for state in (CompositeState.from_amplitudes(random_amplitudes(16, 16, rng)),
+                      bell_state(16)):
+            m = state.matrix
+            # one rounded product per entry: a few ulp, far inside the tolerance
+            assert np.abs(m - m.conj().T).max() <= 1e-15
+            assert np.linalg.eigvalsh(m).min() >= -policy.tolerance()
 
 
 class TestJointEvents:
@@ -251,6 +328,19 @@ class TestProspectNormalized:
             ProspectProbability(0.5, 0.3, 0.1)
         with pytest.raises(NumericContractError):
             ProspectProbability(1.2, 1.0, 0.2, normalized=True)
+
+
+class TestLatticeAtScale:
+    @pytest.mark.parametrize("dims", [(16, 16), (64, 64)])
+    def test_normalized_lattice_is_a_distribution(self, dims):
+        rng = np.random.default_rng(1664 + dims[1])
+        state = CompositeState.from_amplitudes(random_amplitudes(*dims, rng))
+        b = MultimodeState.in_standard_basis(random_multimode_coefficients(dims[1], rng))
+        lattice = prospect_lattice(state, b)
+        assert len(lattice) == dims[0]
+        assert abs(sum(e.q for e in lattice)) <= 1e-10
+        assert abs(sum(e.p for e in lattice) - 1.0) <= 1e-12
+        assert abs(sum(e.f for e in lattice) - 1.0) <= 1e-12
 
 
 class TestConditionalUnderUncertainty:

@@ -49,6 +49,15 @@ class TestBellFamily:
             bell_state(1)
 
 
+class TestBellAtScale:
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_both_readings(self, m):
+        # m = 64 is the dimension cap, D = 4096
+        report = entanglement_production(bell_state(m))
+        assert abs(report.epsilon - math.log(m)) < 1e-12
+        assert abs(report.epsilon_spectral - 2.0 * math.log(m)) < 1e-12
+
+
 class TestProducts:
     def test_pure_products_score_zero(self, rng):
         for da, db in [(2, 2), (2, 3), (4, 2)]:

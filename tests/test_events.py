@@ -117,6 +117,27 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
 
+    def test_spectrum_is_kept_read_only_and_unset_by_callers(self, rng):
+        rho = random_density(5, rng)
+        assert np.abs(rho.spectrum - np.linalg.eigvalsh(rho.matrix)).max() < 1e-12
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+        assert "spectrum" not in repr(rho)
+        with pytest.raises(TypeError):
+            DensityOperator(np.diag([1.5, -0.5]), spectrum=np.array([0.0, 1.0]))
+
+    def test_from_pure_spectrum_and_hermiticity(self, rng):
+        v = rng.normal(size=9) + 1j * rng.normal(size=9)
+        rho = DensityOperator.from_pure(v / np.linalg.norm(v))
+        assert np.abs(rho.spectrum - np.linalg.eigvalsh(rho.matrix)).max() < 1e-12
+        assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-15
+        assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
+
+    def test_from_pure_still_checks_the_built_trace(self):
+        # the norm window (1e-8) is wider than the trace tolerance (1e-10)
+        with pytest.raises(ValidationError, match=r"density operator breaks unit trace.*deviation"):
+            DensityOperator.from_pure(np.array([1.0 + 5e-9, 0.0]))
+
 
 class TestMultimodeState:
     def test_unnormalized_coefficients_allowed(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprospect import (
+    DimensionMismatchError,
     NumericContractError,
     SizeLimitError,
     ValidationError,
@@ -19,8 +20,12 @@ from qprospect import policy
 from qprospect.qcore import (
     as_complex_matrix,
     as_complex_vector,
+    freeze,
+    hermiticity_defect,
+    pure_state,
     real_probabilities,
     real_probability,
+    validate_state,
 )
 
 from helpers import random_density, random_unitary
@@ -138,6 +143,56 @@ class TestSpectralNorm:
     def test_negative_spectrum_rejected(self):
         with pytest.raises(ValidationError):
             spectral_norm(np.diag([1.0, -0.5]))
+
+
+class TestStateValidator:
+    def test_returns_a_copy_and_its_spectrum(self, rng):
+        rho = random_density(6, rng).matrix
+        m, w = validate_state(rho, "state")
+        assert m is not rho and np.array_equal(m, rho)
+        assert np.array_equal(w, np.linalg.eigvalsh(rho))
+
+    @pytest.mark.parametrize("matrix,dims,error,message", [
+        (np.zeros((2, 3)), None, DimensionMismatchError, "state must be square"),
+        (np.array([[0.5, 0.1], [0.2, 0.5]]), None, ValidationError, "state is not Hermitian"),
+        (np.eye(6) / 6.0, (2, 2), DimensionMismatchError,
+         "matrix dimension 6 does not match dims 2 x 2"),
+        (np.diag([0.5, 0.6]), None, ValidationError,
+         r"state breaks unit trace: Tr = 1.1 \(deviation 1.000e-01 exceeds 1.0e-10\)$"),
+        (np.diag([0.5, 0.6]), (1, 2), ValidationError, r"state breaks unit trace: Tr = 1.1$"),
+        (np.diag([1.5, -0.5]), None, ValidationError,
+         "state not positive-semidefinite: lowest eigenvalue -5.000e-01"),
+    ])
+    def test_rejections_in_order(self, matrix, dims, error, message):
+        with pytest.raises(error, match=message):
+            validate_state(matrix, "state", dims)
+
+    def test_pure_state_spectrum_is_known(self, rng):
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        v /= np.linalg.norm(v)
+        m, w = pure_state(v, "state")
+        assert np.array_equal(m, np.outer(v, v.conj()))
+        assert np.all(w[:-1] == 0.0) and w[-1] == m.trace().real
+        assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
+        assert hermiticity_defect(m) <= 1e-15
+
+    @pytest.mark.parametrize("v,dims,error,message", [
+        (np.ones((2, 2)) / 2.0, None, DimensionMismatchError, "nonempty 1-d"),
+        (np.array([np.nan, 1.0]), None, ValidationError, "non-finite"),
+        (np.ones(5000) / np.sqrt(5000), None, SizeLimitError, "above the cap"),
+        (np.ones(4) / 2.0, (3, 1), DimensionMismatchError, "does not match dims 3 x 1"),
+        (np.array([1.0, 1.0]), None, ValidationError, r"unit trace: Tr = 2.0 \(deviation"),
+        (np.array([1.0, 1.0]), (2, 1), ValidationError, r"unit trace: Tr = 2.0$"),
+    ])
+    def test_pure_state_rejections(self, v, dims, error, message):
+        with pytest.raises(error, match=message):
+            pure_state(v, "state", dims)
+
+    def test_freeze_marks_read_only(self):
+        a = np.zeros(3)
+        assert freeze(a) is a
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 class TestConversionGuards:
