@@ -230,11 +230,7 @@ def pure_state(v, name: str, dims: tuple[int, int] | None = None):
 
 
 def spectral_norm(m) -> float:
-    """Largest eigenvalue of a Hermitian positive-semidefinite matrix.
-
-    For a validated state, the top of its stored ``spectrum`` is the same
-    number without a second decomposition.
-    """
+    """Largest eigenvalue of a Hermitian positive-semidefinite matrix."""
     a = require_hermitian(m, "operator")
     w = np.linalg.eigvalsh(a)
     if w.min() < -policy.tolerance():
