@@ -11,6 +11,17 @@ preceding evolution or transform, and the chain must end with a readout.
 
 Reading out replaces the joint state by the product of its reductions,
 which is exactly the decoherence step of a nonselective measurement.
+
+Every state a stage builds gets every ``DensityOperator`` check, but
+only the transform stage and the readout reductions decompose their
+matrix for positivity.  A product of two validated states (compose, and
+the joint re-composed at each readout) reads it from the sorted products
+of their kept spectra (:func:`qcore.product_state`).  An evolved state
+``U rho U+`` reads it from the spectrum of ``rho``: ``U`` comes from
+``eigh`` and is unitary to machine precision, so the eigenvalues move by
+a small multiple of ``eps * dim``.  A transform ``T`` is checked unitary
+only entrywise within the tolerance, which may move the eigenvalues of
+``T rho T+`` by ``dim`` times the tolerance, so that state is decomposed.
 """
 
 from dataclasses import dataclass
@@ -21,7 +32,7 @@ import numpy as np
 from . import qcore
 from .composite import CompositeState
 from .errors import DimensionMismatchError, ProtocolError, ValidationError
-from .events import DensityOperator, Observable
+from .events import DensityOperator, Observable, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +118,36 @@ class PipelineTrace:
     rho_b: DensityOperator
 
 
+def _product(a: DensityOperator, b: DensityOperator) -> DensityOperator:
+    return _trusted(DensityOperator, *qcore.product_state(
+        a.matrix, a.spectrum, b.matrix, b.spectrum, "density operator"))
+
+
+def _conjugate(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
+    """``u rho u+`` for a ``u`` unitary to machine precision, keeping rho's spectrum."""
+    return _trusted(DensityOperator, *qcore.validate_state(
+        u @ rho.matrix @ u.conj().T, "density operator", spectrum=rho.spectrum))
+
+
 def compose(rho: DensityOperator, measurer: MeasurerSpec) -> DensityOperator:
-    """Joint ready state ``rho (x) rho_meter``."""
-    return DensityOperator(
-        qcore.tensor_product(rho.matrix, measurer.initial_state.matrix)
-    )
+    """Joint ready state ``rho (x) rho_meter``.
+
+    Every ``DensityOperator`` check runs; positivity is read from the
+    sorted products of the factors' kept spectra, whose bound
+    :func:`qcore.product_state` gives.
+    """
+    return _product(rho, measurer.initial_state)
 
 
 def evolve(rho: DensityOperator, h, t: float) -> DensityOperator:
-    """Unitary evolution of a state under a Hermitian generator for time ``t``."""
-    u = qcore.matrix_exponential(h, t)
-    return DensityOperator(u @ rho.matrix @ u.conj().T)
+    """Unitary evolution of a state under a Hermitian generator for time ``t``.
+
+    Every ``DensityOperator`` check runs; positivity is read from the
+    spectrum of ``rho``.  The propagator comes from ``eigh`` and is unitary
+    to machine precision, so the eigenvalues move by a small multiple of
+    ``eps * dim``.
+    """
+    return _conjugate(rho, qcore.matrix_exponential(h, t))
 
 
 def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperator, DensityOperator]:
@@ -172,6 +202,18 @@ def run_pipeline(
         follow an evolve or transform, and the last stage must be a
         readout.  Transform stages may carry either a system-space matrix
         (extended by the identity on the measurer) or a joint-space one.
+
+    Notes
+    -----
+    The coupling is checked Hermitian and decomposed once, at the first
+    evolve stage; each propagator uses the phase formula of
+    :func:`qcore.matrix_exponential`.  Every state gets every
+    ``DensityOperator`` check.  Compose, evolve and the joint re-composed
+    at each readout read positivity from a kept spectrum (see
+    :func:`compose` and :func:`evolve`); the transform stage and the
+    readout reductions decompose their matrix.  ``PipelineStage`` checked
+    ``T`` unitary, and ``T (x) 1`` has exactly its defect, so it is not
+    checked again.
     """
     stages = list(stages)
     if not stages:
@@ -196,6 +238,7 @@ def run_pipeline(
     records: list[StageRecord] = []
     clock = 0.0
     joint = None
+    generator = None
     first_readout: DensityOperator | None = None
     last_readout: DensityOperator | None = None
 
@@ -204,7 +247,11 @@ def run_pipeline(
             joint = compose(rho, measurer)
             records.append(StageRecord("compose", clock, joint))
         elif stage.kind == "evolve":
-            joint = evolve(joint, measurer.coupling, stage.duration)
+            if generator is None:
+                generator = np.linalg.eigh(
+                    qcore.require_hermitian(measurer.coupling, "generator"))
+            u = qcore.propagator_from_eigh(generator, float(stage.duration))
+            joint = _conjugate(joint, u)
             clock += stage.duration
             records.append(StageRecord("evolve", clock, joint))
         elif stage.kind == "transform":
@@ -216,14 +263,14 @@ def run_pipeline(
                     f"transform dim {t.shape[0]} matches neither the system "
                     f"({dims[0]}) nor the joint space ({dims[0] * dims[1]})"
                 )
-            joint = transform_basis(joint, t)
+            joint = DensityOperator(t @ joint.matrix @ t.conj().T)
             records.append(StageRecord("transform", clock, joint))
         else:  # readout
             system, meter = readout(joint, dims)
             if first_readout is None:
                 first_readout = system
             last_readout = system
-            joint = DensityOperator(qcore.tensor_product(system.matrix, meter.matrix))
+            joint = _product(system, meter)
             records.append(StageRecord("readout", clock, joint, system, meter))
 
     return PipelineTrace(tuple(records), last_readout, first_readout)

@@ -113,9 +113,18 @@ class CompositeState:
 
     @classmethod
     def product(cls, rho_a: DensityOperator, rho_b: DensityOperator) -> "CompositeState":
-        """Uncorrelated composite state of two factors."""
-        return cls(
-            qcore.tensor_product(rho_a.matrix, rho_b.matrix), (rho_a.dim, rho_b.dim)
+        """Uncorrelated composite state of two factors.
+
+        Runs every check of the constructor except the decomposition: the
+        spectrum is the sorted product of the factors' kept spectra (see
+        :func:`qcore.product_state`).
+        """
+        dims = (rho_a.dim, rho_b.dim)
+        return _trusted(
+            cls,
+            *qcore.product_state(rho_a.matrix, rho_a.spectrum, rho_b.matrix, rho_b.spectrum,
+                                 "composite state", dims),
+            dims=dims,
         )
 
 

@@ -82,8 +82,11 @@ def _trusted(cls, matrix: np.ndarray, spectrum: np.ndarray, **fields):
     """An instance of a state class from a matrix whose checks already hold.
 
     The one way past ``__post_init__``: for a pure state built by
-    :func:`qcore.pure_state` after its input checks, and for a validated
-    state handed on with its spectrum.  Both arrays are frozen, not copied.
+    :func:`qcore.pure_state` after its input checks, for a state checked
+    by :func:`qcore.validate_state` with a spectrum known in closed form
+    (:func:`qcore.product_state`, ``channels.evolve``), and for a
+    validated state handed on with its spectrum.  Both arrays are frozen,
+    not copied.
     """
     state = object.__new__(cls)
     object.__setattr__(state, "matrix", qcore.freeze(matrix))
@@ -121,16 +124,24 @@ class DensityOperator:
 
         Checked here: the vector is 1-d, nonempty, finite and within
         ``MAX_DIM`` (before the outer product is built), its norm is 1
-        within ``NORM_TOL``, and the built matrix has unit trace within the
-        tolerance.  Held by construction and not checked: hermiticity and
-        positivity (see :func:`qcore.pure_state`); the spectrum is
-        ``(0, ..., 0, Tr)``.
+        within ``NORM_TOL`` and its squared norm within the tolerance (the
+        trace the built matrix will have, checked as ``from_amplitudes``
+        checks its total weight), and the built matrix has unit trace
+        within the tolerance.  Held by construction and not checked:
+        hermiticity and positivity (see :func:`qcore.pure_state`); the
+        spectrum is ``(0, ..., 0, Tr)``.
         """
         v = qcore.as_complex_vector(vector, "state vector")
-        norm = np.linalg.norm(v)
+        norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > policy.NORM_TOL:
             raise ValidationError(
-                f"state vector norm {float(norm)!r} deviates from 1 beyond {policy.NORM_TOL:.0e}"
+                f"state vector norm {norm!r} deviates from 1 beyond {policy.NORM_TOL:.0e}"
+            )
+        tol, off = policy.tolerance(), abs(norm * norm - 1.0)
+        if off > tol:
+            raise ValidationError(
+                f"state vector norm {norm!r} deviates from 1: squared norm is off "
+                f"by {off:.3e}, beyond {tol:.1e}"
             )
         return _trusted(cls, *qcore.pure_state(v, "density operator"))
 

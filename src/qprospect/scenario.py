@@ -62,6 +62,11 @@ def _require(condition: bool, message: str, path: str):
         raise ScenarioError(message, path)
 
 
+def _known_fields(section: dict, known: tuple[str, ...], what: str, path: str):
+    extra = set(section) - set(known)
+    _require(not extra, f"unknown {what} fields {sorted(extra)}", path)
+
+
 def _scalar(value, path: str) -> complex:
     """A JSON number, or an ``[re, im]`` pair."""
     try:
@@ -299,6 +304,7 @@ def _parse_measurer(section, scenario: Scenario):
     _require(isinstance(section, dict), "measurer must be an object", "measurer")
     _require("dim" in section and "initial" in section and "coupling" in section,
              "measurer needs 'dim', 'initial', and 'coupling'", "measurer")
+    _known_fields(section, ("dim", "initial", "coupling"), "measurer", "measurer")
     dim = _int(section["dim"], "measurer.dim")
     initial = section["initial"]
     _require(isinstance(initial, dict) and len(initial) == 1
@@ -323,8 +329,7 @@ def _parse_stages(section, scenario: Scenario):
         _require(isinstance(body, dict) and "kind" in body,
                  "stage must be an object with a 'kind'", path)
         kind = body["kind"]
-        extra = set(body) - {"kind", "duration", "matrix"}
-        _require(not extra, f"unknown stage fields {sorted(extra)}", path)
+        _known_fields(body, ("kind", "duration", "matrix"), "stage", path)
         duration = _real(body.get("duration", 0.0), f"{path}.duration")
         transform = None
         if "matrix" in body:
@@ -336,6 +341,7 @@ def _parse_stages(section, scenario: Scenario):
 def _parse_hamiltonian(section, scenario: Scenario):
     _require(isinstance(section, dict) and "h0" in section,
              "hamiltonian needs at least 'h0'", "hamiltonian")
+    _known_fields(section, ("h0", "pieces"), "hamiltonian", "hamiltonian")
     h0 = _matrix(section["h0"], "hamiltonian.h0")
     raw = section.get("pieces", [])
     _require(isinstance(raw, list), "pieces must be a list", "hamiltonian.pieces")
@@ -344,6 +350,7 @@ def _parse_hamiltonian(section, scenario: Scenario):
         path = f"hamiltonian.pieces[{k}]"
         _require(isinstance(body, dict) and "start" in body and "matrix" in body,
                  "piece needs 'start' and 'matrix'", path)
+        _known_fields(body, ("start", "matrix"), "piece", path)
         pieces.append((
             _real(body["start"], f"{path}.start"),
             _matrix(body["matrix"], f"{path}.matrix"),
@@ -355,6 +362,7 @@ def _parse_hamiltonian(section, scenario: Scenario):
 def _parse_times(section, scenario: Scenario):
     _require(isinstance(section, dict) and "t0" in section and "t" in section,
              "times needs 't0' and 't'", "times")
+    _known_fields(section, ("t0", "t"), "times", "times")
     scenario.times = (
         _real(section["t0"], "times.t0"),
         _real(section["t"], "times.t"),
@@ -398,8 +406,7 @@ def _parse_game(section, scenario: Scenario):
         body = section["cohort"]
         _require(isinstance(body, dict) and "n_pairs" in body,
                  "cohort needs 'n_pairs'", "game.cohort")
-        extra = set(body) - {"n_pairs", "symmetry", "fixed_q"}
-        _require(not extra, f"unknown cohort fields {sorted(extra)}", "game.cohort")
+        _known_fields(body, ("n_pairs", "symmetry", "fixed_q"), "cohort", "game.cohort")
         options["cohort"] = {
             "n_pairs": _int(body["n_pairs"], "game.cohort.n_pairs"),
             "symmetry": body.get("symmetry", "broken"),

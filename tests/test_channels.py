@@ -18,6 +18,7 @@ from qprospect import (
     entanglement_production,
     evolve,
     pointer_measurer,
+    policy,
     readout,
     run_pipeline,
     tensor_product,
@@ -261,6 +262,93 @@ class TestPointerModel:
         report = entanglement_production(state)
         assert abs(report.epsilon) < 1e-12
         assert abs(report.epsilon_spectral) < 1e-12
+
+
+def six_stage_pipeline(ds, dm, rng):
+    """The canonical chain with a random input, ready state, coupling and meter rotation."""
+    h = rng.normal(size=(ds * dm, ds * dm)) + 1j * rng.normal(size=(ds * dm, ds * dm))
+    measurer = MeasurerSpec(dm, random_density(dm, rng), (h + h.conj().T) / 2.0)
+    stages = [PipelineStage("compose"),
+              PipelineStage("evolve", duration=0.7),
+              PipelineStage("readout"),
+              PipelineStage("evolve", duration=1.1),
+              PipelineStage("transform", transform=np.kron(np.eye(ds), random_unitary(dm, rng))),
+              PipelineStage("readout")]
+    return random_density(ds, rng), measurer, stages
+
+
+class TestKeptSpectra:
+    """Product and evolved joint states keep a closed-form spectrum."""
+
+    @pytest.fixture
+    def decomposed_sizes(self, monkeypatch):
+        sizes = {"eigh": [], "eigvalsh": []}
+        for name, log in sizes.items():
+            def counting(a, *args, _original=getattr(np.linalg, name), _log=log, **kwargs):
+                _log.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return sizes
+
+    def test_coupling_and_transformed_state_are_decomposed_once(self, decomposed_sizes, rng):
+        rho, measurer, stages = six_stage_pipeline(16, 16, rng)
+        decomposed_sizes["eigvalsh"].clear()  # the validated inputs
+        run_pipeline(rho, measurer, stages)
+        assert decomposed_sizes["eigh"] == [256]
+        # the transform stage, and the two reductions of each readout
+        assert decomposed_sizes["eigvalsh"].count(256) == 1
+        assert sorted(decomposed_sizes["eigvalsh"]) == [16, 16, 16, 16, 256]
+
+    def test_every_stage_keeps_its_spectrum(self, rng):
+        rho, measurer, stages = six_stage_pipeline(16, 16, rng)
+        trace = run_pipeline(rho, measurer, stages)
+        states = [r.state for r in trace.records]
+        states += [f for r in trace.records for f in (r.system, r.meter) if f is not None]
+        for state in states:
+            assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
+
+    def test_pipeline_matches_the_stage_by_stage_route(self, rng):
+        rho, measurer, stages = six_stage_pipeline(4, 3, rng)
+        trace = run_pipeline(rho, measurer, stages)
+        joint = compose(rho, measurer)
+        joint = evolve(joint, measurer.coupling, 0.7)
+        system, meter = readout(joint, (4, 3))
+        joint = evolve(DensityOperator(tensor_product(system.matrix, meter.matrix)),
+                       measurer.coupling, 1.1)
+        joint = transform_basis(joint, stages[4].transform)
+        assert np.array_equal(trace.records[4].state.matrix, joint.matrix)
+        assert np.array_equal(trace.rho_a.matrix, readout(joint, (4, 3))[0].matrix)
+
+    def test_product_keeps_the_product_spectrum(self, decomposed_sizes, rng):
+        rho_a, rho_b = random_density(8, rng), random_density(16, rng)
+        decomposed_sizes["eigvalsh"].clear()
+        for state in (CompositeState.product(rho_a, rho_b), compose(rho_a, MeasurerSpec(
+                16, rho_b, np.zeros((128, 128))))):
+            assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
+        assert decomposed_sizes["eigvalsh"] == [128, 128]  # the two checks above
+
+    def test_evolve_keeps_the_spectrum(self, decomposed_sizes, rng):
+        rho = random_density(32, rng)
+        h = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        decomposed_sizes["eigvalsh"].clear()
+        state = evolve(rho, (h + h.conj().T) / 2.0, 0.9)
+        assert decomposed_sizes["eigvalsh"] == []
+        assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
+
+    def test_known_spectrum_still_gates_positivity(self):
+        # under a loose tolerance each factor passes, but their product has
+        # the eigenvalue -0.29 * 1.29 = -0.374, beyond it
+        previous = policy.set_tolerance(0.3)
+        try:
+            edge = DensityOperator(np.diag([1.29, -0.29]))
+            meter = MeasurerSpec(2, edge, np.zeros((4, 4)))
+            for build in (lambda: CompositeState.product(edge, edge),
+                          lambda: compose(edge, meter)):
+                with pytest.raises(ValidationError, match="lowest eigenvalue -3.741e-01"):
+                    build()
+        finally:
+            policy.set_tolerance(previous)
 
 
 class TestCorrelationBridge:

@@ -224,6 +224,43 @@ class TestMalformedScenarios:
         path.write_text(json.dumps(doc))
         assert main(["dynamics", "--scenario", str(path)]) == 0
 
+    @pytest.mark.parametrize("name,where,at,what,stray", [
+        ("pipeline_pointer", ["measurer"], "measurer", "measurer", "couplnig"),
+        ("dynamics_rabi", ["hamiltonian"], "hamiltonian", "hamiltonian", "h1"),
+        ("dynamics_rabi", ["hamiltonian", "pieces", 0], "hamiltonian.pieces[0]", "piece", "strat"),
+        ("dynamics_rabi", ["times"], "times", "times", "t1"),
+    ], ids=["measurer", "hamiltonian", "piece", "times"])
+    def test_unknown_section_fields_are_2(self, name, where, at, what, stray, tmp_path, capsys):
+        with open(data(f"{name}.json")) as handle:
+            doc = json.load(handle)
+        if name == "pipeline_pointer":
+            # the default qubit pointer model, spelled out
+            doc["measurer"] = {
+                "dim": 2, "initial": {"pure": [1, 0]},
+                "coupling": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+            }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([doc["run"]["op"], "--scenario", str(path)]) == 0
+        section = doc
+        for key in where:
+            section = section[key]
+        section[stray] = 1
+        path.write_text(json.dumps(doc))
+        assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
+        assert f"{at}: unknown {what} fields ['{stray}']" in capsys.readouterr().err
+
+    def test_pure_state_inside_the_norm_window_names_the_norm(self, tmp_path, capsys):
+        with open(data("born_plus.json")) as handle:
+            doc = json.load(handle)
+        doc["state"]["pure"] = [1.0 + 5e-9, 0.0]
+        path = tmp_path / "born.json"
+        path.write_text(json.dumps(doc))
+        assert main(["born", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "state.pure: state vector norm 1.000000005 deviates from 1" in err
+        assert "trace" not in err
+
     def test_oversized_amplitudes_are_2(self, tmp_path, capsys):
         with open(data("prospect_witness.json")) as handle:
             doc = json.load(handle)
@@ -250,6 +287,7 @@ class TestGolden:
         ("game", "game_broken"),
         ("quarter-law", "quarter_law_uniform"),
         ("prospect", "prospect_witness"),
+        ("pipeline", "pipeline_pointer"),
     ])
     def test_csv_matches_golden(self, subcommand, name, tmp_path):
         target = tmp_path / f"{name}.csv"

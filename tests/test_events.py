@@ -13,6 +13,7 @@ from qprospect import (
     PovmFamily,
     ValidationError,
     multimode_probability,
+    policy,
     projector_of,
     validate_povm,
 )
@@ -133,10 +134,25 @@ class TestDensityOperator:
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
 
-    def test_from_pure_still_checks_the_built_trace(self):
-        # the norm window (1e-8) is wider than the trace tolerance (1e-10)
-        with pytest.raises(ValidationError, match=r"density operator breaks unit trace.*deviation"):
+    def test_from_pure_names_the_norm_inside_the_norm_window(self):
+        # the norm window (1e-8) is wider than the trace tolerance (1e-10):
+        # the squared norm is checked against the latter, with the norm message
+        with pytest.raises(ValidationError, match=r"state vector norm 1\.000000005 deviates"
+                                                  r".*squared norm is off by 1\.000e-08"):
             DensityOperator.from_pure(np.array([1.0 + 5e-9, 0.0]))
+
+    @pytest.mark.parametrize("tolerance,accepted,refused", [
+        (1e-10, 1.0 + 4e-11, 1.0 + 6e-11),  # the tolerance on the squared norm binds
+        (1e-6, 1.0 + 9e-9, 1.0 + 2e-8),     # NORM_TOL on the norm binds
+    ])
+    def test_from_pure_accepts_the_same_vectors(self, tolerance, accepted, refused):
+        previous = policy.set_tolerance(tolerance)
+        try:
+            assert DensityOperator.from_pure(np.array([accepted, 0.0])).dim == 2
+            with pytest.raises(ValidationError, match="state vector norm"):
+                DensityOperator.from_pure(np.array([refused, 0.0]))
+        finally:
+            policy.set_tolerance(previous)
 
 
 class TestMultimodeState:
