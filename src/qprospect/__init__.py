@@ -36,7 +36,6 @@ from .channels import (
     PipelineTrace,
     basis_change,
     compose,
-    composite_state_from_correlation,
     evolve,
     pointer_measurer,
     readout,
@@ -87,7 +86,7 @@ from .game import (
     monte_carlo_cohort,
     quarter_law,
 )
-from .policy import set_tolerance, tolerance
+from .policy import set_tolerance, tolerance, tolerance_scope
 from .qcore import (
     hermiticity_defect,
     matrix_exponential,

@@ -64,13 +64,13 @@ def _random_density(dim, rng):
     return DensityOperator(m / np.trace(m))
 
 
-def _random_observable(dim, rng, label):
+def _random_observable(dim, rng, label="A"):
     return Observable(np.arange(dim, dtype=float), _random_unitary(dim, rng), label)
 
 
-def _random_entangled(dim_a, dim_b, rng):
+def _random_amplitudes(dim_a, dim_b, rng):
     c = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
-    return CompositeState.from_amplitudes(c / np.linalg.norm(c))
+    return c / np.linalg.norm(c)
 
 
 def criterion_1() -> CriterionResult:
@@ -262,7 +262,7 @@ def criterion_10() -> CriterionResult:
     worst_range = 0.0
     for _ in range(100):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        state = _random_entangled(da, db, rng)
+        state = CompositeState.from_amplitudes(_random_amplitudes(da, db, rng))
         coeff = rng.normal(size=db) + 1j * rng.normal(size=db)
         b = MultimodeState.in_standard_basis(coeff)
         for n in range(da):

@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .composite import CompositeState
 from .errors import DimensionMismatchError, ProtocolError, ValidationError
 from .events import DensityOperator, Observable, _trusted
 
@@ -274,11 +273,6 @@ def run_pipeline(
             records.append(StageRecord("readout", clock, joint, system, meter))
 
     return PipelineTrace(tuple(records), last_readout, first_readout)
-
-
-def composite_state_from_correlation(c) -> CompositeState:
-    """Pure composite state built from a two-time amplitude matrix ``c[n, alpha]``."""
-    return CompositeState.from_amplitudes(c)
 
 
 def pointer_measurer() -> MeasurerSpec:

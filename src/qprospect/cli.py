@@ -334,17 +334,9 @@ def run(scenario: Scenario, op: str | None = None, seed: int | None = None) -> R
     table.metadata["version"] = __version__
     table.metadata["op"] = op
     table.metadata["seed"] = resolved_seed
-    table.metadata["tolerance"] = policy.tolerance()
-
-    previous = None
-    if "tolerance" in scenario.run:
-        previous = policy.set_tolerance(float(scenario.run["tolerance"]))
+    with policy.tolerance_scope(scenario.run.get("tolerance", policy.tolerance())):
         table.metadata["tolerance"] = policy.tolerance()
-    try:
         _HANDLERS[op](scenario, table, resolved_seed)
-    finally:
-        if previous is not None:
-            policy.set_tolerance(previous)
     return table
 
 

@@ -2,7 +2,10 @@
 
 A composite state lives on the tensor product of two measured spaces and
 is written in the product of the two measurement eigenbases, the first
-factor owning the slow index.  Elementary joint events ``A_n (x) B_alpha``
+factor owning the slow index.  It is an ordinary statistical operator on
+that product: :class:`CompositeState` is a ``DensityOperator`` that also
+knows its factor dimensions, and can be passed wherever a
+``DensityOperator`` is expected.  Elementary joint events ``A_n (x) B_alpha``
 have the diagonal elements as probabilities.  A *prospect* pairs a sharp
 event in the first factor with a multimode event in the second; its
 probability splits into a classical (diagonal) part and an interference
@@ -17,7 +20,7 @@ difference, which makes the lattice a proper distribution whose classical
 part is itself a distribution and whose interference terms sum to zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,15 +36,15 @@ from .events import DensityOperator, MultimodeState, _trusted, multimode_probabi
 
 
 @dataclass(frozen=True, eq=False)
-class CompositeState:
+class CompositeState(DensityOperator):
     """Density operator on a bipartite space with factor dimensions ``dims``.
 
-    ``spectrum`` holds the ascending eigenvalues found while validating.
+    A :class:`DensityOperator` with the same checks and the same kept
+    ``spectrum``, so it goes wherever one is expected.  Every check runs
+    under the name "composite state", and ``dims`` must match the matrix.
     """
 
-    matrix: np.ndarray
     dims: tuple[int, int]
-    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         da, db = int(self.dims[0]), int(self.dims[1])
@@ -51,10 +54,6 @@ class CompositeState:
         object.__setattr__(self, "matrix", qcore.freeze(m))
         object.__setattr__(self, "spectrum", qcore.freeze(w))
         object.__setattr__(self, "dims", (da, db))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def block(self, m: int, n: int) -> np.ndarray:
         """The ``<m .| rho |n .>`` block, a ``db x db`` matrix over the second factor."""
@@ -72,14 +71,6 @@ class CompositeState:
         """Reduced state of one factor (0 keeps the first, 1 the second)."""
         return DensityOperator(qcore.partial_trace(self.matrix, self.dims, keep))
 
-    def as_density(self) -> DensityOperator:
-        """The same state without its factor structure.
-
-        Shares the matrix and the spectrum, which were checked on
-        construction with the same tests a ``DensityOperator`` makes.
-        """
-        return _trusted(DensityOperator, self.matrix, self.spectrum)
-
     @classmethod
     def from_amplitudes(cls, c) -> "CompositeState":
         """Pure composite state from an amplitude matrix ``c[n, alpha]``.
@@ -95,18 +86,7 @@ class CompositeState:
         Held by construction and not checked: hermiticity and positivity
         (see :func:`qcore.pure_state`); the spectrum is ``(0, ..., 0, Tr)``.
         """
-        c = np.asarray(c, dtype=complex)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-            raise DimensionMismatchError(
-                f"amplitude matrix must be 2-d, got shape {c.shape}"
-            )
-        if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
-            raise ValidationError("amplitude matrix has non-finite entries")
-        total = float(np.sum(np.abs(c) ** 2))
-        if abs(total - 1.0) > policy.tolerance():
-            raise ValidationError(
-                f"amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}"
-            )
+        c = qcore.as_amplitude_matrix(c, policy.tolerance())
         return _trusted(
             cls, *qcore.pure_state(c.reshape(-1), "composite state", c.shape), dims=c.shape
         )
@@ -200,39 +180,33 @@ class ProspectOperator:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        m = np.array(qcore.require_hermitian(self.operator, "prospect operator"))
         da, db = self.dims
-        if m.shape[0] != da * db:
-            raise DimensionMismatchError(
-                f"operator dimension {m.shape[0]} does not match dims {da} x {db}"
-            )
-        tol = policy.tolerance()
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -tol:
-            raise ValidationError(
-                f"prospect operator not positive: lowest eigenvalue {w.min():.3e}"
-            )
-        if w.size > 1 and w[-2] > tol * max(1.0, w[-1]):
-            raise ValidationError(
-                f"prospect operator has rank > 1: second eigenvalue {w[-2]:.3e}"
-            )
+        m, _ = qcore.validate_rank_one(self.operator, "prospect operator", (da, db))
         object.__setattr__(self, "operator", qcore.freeze(m))
         object.__setattr__(self, "dims", (int(da), int(db)))
 
 
+def _require_fits(n: int, b: MultimodeState, dims: tuple[int, int]):
+    """A prospect ``(n, b)`` must index the first factor and span the second."""
+    if n >= dims[0]:
+        raise ValidationError(f"prospect index {n} out of range for dim {dims[0]}")
+    if b.dim != dims[1]:
+        raise DimensionMismatchError(f"multimode state dim {b.dim} vs second factor dim {dims[1]}")
+
+
 def prospect_operator(prospect: Prospect, dims: tuple[int, int]) -> ProspectOperator:
-    """Build the testing operator of a prospect on a space of given dims."""
+    """Build the testing operator of a prospect on a space of given dims.
+
+    ``P_n (x) |B><B|`` is ``|n B><n B|``: Hermitian, positive and of rank
+    one by construction, with ``|B><B|`` from :func:`qcore.rank_one`, so it
+    is not decomposed.  The product's size cap and finiteness are checked.
+    """
     da, db = int(dims[0]), int(dims[1])
-    if prospect.n >= da:
-        raise ValidationError(f"prospect index {prospect.n} out of range for dim {da}")
-    if prospect.b.dim != db:
-        raise DimensionMismatchError(
-            f"multimode state dim {prospect.b.dim} vs second factor dim {db}"
-        )
+    _require_fits(prospect.n, prospect.b, (da, db))
     pn = np.zeros((da, da), dtype=complex)
     pn[prospect.n, prospect.n] = 1.0
-    v = prospect.b.vector()
-    return ProspectOperator(qcore.tensor_product(pn, np.outer(v, v.conj())), (da, db))
+    pb, _ = qcore.rank_one(prospect.b.vector())
+    return _trusted(ProspectOperator, qcore.tensor_product(pn, pb), (da, db))
 
 
 class ResolutionResiduals(NamedTuple):
@@ -253,8 +227,7 @@ def resolution_residuals(b: MultimodeState, dim_a: int) -> ResolutionResiduals:
         prospect_operator(Prospect(n, b), (dim_a, b.dim)).operator
         for n in range(dim_a)
     )
-    v = b.vector()
-    block = qcore.tensor_product(np.eye(dim_a, dtype=complex), np.outer(v, v.conj()))
+    block = qcore.tensor_product(np.eye(dim_a, dtype=complex), qcore.rank_one(b.vector())[0])
     return ResolutionResiduals(
         float(np.abs(total - block).max()),
         float(np.abs(total - np.eye(dim_a * b.dim)).max()),
@@ -298,38 +271,24 @@ class ProspectProbability:
                 )
 
 
-def _mode_matrix(block: np.ndarray, b: MultimodeState) -> np.ndarray:
-    """A second-factor block rewritten in the multimode state's mode basis."""
-    e = b.basis.eigenbasis
-    return e.conj().T @ block @ e
+def _components(state: CompositeState, b: MultimodeState, ns) -> tuple[np.ndarray, ...]:
+    """Raw ``p``, ``f`` and ``q`` of the prospects ``(n, b)`` for each ``n`` in ``ns``.
 
-
-def _raw_components(state: CompositeState, n: int, b: MultimodeState) -> tuple[float, float, float]:
-    m = _mode_matrix(state.block(n, n), b)
-    coeff = b.coefficients
-    raw = complex(np.vdot(coeff, m @ coeff))
-    window = policy.PROBABILITY_TOL * max(1.0, b.gram())
-    if abs(raw.imag) > window:
-        raise NumericContractError(
-            f"prospect probability has imaginary residue {raw.imag:.3e}"
-        )
-    f = float(np.sum(np.abs(coeff) ** 2 * m.diagonal().real))
-    upper = np.triu_indices(b.dim, k=1)
-    q = float(2.0 * np.sum((coeff.conj()[upper[0]] * coeff[upper[1]] * m[upper]).real))
-    return raw.real, f, q
-
-
-def _lattice_components(state: CompositeState, b: MultimodeState):
+    Every diagonal block ``<n .| rho |n .>`` is read at once, rewritten in
+    the mode basis of ``b`` and split by :func:`qcore.mode_split`.
+    """
+    _require_fits(max(ns), b, state.dims)
     da, db = state.dims
-    if b.dim != db:
-        raise DimensionMismatchError(
-            f"multimode state dim {b.dim} vs second factor dim {db}"
+    e = b.basis.eigenbasis
+    blocks = state.matrix.reshape(da, db, da, db)[ns, :, ns, :]
+    raw, f, q = qcore.mode_split(b.coefficients, e.conj().T @ blocks @ e)
+    window = policy.PROBABILITY_TOL * max(1.0, b.gram())
+    broken = np.flatnonzero(np.abs(raw.imag) > window)
+    if broken.size:
+        raise NumericContractError(
+            f"prospect probability has imaginary residue {raw.imag[broken[0]]:.3e}"
         )
-    triples = [_raw_components(state, n, b) for n in range(da)]
-    p = np.array([t[0] for t in triples])
-    f = np.array([t[1] for t in triples])
-    q = np.array([t[2] for t in triples])
-    return p, f, q
+    return raw.real, f, q
 
 
 def prospect_lattice(
@@ -343,7 +302,7 @@ def prospect_lattice(
     their exact difference.  A lattice whose total weight is numerically
     zero cannot be normalized and raises a degenerate-lattice error.
     """
-    p, f, q = _lattice_components(state, b)
+    p, f, q = _components(state, b, np.arange(state.dims[0]))
     if not normalize:
         return [
             ProspectProbability(float(pn), float(fn), float(qn), normalized=False)
@@ -372,15 +331,11 @@ def prospect_probability(
     normalization constants are always lattice-wide, so a normalized single
     prospect equals the corresponding entry of the normalized lattice.
     """
-    da, _ = state.dims
-    if prospect.n >= da:
-        raise ValidationError(
-            f"prospect index {prospect.n} out of range for dim {da}"
-        )
     if normalize:
+        _require_fits(prospect.n, prospect.b, state.dims)
         return prospect_lattice(state, prospect.b, normalize=True)[prospect.n]
-    p, f, q = _raw_components(state, prospect.n, prospect.b)
-    return ProspectProbability(p, f, q, normalized=False)
+    p, f, q = _components(state, prospect.b, [prospect.n])
+    return ProspectProbability(float(p[0]), float(f[0]), float(q[0]), normalized=False)
 
 
 def conditional_under_uncertainty(state: CompositeState, prospect: Prospect) -> float:
@@ -392,12 +347,7 @@ def conditional_under_uncertainty(state: CompositeState, prospect: Prospect) -> 
     sharp conditional, and for product states it returns the unconditional
     probability of ``A_n`` independently of ``b``.
     """
-    da, _ = state.dims
-    if prospect.n >= da:
-        raise ValidationError(
-            f"prospect index {prospect.n} out of range for dim {da}"
-        )
-    numerator, _, _ = _raw_components(state, prospect.n, prospect.b)
+    numerator = float(_components(state, prospect.b, [prospect.n])[0][0])
     denominator = multimode_probability(state.reduced(1), prospect.b).p
     if denominator <= policy.ZERO_EVENT_TOL:
         raise ZeroProbabilityError(
@@ -443,9 +393,7 @@ def classical_limit_check(
         ) or not np.array_equal(p.b.basis.eigenbasis, first.basis.eigenbasis):
             raise ValidationError("lattice prospects must share one multimode state")
 
-    by_index = {p.n: p for p in prospects}
-    values = prospect_lattice(state, first, normalize=True)
-    ordered = tuple(values[by_index[n].n] for n in range(da))
+    ordered = tuple(prospect_lattice(state, first, normalize=True))
     sum_f = float(sum(v.f for v in ordered))
     sum_q = float(sum(v.q for v in ordered))
     q_min = min(v.q for v in ordered)

@@ -62,15 +62,14 @@ class HamiltonianSpec:
     def dim(self) -> int:
         return self.h0.shape[0]
 
+    def _begun(self, t: float) -> int:
+        """How many pieces have started by time ``t``; it fixes the generator."""
+        return sum(start <= t for start, _ in self.pieces)
+
     def generator_at(self, t: float) -> np.ndarray:
         """Full generator ``h0 + V(t)`` active at time ``t``."""
-        active = None
-        for start, matrix in self.pieces:
-            if start <= t:
-                active = matrix
-            else:
-                break
-        return self.h0 if active is None else self.h0 + active
+        k = self._begun(t)
+        return self.h0 if k == 0 else self.h0 + self.pieces[k - 1][1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,26 +101,41 @@ class WaveState:
 
 def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
     """Ordered product of exact segment propagators from ``t0`` to ``t``."""
+    return _propagator(h, t0, t, {})
+
+
+def _propagator(h: HamiltonianSpec, t0: float, t: float, decompositions: dict) -> np.ndarray:
+    """:func:`propagator`, reusing the generator decompositions kept in ``decompositions``."""
     t0, t = float(t0), float(t)
     if not (np.isfinite(t0) and np.isfinite(t)):
         raise ValidationError("propagation times must be finite")
     if t < t0:
         raise ValidationError(f"backward propagation from {t0} to {t} is not supported")
+    if not np.isfinite(t - t0):
+        raise ValidationError("time must be finite")
     cuts = [start for start, _ in h.pieces if t0 < start < t]
     edges = [t0, *cuts, t]
     u = np.eye(h.dim, dtype=complex)
     for a, b in zip(edges, edges[1:]):
-        u = qcore.matrix_exponential(h.generator_at(a), b - a) @ u
+        k = h._begun(a)
+        if k not in decompositions:
+            decompositions[k] = np.linalg.eigh(
+                qcore.require_hermitian(h.generator_at(a), "generator"))
+        u = qcore.propagator_from_eigh(decompositions[k], b - a) @ u
     return u
 
 
 def evolve_state(psi: WaveState, h: HamiltonianSpec, t: float) -> WaveState:
     """Propagate a wave state to time ``t``; norm drift is an error."""
+    return _evolve_state(psi, h, t, {})
+
+
+def _evolve_state(psi: WaveState, h: HamiltonianSpec, t: float, decompositions: dict) -> WaveState:
     if psi.dim != h.dim:
         raise DimensionMismatchError(
             f"state dim {psi.dim} vs generator dim {h.dim}"
         )
-    u = propagator(h, psi.time, t)
+    u = _propagator(h, psi.time, t, decompositions)
     return WaveState(u @ psi.coefficients, t)
 
 
@@ -139,16 +153,7 @@ class AmplitudeMatrix:
     times: tuple[float, float]
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-            raise DimensionMismatchError(f"amplitudes must be 2-d, got shape {c.shape}")
-        if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
-            raise ValidationError("amplitudes have non-finite entries")
-        total = float(np.sum(np.abs(c) ** 2))
-        if abs(total - 1.0) > policy.NORM_TOL:
-            raise ValidationError(
-                f"amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}"
-            )
+        c = qcore.as_amplitude_matrix(self.c, policy.NORM_TOL)
         t0, t = float(self.times[0]), float(self.times[1])
         if not (np.isfinite(t0) and np.isfinite(t)) or t < t0:
             raise ValidationError(f"invalid time pair {self.times}")
@@ -166,10 +171,12 @@ def amplitude_matrix(psi: WaveState, h: HamiltonianSpec, t0: float, t: float) ->
     The state is first brought to ``t0``, then each start mode is carried
     to ``t`` by the same propagator.  Unitarity makes every column's
     squared norm equal the start-time occupation of its mode; that
-    identity is enforced here to 1e-10 as a numeric contract.
+    identity is enforced here to 1e-10 as a numeric contract.  Each
+    generator is decomposed once, also the one both propagations use at ``t0``.
     """
-    start = evolve_state(psi, h, t0)
-    u = propagator(h, t0, t)
+    decompositions: dict = {}
+    start = _evolve_state(psi, h, t0, decompositions)
+    u = _propagator(h, t0, t, decompositions)
     c = u * start.coefficients[None, :]
     column_defect = float(
         np.abs(np.sum(np.abs(c) ** 2, axis=0) - start.occupations()).max()
@@ -234,13 +241,6 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
             f"{coeff.size} multimode weights vs {cols} start modes"
         )
     row = amp.c[n]
-    p = float(abs(np.vdot(coeff, row)) ** 2)
-    f = float(np.sum(np.abs(coeff) ** 2 * np.abs(row) ** 2))
-    upper = np.triu_indices(cols, k=1)
-    q = float(
-        2.0 * np.sum(
-            (coeff.conj()[upper[0]] * coeff[upper[1]]
-             * row[upper[0]] * row.conj()[upper[1]]).real
-        )
-    )
-    return ProspectProbability(p, f, q, normalized=False)
+    _, f, q = qcore.mode_split(coeff, np.outer(row, row.conj()))
+    p = abs(np.vdot(coeff, row)) ** 2
+    return ProspectProbability(float(p), float(f), float(q), normalized=False)

@@ -8,6 +8,7 @@ generalized proposition ``|B><B|``.  Families of generalized propositions
 that resolve the identity form a positive operator-valued measure.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -78,22 +79,21 @@ class Observable:
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
 
 
-def _trusted(cls, matrix: np.ndarray, spectrum: np.ndarray, **fields):
-    """An instance of a state class from a matrix whose checks already hold.
+def _trusted(cls, *values, **fields):
+    """An instance of a validated class from values whose checks already hold.
 
-    The one way past ``__post_init__``: for a pure state built by
-    :func:`qcore.pure_state` after its input checks, for a state checked
-    by :func:`qcore.validate_state` with a spectrum known in closed form
-    (:func:`qcore.product_state`, ``channels.evolve``), and for a
-    validated state handed on with its spectrum.  Both arrays are frozen,
-    not copied.
+    The one way past ``__post_init__``, for states and operators whose
+    spectrum is known in closed form (:mod:`qcore` ``pure_state``,
+    ``product_state``, ``rank_one``; ``channels.evolve``).  Values fill the
+    dataclass fields in order or by name; arrays are frozen, not copied.
     """
-    state = object.__new__(cls)
-    object.__setattr__(state, "matrix", qcore.freeze(matrix))
-    object.__setattr__(state, "spectrum", qcore.freeze(spectrum))
-    for name, value in fields.items():
-        object.__setattr__(state, name, value)
-    return state
+    obj = object.__new__(cls)
+    named = zip((f.name for f in dataclasses.fields(cls)), values)
+    for name, value in [*named, *fields.items()]:
+        if isinstance(value, np.ndarray):
+            value = qcore.freeze(value)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +143,13 @@ class DensityOperator:
                 f"state vector norm {norm!r} deviates from 1: squared norm is off "
                 f"by {off:.3e}, beyond {tol:.1e}"
             )
-        return _trusted(cls, *qcore.pure_state(v, "density operator"))
+        # a plain DensityOperator also when called on a subclass, which may
+        # need fields a vector does not give (CompositeState's dims)
+        return _trusted(DensityOperator, *qcore.pure_state(v, "density operator"))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,19 +230,8 @@ class GeneralizedProposition:
     operator: np.ndarray
 
     def __post_init__(self):
-        m = np.array(qcore.require_hermitian(self.operator, "generalized proposition"))
-        tol = policy.tolerance()
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -tol:
-            raise ValidationError(
-                f"generalized proposition not positive: lowest eigenvalue {w.min():.3e}"
-            )
-        if w.size > 1 and w[-2] > tol * max(1.0, w[-1]):
-            raise ValidationError(
-                f"generalized proposition has rank > 1: second eigenvalue {w[-2]:.3e}"
-            )
-        if w[-1] <= tol:
-            raise ValidationError("generalized proposition is (numerically) zero")
+        m, w = qcore.validate_rank_one(self.operator, "generalized proposition")
+        _require_weight(w)
         object.__setattr__(self, "operator", qcore.freeze(m))
 
     @property
@@ -253,8 +244,19 @@ class GeneralizedProposition:
 
     @classmethod
     def from_state(cls, state: MultimodeState) -> "GeneralizedProposition":
-        v = state.vector()
-        return cls(np.outer(v, v.conj()))
+        """``|B><B|``, rank one by construction, so not decomposed.
+
+        Checked: finite entries (``|b_a|^2`` may overflow) and a nonzero weight.
+        """
+        m, w = qcore.rank_one(state.vector())
+        qcore.as_complex_matrix(m, "generalized proposition")
+        _require_weight(w)
+        return _trusted(cls, m)
+
+
+def _require_weight(w: np.ndarray):
+    if w[-1] <= policy.tolerance():
+        raise ValidationError("generalized proposition is (numerically) zero")
 
 
 class MultimodeProbability(NamedTuple):
@@ -278,10 +280,10 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
         raise DimensionMismatchError(
             f"density operator dim {rho.dim} vs multimode state dim {state.dim}"
         )
-    b = state.coefficients
     e = state.basis.eigenbasis
     m = e.conj().T @ rho.matrix @ e  # <a|rho|b> in the mode basis
-    direct = complex(np.vdot(b, m @ b))
+    direct, classical, quantum = qcore.mode_split(state.coefficients, m)
+    direct, classical, quantum = complex(direct), float(classical), float(quantum)
 
     window = policy.PROBABILITY_TOL * max(1.0, state.gram())
     if abs(direct.imag) > window:
@@ -294,11 +296,6 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
             f"multimode probability {p!r} outside [0, <B|B>] window"
         )
 
-    classical = float(np.sum(np.abs(b) ** 2 * m.diagonal().real))
-    upper = np.triu_indices(state.dim, k=1)
-    quantum = float(
-        2.0 * np.sum((b.conj()[upper[0]] * b[upper[1]] * m[upper]).real)
-    )
     if abs(p - (classical + quantum)) > window:
         raise NumericContractError(
             f"multimode decomposition broken: p - (classical + quantum) = "

@@ -2,8 +2,9 @@
 
 All operator-level validation (hermiticity, unitarity, positivity, unit
 trace) uses a single absolute tolerance.  It defaults to 1e-10 and can be
-overridden either programmatically with :func:`set_tolerance` or through
-the ``QPROSPECT_TOL`` environment variable, read once at import time.
+overridden programmatically with :func:`set_tolerance`, for a block of code
+with :func:`tolerance_scope`, or through the ``QPROSPECT_TOL`` environment
+variable, read once at import time.
 
 The remaining constants are fixed contracts, not tunables: probability
 window checks, POVM resolution residuals, and wave-function norm drift
@@ -11,6 +12,8 @@ each have their own scale and are pinned here by name.
 """
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -37,19 +40,41 @@ ZERO_EVENT_TOL = 1e-12
 MAX_DIM = 4096
 
 _tolerance = float(os.environ.get("QPROSPECT_TOL", DEFAULT_TOLERANCE))
+# the value of the innermost tolerance_scope in this context, None outside one
+_scoped: ContextVar[float | None] = ContextVar("qprospect_tolerance", default=None)
 
 
 def tolerance() -> float:
     """Current operator-validation tolerance (absolute)."""
-    return _tolerance
+    scoped = _scoped.get()
+    return _tolerance if scoped is None else scoped
 
 
 def set_tolerance(value: float) -> float:
-    """Set the operator-validation tolerance; returns the previous value."""
+    """Set the tolerance; returns the previous value.
+
+    Process-wide outside any :func:`tolerance_scope`; inside one, until it exits.
+    """
     global _tolerance
-    value = float(value)
+    value, previous = float(value), tolerance()
     if not 0.0 < value < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {value}")
-    previous = _tolerance
-    _tolerance = value
+    if _scoped.get() is None:
+        _tolerance = value
+    else:
+        _scoped.set(value)
     return previous
+
+
+@contextmanager
+def tolerance_scope(value: float):
+    """Use ``value`` inside a ``with`` block; the old value returns on exit.
+
+    A context variable (PEP 567): scopes nest and stay within their thread.
+    """
+    token = _scoped.set(tolerance())
+    try:
+        set_tolerance(value)  # checked, and set within the new scope
+        yield
+    finally:
+        _scoped.reset(token)

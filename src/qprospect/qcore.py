@@ -51,6 +51,19 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def as_amplitude_matrix(c, tol: float) -> np.ndarray:
+    """Coerce to a nonempty finite 2-d complex array whose ``sum |c|^2`` is 1 within ``tol``."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
+        raise DimensionMismatchError(f"amplitude matrix must be 2-d, got shape {c.shape}")
+    if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
+        raise ValidationError("amplitude matrix has non-finite entries")
+    total = float(np.sum(np.abs(c) ** 2))
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}")
+    return c
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max-abs deviation of ``m`` from its own adjoint."""
     return float(np.abs(m - m.conj().T).max())
@@ -174,10 +187,10 @@ def propagator_from_eigh(decomposition: tuple[np.ndarray, np.ndarray], t: float)
     return (v * phases) @ v.conj().T
 
 
-def _require_dims(dim: int, dims: tuple[int, int] | None):
+def _require_dims(dim: int, dims: tuple[int, int] | None, what: str = "matrix"):
     if dims is not None and dim != dims[0] * dims[1]:
         raise DimensionMismatchError(
-            f"matrix dimension {dim} does not match dims {dims[0]} x {dims[1]}"
+            f"{what} dimension {dim} does not match dims {dims[0]} x {dims[1]}"
         )
 
 
@@ -221,6 +234,17 @@ def validate_state(
     return a, w
 
 
+def rank_one(v: np.ndarray):
+    """``|v><v|`` and its ascending spectrum ``(0, ..., 0, Tr)``, unchecked.
+
+    :func:`pure_state` gives the bound behind the closed-form spectrum.
+    """
+    a = np.outer(v, v.conj())
+    w = np.zeros(a.shape[0])
+    w[-1] = a.trace().real
+    return a, w
+
+
 def pure_state(v, name: str, dims: tuple[int, int] | None = None):
     """The pure state ``|v><v|`` with its spectrum, without a decomposition.
 
@@ -234,15 +258,31 @@ def pure_state(v, name: str, dims: tuple[int, int] | None = None):
     product, so ``|a_ij - conj(a_ji)|`` stays within a few units in the
     last place of ``|v_i v_j|`` (below 1e-15 for a unit vector), and the
     exact ``|v><v|`` has rank one with eigenvalues ``(0, ..., 0, <v|v>)``.
-    That spectrum, ascending like ``eigvalsh``, is returned with the trace
-    of the built matrix as its top entry.
+    That spectrum, ascending like ``eigvalsh``, is returned by
+    :func:`rank_one` with the trace of the built matrix as its top entry.
     """
     v = as_complex_vector(v, name)
     _require_dims(v.size, dims)
-    a = np.outer(v, v.conj())
+    a, w = rank_one(v)
     _require_unit_trace(a, name, composite=dims is not None)
-    w = np.zeros(a.shape[0])
-    w[-1] = a.trace().real
+    return a, w
+
+
+def validate_rank_one(m, name: str, dims: tuple[int, int] | None = None):
+    """Check a rank-one positive operator; return a copy and its ascending spectrum.
+
+    In order: square, finite and within the cap; Hermitian; of dimension
+    ``dims[0] * dims[1]`` when ``dims`` is given; positive; rank at most one
+    (second eigenvalue at most the tolerance times ``max(1, largest)``).
+    """
+    a = np.array(require_hermitian(m, name))
+    _require_dims(a.shape[0], dims, "operator")
+    tol = policy.tolerance()
+    w = np.linalg.eigvalsh(a)
+    if w.min() < -tol:
+        raise ValidationError(f"{name} not positive: lowest eigenvalue {w.min():.3e}")
+    if w.size > 1 and w[-2] > tol * max(1.0, w[-1]):
+        raise ValidationError(f"{name} has rank > 1: second eigenvalue {w[-2]:.3e}")
     return a, w
 
 
@@ -261,6 +301,23 @@ def product_state(a, wa, b, wb, name: str, dims: tuple[int, int] | None = None):
     """
     spectrum = np.sort(np.multiply.outer(wa, wb), axis=None)
     return validate_state(tensor_product(a, b), name, dims, spectrum=spectrum)
+
+
+def mode_split(coeff: np.ndarray, m: np.ndarray):
+    """Split ``<b|m|b>`` into its classical and interference parts.
+
+    ``m`` is a matrix in the mode basis of the weights ``b = coeff``, or a
+    stack of them.  Returns, per matrix, ``direct = <b|m|b>`` (complex),
+    ``f = sum_a |b_a|^2 Re m_aa`` and ``q = 2 Re sum_{a<c} conj(b_a) b_c m_ac``.
+    ``q`` is its own sum, never ``direct - f``, so ``direct = f + q`` checks it.
+    """
+    mb = m @ coeff
+    direct = np.matmul(coeff.conj(), mb[..., None])[..., 0]
+    f = np.sum(np.abs(coeff) ** 2 * m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+    i, j = np.triu_indices(coeff.size, k=1)
+    # contiguous, so each matrix's terms are summed pairwise as one vector's are
+    q = 2.0 * np.sum((coeff.conj()[i] * coeff[j] * m[..., i, j]).real.copy(), axis=-1)
+    return direct, f, q
 
 
 def spectral_norm(m) -> float:

@@ -38,7 +38,7 @@ from . import policy
 from .channels import MeasurerSpec, PipelineStage
 from .composite import CompositeState
 from .dynamics import HamiltonianSpec
-from .errors import QProspectError, ScenarioError
+from .errors import NumericContractError, QProspectError, ScenarioError
 from .events import DensityOperator, MultimodeState, Observable
 from .game import GameSpec, InterferenceDistribution
 
@@ -88,6 +88,11 @@ def _real(value, path: str) -> float:
     _require(z.imag == 0.0, f"expected a real number, got {z!r}", path)
     _require(np.isfinite(z.real), "value must be finite", path)
     return z.real
+
+
+def _reals(value, path: str) -> list[float]:
+    _require(isinstance(value, list), "expected a list of numbers", path)
+    return [_real(x, f"{path}[{k}]") for k, x in enumerate(value)]
 
 
 def _int(value, path: str) -> int:
@@ -256,7 +261,7 @@ def _parse_state(section, scenario: Scenario):
         scenario.density = _wrap_domain("state.density", DensityOperator, m)
     elif "amplitudes" in section:
         m = _matrix(section["amplitudes"], "state.amplitudes")
-        scenario.composite = _wrap_domain(
+        scenario.density = scenario.composite = _wrap_domain(
             "state.amplitudes", CompositeState.from_amplitudes, m)
     else:
         body = section["composite"]
@@ -270,10 +275,8 @@ def _parse_state(section, scenario: Scenario):
                  "dims must be [dim_a, dim_b]", "state.composite.dims")
         da = _int(dims[0], "state.composite.dims[0]")
         db = _int(dims[1], "state.composite.dims[1]")
-        scenario.composite = _wrap_domain(
+        scenario.density = scenario.composite = _wrap_domain(
             "state.composite", CompositeState, m, (da, db))
-    if scenario.composite is not None:
-        scenario.density = scenario.composite.as_density()
 
 
 def _parse_observables(section, scenario: Scenario):
@@ -283,8 +286,7 @@ def _parse_observables(section, scenario: Scenario):
         _require(isinstance(body, dict), "observable must be an object", path)
         _require("eigenvalues" in body and "eigenbasis" in body,
                  "observable needs 'eigenvalues' and 'eigenbasis'", path)
-        values = [_real(x, f"{path}.eigenvalues[{k}]")
-                  for k, x in enumerate(body["eigenvalues"])]
+        values = _reals(body["eigenvalues"], f"{path}.eigenvalues")
         basis = _matrix(body["eigenbasis"], f"{path}.eigenbasis")
         scenario.observables[name] = _wrap_domain(
             path, Observable, np.array(values), basis, name)
@@ -379,7 +381,7 @@ def _parse_game(section, scenario: Scenario):
         raw = section["payoffs"]
         _require(isinstance(raw, list) and len(raw) == 4,
                  "payoffs must be a list of four numbers", "game.payoffs")
-        payoffs = tuple(_real(x, f"game.payoffs[{k}]") for k, x in enumerate(raw))
+        payoffs = tuple(_reals(raw, "game.payoffs"))
     scenario.game = _wrap_domain("game", GameSpec, joint.real, payoffs)
 
     options: dict = {}
@@ -396,7 +398,7 @@ def _parse_game(section, scenario: Scenario):
         raw = section["empirical"]
         _require(isinstance(raw, list) and len(raw) == 2,
                  "empirical must be [p1, p2]", "game.empirical")
-        empirical = tuple(_real(x, f"game.empirical[{k}]") for k, x in enumerate(raw))
+        empirical = tuple(_reals(raw, "game.empirical"))
         _require(all(0.0 <= p <= 1.0 for p in empirical)
                  and abs(sum(empirical) - 1.0) <= policy.PROBABILITY_TOL,
                  f"empirical must be two probabilities summing to 1, got {list(empirical)}",
@@ -429,13 +431,7 @@ def _parse_interference(section, scenario: Scenario):
              "interference.kind")
     _require("grid" in section and "density" in section,
              "tabulated interference needs 'grid' and 'density'", "interference")
-    for key in ("grid", "density"):
-        _require(isinstance(section[key], list), "expected a list of numbers",
-                 f"interference.{key}")
-    grid = [_real(x, f"interference.grid[{k}]")
-            for k, x in enumerate(section["grid"])]
-    density = [_real(x, f"interference.density[{k}]")
-               for k, x in enumerate(section["density"])]
+    grid, density = (_reals(section[key], f"interference.{key}") for key in ("grid", "density"))
     scenario.interference = _wrap_domain(
         "interference", InterferenceDistribution.tabulated, grid, density)
 
@@ -503,16 +499,10 @@ def parse_scenario(text) -> Scenario:
     }
     # a tolerance override covers the validation of the scenario's own
     # operators, not just the later computation
-    previous = None
-    if "tolerance" in run:
-        previous = policy.set_tolerance(float(run["tolerance"]))
-    try:
+    with policy.tolerance_scope(run.get("tolerance", policy.tolerance())):
         for key, parser in parsers.items():
             if key in data:
                 parser(data[key], scenario)
-    finally:
-        if previous is not None:
-            policy.set_tolerance(previous)
     return scenario
 
 
@@ -644,8 +634,6 @@ class ResultTable:
         if isinstance(value, (float, np.floating)):
             value = float(value)
             if not np.isfinite(value):
-                from .errors import NumericContractError
-
                 raise NumericContractError(f"result row {label!r} is not finite")
         self.rows.append((label, value, provenance))
 
@@ -653,8 +641,6 @@ class ResultTable:
         value = float(value)
         window = policy.PROBABILITY_TOL
         if not np.isfinite(value) or value < -window or value > 1.0 + window:
-            from .errors import NumericContractError
-
             raise NumericContractError(
                 f"result row {label!r} = {value!r} is not a probability"
             )

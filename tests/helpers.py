@@ -1,14 +1,17 @@
-"""Shared random constructors for the test suite."""
+"""Shared random constructors for the test suite.
+
+The unitary, observable and amplitude constructors are the self-test's
+own; only the rank-limited density and its composite are kept here.
+"""
 
 import numpy as np
 
-from qprospect import CompositeState, DensityOperator, Observable
-
-
-def random_unitary(dim, rng):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+from qprospect import CompositeState, DensityOperator
+from qprospect.acceptance import (  # noqa: F401 - the tests import them from here
+    _random_amplitudes as random_amplitudes,
+    _random_observable as random_observable,
+    _random_unitary as random_unitary,
+)
 
 
 def random_density(dim, rng, rank=None):
@@ -18,17 +21,8 @@ def random_density(dim, rng, rank=None):
     return DensityOperator(m / np.trace(m))
 
 
-def random_observable(dim, rng, label="A"):
-    return Observable(np.arange(dim, dtype=float), random_unitary(dim, rng), label)
-
-
 def random_composite(dim_a, dim_b, rng, rank=None):
     return CompositeState(random_density(dim_a * dim_b, rng, rank).matrix, (dim_a, dim_b))
-
-
-def random_amplitudes(dim_a, dim_b, rng):
-    c = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
-    return c / np.linalg.norm(c)
 
 
 def random_multimode_coefficients(dim, rng):

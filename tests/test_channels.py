@@ -14,7 +14,6 @@ from qprospect import (
     ValidationError,
     basis_change,
     compose,
-    composite_state_from_correlation,
     entanglement_production,
     evolve,
     pointer_measurer,
@@ -355,6 +354,6 @@ class TestCorrelationBridge:
     def test_amplitude_matrix_becomes_composite(self, rng):
         c = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         c /= np.linalg.norm(c)
-        state = composite_state_from_correlation(c)
+        state = CompositeState.from_amplitudes(c)
         assert state.dims == (2, 3)
         assert abs(np.trace(state.matrix) - 1.0) < 1e-12

@@ -187,6 +187,20 @@ class TestMalformedScenarios:
         assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
         assert f"run.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [3.5, None, True], ids=["number", "null", "bool"])
+    @pytest.mark.parametrize("name", [
+        "born_plus", "lueders_plus", "wigner_ground", "kirkwood_witness"])
+    def test_observable_eigenvalues_must_be_a_list(self, name, value, tmp_path, capsys):
+        with open(data(f"{name}.json")) as handle:
+            doc = json.load(handle)
+        observable = sorted(doc["observables"])[0]
+        doc["observables"][observable]["eigenvalues"] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
+        assert (f"observables.{observable}.eigenvalues: expected a list of numbers"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("empirical", [
         [2, -1], [0.5, 0.6], [0.37, 0.63 + 1e-9], [-0.0001, 1.0001], [1.5, -0.5],
     ])

@@ -1,5 +1,6 @@
 """Composite systems: joint events, marginals, prospects, interference."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,21 +11,25 @@ from hypothesis import strategies as st
 from qprospect import (
     CompositeState,
     DensityOperator,
+    DimensionMismatchError,
     MultimodeState,
     NumericContractError,
     Prospect,
+    ProspectOperator,
     ProspectProbability,
     SizeLimitError,
     ValidationError,
     ZeroProbabilityError,
     bayes_conditional,
     bell_state,
+    born_distribution,
     classical_limit_check,
     conditional_under_uncertainty,
     entanglement_production,
     joint_probability,
     joint_table,
     marginals,
+    multimode_probability,
     prospect_lattice,
     prospect_operator,
     prospect_probability,
@@ -37,6 +42,7 @@ from helpers import (
     random_composite,
     random_density,
     random_multimode_coefficients,
+    random_observable,
 )
 
 
@@ -96,33 +102,49 @@ class TestCompositeState:
         state = random_composite(3, 4, rng)
         assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
         assert "spectrum" not in repr(state)
-        rho = state.as_density()
-        assert rho.spectrum is state.spectrum and rho.matrix is state.matrix
+        # a composite state is itself the DensityOperator it hands on
+        assert isinstance(state, DensityOperator)
         with pytest.raises(TypeError):
             CompositeState(state.matrix, (3, 4), spectrum=state.spectrum)
+
+    def test_is_accepted_where_a_density_operator_is(self, rng):
+        state = random_composite(3, 4, rng)
+        obs = random_observable(12, rng)
+        plain = DensityOperator(state.matrix)
+        assert np.array_equal(born_distribution(state, obs), born_distribution(plain, obs))
+        assert state.dim == 12 and state.dims == (3, 4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: CompositeState.from_pure(np.array([0.6, 0.8])),
+        lambda: CompositeState.maximally_mixed(4),
+    ])
+    def test_inherited_constructors_build_a_plain_density_operator(self, build):
+        rho = build()
+        assert type(rho) is DensityOperator
+        assert not hasattr(rho, "dims")
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    sizes = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return sizes
 
 
 class TestEachStateValidatedOnce:
     """A state is decomposed once when built from outside, never when pure."""
-
-    @pytest.fixture
-    def eigvalsh_sizes(self, monkeypatch):
-        sizes = []
-        original = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        return sizes
 
     def test_pure_states_are_not_decomposed(self, eigvalsh_sizes, rng):
         states = [CompositeState.from_amplitudes(random_amplitudes(32, 32, rng)), bell_state(32)]
         assert eigvalsh_sizes == []
         for state in states:
             entanglement_production(state)
-            state.as_density()
         # only the two 32 x 32 reductions of each state are validated
         assert eigvalsh_sizes == [32, 32, 32, 32]
 
@@ -131,14 +153,13 @@ class TestEachStateValidatedOnce:
         m = a @ a.conj().T
         state = CompositeState(m / np.trace(m), (16, 16))
         entanglement_production(state)
-        state.as_density()
         assert eigvalsh_sizes.count(256) == 1
         assert eigvalsh_sizes == [256, 16, 16]
 
     def test_stored_spectra_match_eigvalsh(self, rng):
         pure = CompositeState.from_amplitudes(random_amplitudes(8, 16, rng))
         states = [pure, bell_state(8), random_composite(4, 8, rng),
-                  pure.as_density(), pure.reduced(0), pure.reduced(1)]
+                  pure.reduced(0), pure.reduced(1)]
         for state in states:
             assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
 
@@ -343,6 +364,38 @@ class TestLatticeAtScale:
         assert abs(sum(e.f for e in lattice) - 1.0) <= 1e-12
 
 
+class TestLatticeBlocks:
+    def test_every_block_read_at_once_matches_the_block_route(self, rng):
+        state = random_composite(8, 32, rng)
+        b = MultimodeState(random_multimode_coefficients(32, rng), random_observable(32, rng))
+        lattice = prospect_lattice(state, b, normalize=False)
+        e, coeff = b.basis.eigenbasis, b.coefficients
+        upper = np.triu(np.ones((32, 32), dtype=bool), k=1)
+        for n, value in enumerate(lattice):
+            m = e.conj().T @ state.block(n, n) @ e
+            f = sum(abs(coeff[a]) ** 2 * m[a, a].real for a in range(32))
+            q = sum(2.0 * (np.conj(coeff[a]) * (m[a, upper[a]] @ coeff[upper[a]])).real
+                    for a in range(32))
+            want_p = np.trace(state.matrix @ prospect_operator(Prospect(n, b), (8, 32)).operator)
+            assert abs(value.p - want_p.real) < 1e-12 * b.gram()
+            assert abs(value.f - f) < 1e-12 * b.gram()
+            assert abs(value.q - q) < 1e-12 * b.gram()
+            single = prospect_probability(state, Prospect(n, b), normalize=False)
+            assert (single.p, single.f, single.q) == (value.p, value.f, value.q)
+            numerator = conditional_under_uncertainty(state, Prospect(n, b))
+            assert numerator * multimode_probability(state.reduced(1), b).p == pytest.approx(
+                value.p, rel=1e-12)
+
+    def test_mismatched_multimode_dimension_is_typed(self, rng):
+        state = random_composite(2, 3, rng)
+        b = MultimodeState.in_standard_basis(np.ones(2))
+        for call in (lambda: prospect_lattice(state, b),
+                     lambda: prospect_probability(state, Prospect(0, b), normalize=False),
+                     lambda: conditional_under_uncertainty(state, Prospect(0, b))):
+            with pytest.raises(DimensionMismatchError, match="multimode state dim 2"):
+                call()
+
+
 class TestConditionalUnderUncertainty:
     def test_witness_value(self):
         state = witness_state()
@@ -404,6 +457,37 @@ class TestProspectOperator:
         b = MultimodeState.in_standard_basis(np.ones(2))
         with pytest.raises(ValidationError):
             prospect_operator(Prospect(5, b), (2, 2))
+
+    @pytest.mark.parametrize("matrix,dims,error,message", [
+        (np.triu(np.ones((4, 4))), (2, 2), ValidationError,
+         "prospect operator is not Hermitian: max deviation 1.000e+00"),
+        (np.diag([1.0, 0.0, 0.0, 0.0]), (2, 3), DimensionMismatchError,
+         "operator dimension 4 does not match dims 2 x 3"),
+        (np.diag([1.0, 0.0, 0.0, -0.5]), (2, 2), ValidationError,
+         "prospect operator not positive: lowest eigenvalue -5.000e-01"),
+        (np.diag([1.0, 0.0, 0.0, 0.5]), (2, 2), ValidationError,
+         "prospect operator has rank > 1: second eigenvalue 5.000e-01"),
+    ])
+    def test_outside_operator_rejections(self, matrix, dims, error, message):
+        with pytest.raises(error, match="^" + re.escape(message)):
+            ProspectOperator(matrix, dims)
+
+    def test_only_operators_from_outside_are_decomposed(self, eigvalsh_sizes, rng):
+        b = MultimodeState(random_multimode_coefficients(8, rng), random_observable(8, rng))
+        built = prospect_operator(Prospect(2, b), (4, 8))
+        assert eigvalsh_sizes == []
+        ProspectOperator(built.operator, built.dims)
+        assert eigvalsh_sizes == [32]
+        # the closed form P_n (x) |B><B| passes the skipped checks
+        w = np.linalg.eigvalsh(built.operator)
+        assert np.abs(w[:-1]).max() <= 1e-12 and abs(w[-1] - b.gram()) <= 1e-12 * b.gram()
+        assert np.abs(built.operator - built.operator.conj().T).max() <= 1e-15 * b.gram()
+
+    def test_outside_rank_one_operator_accepted(self, rng):
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        op = ProspectOperator(np.outer(v, v.conj()), (2, 3))
+        assert op.dims == (2, 3)
+        assert not op.operator.flags.writeable
 
 
 class TestClassicalLimit:

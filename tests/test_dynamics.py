@@ -174,6 +174,28 @@ class TestAmplitudeMatrix:
         cols = np.sum(np.abs(amp.c) ** 2, axis=0)
         assert np.abs(cols - at_one.occupations()).max() < 1e-12
 
+    def test_each_generator_is_decomposed_once(self, rng, monkeypatch):
+        def hermitian(d, scale=1.0):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            return scale * (a + a.conj().T) / 2.0
+
+        d = 16
+        h = HamiltonianSpec(
+            hermitian(d), tuple((0.1 * (k + 1), hermitian(d, 0.5)) for k in range(10)))
+        c0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi = WaveState(c0 / np.linalg.norm(c0))
+        t0, t = 0.35, 1.25
+        # the public two-step route, which decomposes the generator at t0 twice
+        want = propagator(h, t0, t) * evolve_state(psi, h, t0).coefficients[None, :]
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args, **kw: calls.append(a) or original(a, *args, **kw))
+        amp = amplitude_matrix(psi, h, t0, t)
+        # h0 and the ten pieces: every piece has begun by t
+        assert len(calls) == 11
+        assert np.array_equal(amp.c, want)
+
     def test_total_weight_validated(self):
         with pytest.raises(ValidationError):
             AmplitudeMatrix(np.ones((2, 2)), (0.0, 1.0))
@@ -242,6 +264,20 @@ class TestTwoTimeProspect:
                 want = prospect_probability(state, Prospect(n, bs), normalize=False)
                 assert abs(got.p - want.p) < 1e-12
                 assert abs(got.q - want.q) < 1e-12
+
+    def test_matches_composite_route_at_d64(self, rng):
+        d = 64
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        c0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        amp = amplitude_matrix(
+            WaveState(c0 / np.linalg.norm(c0)), HamiltonianSpec((a + a.conj().T) / 2.0), 0.0, 0.7)
+        state = CompositeState.from_amplitudes(amp.c)
+        bs = MultimodeState.in_standard_basis(rng.normal(size=d) + 1j * rng.normal(size=d))
+        for n in range(0, d, 7):
+            got = two_time_prospect(amp, n, bs)
+            want = prospect_probability(state, Prospect(n, bs), normalize=False)
+            for field in ("p", "f", "q"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12 * bs.gram()
 
     def test_uniform_weights_interfere(self):
         psi = WaveState(np.array([1.0, 1.0]) / np.sqrt(2.0))

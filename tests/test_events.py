@@ -241,6 +241,35 @@ class TestGeneralizedProposition:
         with pytest.raises(ValidationError):
             GeneralizedProposition(np.zeros((2, 2)))
 
+    def test_only_operators_from_outside_are_decomposed(self, rng, monkeypatch):
+        sizes = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        state = MultimodeState(random_multimode_coefficients(64, rng), random_observable(64, rng))
+        built = GeneralizedProposition.from_state(state)
+        assert sizes == []
+        GeneralizedProposition(built.operator)
+        assert sizes == [64]
+        assert not built.operator.flags.writeable
+        # the closed form passes the checks it skips
+        w = original(built.operator)
+        assert np.abs(w[:-1]).max() <= 1e-12 * state.gram()
+        assert abs(w[-1] - state.gram()) <= 1e-12 * state.gram()
+
+    @pytest.mark.parametrize("coefficients,message", [
+        ([1e-6, 0.0], "numerically"),
+        ([1e200, 0.0], "non-finite entries"),
+    ])
+    def test_from_state_keeps_its_weight_and_finiteness_checks(self, coefficients, message):
+        state = MultimodeState.in_standard_basis(np.array(coefficients))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=message):
+            GeneralizedProposition.from_state(state)
+
 
 class TestPovm:
     def mub_members(self):

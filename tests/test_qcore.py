@@ -22,9 +22,11 @@ from qprospect.qcore import (
     as_complex_vector,
     freeze,
     hermiticity_defect,
+    mode_split,
     pure_state,
     real_probabilities,
     real_probability,
+    validate_rank_one,
     validate_state,
 )
 
@@ -193,6 +195,81 @@ class TestStateValidator:
         assert freeze(a) is a
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def split_by_loops(coeff, m):
+    """Reference split of ``<b|m|b>``, written out over mode pairs."""
+    d = coeff.size
+    direct = f = q = 0.0
+    for a in range(d):
+        f += abs(coeff[a]) ** 2 * m[a, a].real
+        for c in range(d):
+            term = np.conj(coeff[a]) * m[a, c] * coeff[c]
+            direct += term
+            if a < c:
+                q += 2.0 * term.real
+    return direct, f, q
+
+
+class TestModeSplit:
+    def test_matches_the_double_loop_at_d64(self, rng):
+        coeff = rng.normal(size=64) + 1j * rng.normal(size=64)
+        m = random_density(64, rng).matrix
+        want = split_by_loops(coeff, m)
+        got = mode_split(coeff, m)
+        scale = float(np.sum(np.abs(coeff) ** 2))
+        for g, w in zip(got, want):
+            assert np.ndim(g) == 0
+            assert abs(g - w) <= 1e-13 * scale
+        assert abs(got[0] - (got[1] + got[2])) <= 1e-13 * scale
+
+    def test_q_is_its_own_sum_over_the_upper_triangle(self):
+        # m is not Hermitian here, so q = p - f would read 3, not 6
+        direct, f, q = mode_split(np.ones(3, dtype=complex), np.triu(np.ones((3, 3)), k=1))
+        assert (direct, f, q) == (3.0, 0.0, 6.0)
+
+    def test_a_lattice_stack_matches_the_double_loop_at_16x256(self, rng):
+        coeff = rng.normal(size=256) + 1j * rng.normal(size=256)
+        stack = rng.normal(size=(16, 256, 256)) + 1j * rng.normal(size=(16, 256, 256))
+        stack = (stack + stack.conj().transpose(0, 2, 1)) / 512.0
+        direct, f, q = mode_split(coeff, stack)
+        assert direct.shape == f.shape == q.shape == (16,)
+        scale = float(np.sum(np.abs(coeff) ** 2))
+        upper = np.triu(np.ones((256, 256), dtype=bool), k=1)
+        for n in range(16):
+            m = stack[n]
+            # the inner sum vectorised, the mode pairs still walked row by row
+            want_direct = sum(np.conj(coeff[a]) * (m[a] @ coeff) for a in range(256))
+            want_f = sum(abs(coeff[a]) ** 2 * m[a, a].real for a in range(256))
+            want_q = sum(2.0 * (np.conj(coeff[a]) * (m[a, upper[a]] @ coeff[upper[a]])).real
+                         for a in range(256))
+            assert abs(direct[n] - want_direct) <= 1e-12 * scale
+            assert abs(f[n] - want_f) <= 1e-12 * scale
+            assert abs(q[n] - want_q) <= 1e-12 * scale
+            # each matrix of the stack splits as it would alone, bit for bit
+            alone = mode_split(coeff, m)
+            assert (alone[0], alone[1], alone[2]) == (direct[n], f[n], q[n])
+
+
+class TestRankOneValidator:
+    @pytest.mark.parametrize("matrix,dims,error,message", [
+        (np.zeros((2, 3)), None, DimensionMismatchError, "op must be square"),
+        (np.triu(np.ones((4, 4))), None, ValidationError, "op is not Hermitian"),
+        (np.diag([1.0, 0.0, 0.0]), (2, 2), DimensionMismatchError,
+         "operator dimension 3 does not match dims 2 x 2"),
+        (np.diag([1.0, -0.5]), None, ValidationError, "op not positive: lowest eigenvalue"),
+        (np.diag([1.0, 0.5]), None, ValidationError, "op has rank > 1: second eigenvalue"),
+    ])
+    def test_rejections_in_order(self, matrix, dims, error, message):
+        with pytest.raises(error, match=message):
+            validate_rank_one(matrix, "op", dims)
+
+    def test_returns_a_copy_and_its_spectrum(self, rng):
+        v = rng.normal(size=6) + 1j * rng.normal(size=6)
+        op = np.outer(v, v.conj())
+        m, w = validate_rank_one(op, "op", (2, 3))
+        assert m is not op and np.array_equal(m, op)
+        assert np.array_equal(w, np.linalg.eigvalsh(op))
 
 
 class TestConversionGuards:
