@@ -28,44 +28,14 @@ import sys
 import numpy as np
 
 from . import __version__, policy
-from .channels import pointer_measurer, run_pipeline
-from .composite import (
-    Prospect,
-    conditional_under_uncertainty,
-    joint_table,
-    marginals,
-    prospect_lattice,
-)
-from .dynamics import (
-    WaveState,
-    amplitude_matrix,
-    evolve_state,
-    occupation_residual,
-    two_time_prospect,
-)
-from .entangle import entanglement_production
 from .errors import NumericContractError, ScenarioError, ValidationError
-from .game import (
-    broken_symmetry_probabilities,
-    classical_prospects,
-    monte_carlo_cohort,
-    quarter_law,
-)
-from .measure import (
-    apply_measurement,
-    born_distribution,
-    expected_value,
-    identity_chain_residual,
-    kirkwood_table,
-    most_probable,
-    wigner_table,
-)
 from .scenario import FORMATS, KNOWN_OPS, ResultTable, Scenario, parse_scenario
 
 
 # ----------------------------------------------------------- subcommands
 
 def _op_born(scenario: Scenario, table: ResultTable, seed: int):
+    from .measure import born_distribution, expected_value, most_probable
     rho = scenario.need_density()
     obs = scenario.need_observable("observable")
     p = born_distribution(rho, obs)
@@ -76,6 +46,7 @@ def _op_born(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_lueders(scenario: Scenario, table: ResultTable, seed: int):
+    from .measure import apply_measurement
     rho = scenario.need_density()
     obs = scenario.need_observable("observable")
     n = scenario.need_index()
@@ -89,6 +60,7 @@ def _op_lueders(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_wigner(scenario: Scenario, table: ResultTable, seed: int):
+    from .measure import identity_chain_residual, wigner_table
     rho = scenario.need_density()
     first = scenario.need_observable("first")    # measured first in time
     second = scenario.need_observable("second")  # measured after it
@@ -115,6 +87,7 @@ def _op_wigner(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_kirkwood(scenario: Scenario, table: ResultTable, seed: int):
+    from .measure import kirkwood_table
     rho = scenario.need_density()
     obs_a = scenario.need_observable("first")
     obs_b = scenario.need_observable("second")
@@ -130,6 +103,7 @@ def _op_kirkwood(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_joint(scenario: Scenario, table: ResultTable, seed: int):
+    from .composite import joint_table, marginals
     state = scenario.need_composite()
     t = joint_table(state)
     da, db = state.dims
@@ -146,6 +120,7 @@ def _op_joint(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_prospect(scenario: Scenario, table: ResultTable, seed: int):
+    from .composite import prospect_lattice
     state = scenario.need_composite()
     b = scenario.need_multimode()
     normalized = scenario.run.get("normalized", True)
@@ -161,6 +136,7 @@ def _op_prospect(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_conditional(scenario: Scenario, table: ResultTable, seed: int):
+    from .composite import Prospect, conditional_under_uncertainty
     state = scenario.need_composite()
     b = scenario.need_multimode()
     n = scenario.need_index()
@@ -169,6 +145,7 @@ def _op_conditional(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
+    from .channels import pointer_measurer, run_pipeline
     rho = scenario.need_density()
     measurer = scenario.measurer if scenario.measurer is not None else pointer_measurer()
     if scenario.stages is None:
@@ -192,6 +169,7 @@ def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_entanglement(scenario: Scenario, table: ResultTable, seed: int):
+    from .entangle import entanglement_production
     state = scenario.need_composite()
     log_base = scenario.run.get("log_base", "natural")
     report = entanglement_production(state, log_base)
@@ -207,6 +185,7 @@ def _op_entanglement(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _resolve_q(scenario: Scenario) -> float:
+    from .game import quarter_law
     options = scenario.game_options
     if "q" not in options:
         raise ScenarioError(
@@ -218,6 +197,8 @@ def _resolve_q(scenario: Scenario) -> float:
 
 
 def _op_game(scenario: Scenario, table: ResultTable, seed: int):
+    from .game import (
+        broken_symmetry_probabilities, classical_prospects, monte_carlo_cohort)
     spec = scenario.need_game()
     options = scenario.game_options
     f = classical_prospects(spec)
@@ -258,6 +239,7 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
+    from .game import quarter_law
     dist = scenario.need_interference()
     q_plus, q_minus = quarter_law(dist)
     table.add("q_plus", q_plus, "quarter_law")
@@ -265,6 +247,8 @@ def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
 
 
 def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
+    from .dynamics import (
+        WaveState, amplitude_matrix, evolve_state, occupation_residual, two_time_prospect)
     h = scenario.need_hamiltonian()
     t0, t = scenario.need_times()
     start_name = scenario.run.get("start")

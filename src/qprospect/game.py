@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy, qcore
-from .errors import ValidationError, ZeroProbabilityError
+from .errors import SizeLimitError, ValidationError, ZeroProbabilityError
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,6 +316,8 @@ def monte_carlo_cohort(
     """
     if n_pairs < 1:
         raise ValidationError(f"need at least one pair, got {n_pairs}")
+    if n_pairs > policy.MAX_PAIRS:
+        raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
     if symmetry not in ("broken", "intact"):
         raise ValidationError(f"symmetry must be 'broken' or 'intact', got {symmetry!r}")
     if symmetry == "intact" and fixed_q:

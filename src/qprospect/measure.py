@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import policy, qcore
-from .events import DensityOperator, Observable, projector_of
+from .events import DensityOperator, Observable, _trusted, projector_of
 from .errors import (
     DimensionMismatchError,
     NumericContractError,
@@ -91,16 +91,24 @@ def disjoint_union_probability(
     return qcore.real_probability(total, "union probability")
 
 
-def luders_reduce(rho: DensityOperator, obs: Observable, n: int) -> DensityOperator:
-    """State after the event ``A_n`` was observed: ``P rho P / Tr(rho P)``."""
-    _check_dims(rho, obs)
+def _reduce(rho: DensityOperator, obs: Observable, n: int):
+    """Probability ``p`` of ``A_n`` and the reduced state ``P rho P / p``.
+
+    With ``P = |n><n|`` the reduced state is ``|n><n| <n|rho|n> / p``, the
+    pure state ``|n><n|``: it takes the trusted rank-one route of
+    :meth:`DensityOperator.from_pure`, with no projector and no decomposition.
+    """
     p = born_probability(rho, obs, n)
     if p <= policy.ZERO_EVENT_TOL:
         raise ZeroProbabilityError(
             f"cannot reduce on {obs.label}_{n}: probability {p!r} is numerically zero"
         )
-    proj = projector_of(obs, n).matrix
-    return DensityOperator(proj @ rho.matrix @ proj / p)
+    return p, _trusted(DensityOperator, *qcore.pure_state(obs.vector(n), "density operator"))
+
+
+def luders_reduce(rho: DensityOperator, obs: Observable, n: int) -> DensityOperator:
+    """State after the event ``A_n`` was observed: ``P rho P / Tr(rho P)``."""
+    return _reduce(rho, obs, n)[1]
 
 
 @dataclass(frozen=True)
@@ -114,9 +122,7 @@ class MeasurementOutcome:
 
 def apply_measurement(rho: DensityOperator, obs: Observable, n: int) -> MeasurementOutcome:
     """Observe event ``A_n``: bundle its probability with the reduced state."""
-    return MeasurementOutcome(
-        (obs.label, n), born_probability(rho, obs, n), luders_reduce(rho, obs, n)
-    )
+    return MeasurementOutcome((obs.label, n), *_reduce(rho, obs, n))
 
 
 def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) -> float:

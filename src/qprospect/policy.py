@@ -39,6 +39,9 @@ ZERO_EVENT_TOL = 1e-12
 # Hard cap on the dimension of any operator this package will build.
 MAX_DIM = 4096
 
+# Hard cap on the pairs of one Monte Carlo cohort (about 0.7 GB at the cap).
+MAX_PAIRS = 10**7
+
 _tolerance = float(os.environ.get("QPROSPECT_TOL", DEFAULT_TOLERANCE))
 # the value of the innermost tolerance_scope in this context, None outside one
 _scoped: ContextVar[float | None] = ContextVar("qprospect_tolerance", default=None)

@@ -29,18 +29,16 @@ Sections::
                  {"kind": "tabulated", "grid": [...], "density": [...]}
 """
 
+from __future__ import annotations
+
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import policy
-from .channels import MeasurerSpec, PipelineStage
-from .composite import CompositeState
-from .dynamics import HamiltonianSpec
 from .errors import NumericContractError, QProspectError, ScenarioError
 from .events import DensityOperator, MultimodeState, Observable
-from .game import GameSpec, InterferenceDistribution
 
 KNOWN_OPS = (
     "born", "lueders", "wigner", "kirkwood", "joint", "prospect",
@@ -260,10 +258,12 @@ def _parse_state(section, scenario: Scenario):
         m = _matrix(section["density"], "state.density")
         scenario.density = _wrap_domain("state.density", DensityOperator, m)
     elif "amplitudes" in section:
+        from .composite import CompositeState
         m = _matrix(section["amplitudes"], "state.amplitudes")
         scenario.density = scenario.composite = _wrap_domain(
             "state.amplitudes", CompositeState.from_amplitudes, m)
     else:
+        from .composite import CompositeState
         body = section["composite"]
         _require(isinstance(body, dict), "state.composite must be an object",
                  "state.composite")
@@ -303,6 +303,7 @@ def _parse_multimode(section, scenario: Scenario):
 
 
 def _parse_measurer(section, scenario: Scenario):
+    from .channels import MeasurerSpec
     _require(isinstance(section, dict), "measurer must be an object", "measurer")
     _require("dim" in section and "initial" in section and "coupling" in section,
              "measurer needs 'dim', 'initial', and 'coupling'", "measurer")
@@ -323,6 +324,7 @@ def _parse_measurer(section, scenario: Scenario):
 
 
 def _parse_stages(section, scenario: Scenario):
+    from .channels import PipelineStage
     _require(isinstance(section, list) and section,
              "stages must be a non-empty list", "stages")
     out = []
@@ -341,6 +343,7 @@ def _parse_stages(section, scenario: Scenario):
 
 
 def _parse_hamiltonian(section, scenario: Scenario):
+    from .dynamics import HamiltonianSpec
     _require(isinstance(section, dict) and "h0" in section,
              "hamiltonian needs at least 'h0'", "hamiltonian")
     _known_fields(section, ("h0", "pieces"), "hamiltonian", "hamiltonian")
@@ -372,6 +375,7 @@ def _parse_times(section, scenario: Scenario):
 
 
 def _parse_game(section, scenario: Scenario):
+    from .game import GameSpec
     _require(isinstance(section, dict) and "joint" in section,
              "game needs a 'joint' action table", "game")
     joint = _matrix(section["joint"], "game.joint")
@@ -418,6 +422,7 @@ def _parse_game(section, scenario: Scenario):
 
 
 def _parse_interference(section, scenario: Scenario):
+    from .game import InterferenceDistribution
     _require(isinstance(section, dict) and "kind" in section,
              "interference needs a 'kind'", "interference")
     kind = section["kind"]

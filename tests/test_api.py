@@ -1,6 +1,9 @@
 """The public names of the package, pinned so that changing them is deliberate."""
 
+import importlib
 import types
+
+import pytest
 
 import qprospect
 
@@ -95,9 +98,20 @@ PUBLIC = [
 
 
 def test_public_names_are_pinned():
+    # the package loads its names lazily, so they are read through the
+    # package's own table and getattr rather than from vars(qprospect)
+    assert sorted(qprospect.__all__) == PUBLIC
+    for name in PUBLIC:
+        value = getattr(qprospect, name)
+        assert not isinstance(value, types.ModuleType), name
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value, name
+    # once every name is loaded, the package holds those and no others
     exported = sorted(
         name for name, value in vars(qprospect).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC
-
+    assert set(PUBLIC) <= set(dir(qprospect))
+    with pytest.raises(AttributeError):
+        qprospect.no_such_name

@@ -1,16 +1,20 @@
 """Command-line behavior: dispatch, exit codes, golden outputs, determinism."""
 
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qprospect
 from qprospect import ScenarioError, policy
-from qprospect.cli import main, run
-from qprospect.scenario import parse_scenario
+from qprospect.cli import _HANDLERS, main, run
+from qprospect.scenario import _TOP_LEVEL as SECTIONS, parse_scenario
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -373,17 +377,24 @@ def run_cli_python(script: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, env=env)
 
 
-REFUSE_SCIPY = """
+def refusing(*names: str) -> str:
+    """Script prelude whose import finder refuses ``names`` and their submodules."""
+    return f"""
 import sys
 
-class RefuseScipy:
+class Refuse:
+    names = {names!r}
+
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"scipy is refused: {name}", name=name)
+        if any(name == n or name.startswith(n + ".") for n in self.names):
+            raise ModuleNotFoundError(f"{{name}} is refused", name=name)
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+sys.meta_path.insert(0, Refuse())
 """
+
+
+REFUSE_SCIPY = refusing("scipy")
 RUN_MAIN = "from qprospect.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 
@@ -416,3 +427,202 @@ class TestNumpyOnlyRuntime:
         result = run_cli_python(REFUSE_SCIPY + "import scipy.integrate\n")
         assert result.returncode != 0
         assert "scipy is refused" in result.stderr
+
+
+def _load(file: str) -> dict:
+    with open(data(file), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+SCENARIOS = {f[:-5]: _load(f) for f in sorted(os.listdir(DATA)) if f.endswith(".json")}
+
+
+def _reference(name: str) -> tuple[bytes, bool]:
+    """The golden CSV of a scenario, or its numeric reference; exact or not."""
+    golden = os.path.join(GOLDEN, f"{name}.csv")
+    if os.path.exists(golden):
+        with open(golden, "rb") as handle:
+            return handle.read(), True
+    expected = os.path.join(os.path.dirname(HERE), "perfbench", "expected", f"{name}.csv")
+    with open(expected, "rb") as handle:
+        return handle.read(), False
+
+
+def _same_csv(produced: str, expected: str, tol: float = 1e-12) -> bool:
+    """Text cells equal and numeric cells within ``tol``, row by row."""
+    got, want = produced.splitlines(), expected.splitlines()
+    if len(got) != len(want):
+        return False
+    for a, b in zip(got, want):
+        ca, cb = a.split(","), b.split(",")
+        if len(ca) != len(cb):
+            return False
+        for x, y in zip(ca, cb):
+            if x != y:
+                try:
+                    if abs(float(x) - float(y)) > tol:
+                        return False
+                except ValueError:
+                    return False
+    return True
+
+
+# each op family with the scenarios it runs and the modules it must not load
+FAMILIES = {
+    "measure": (("born_plus", "lueders_plus", "wigner_ground", "kirkwood_witness"),
+                ("composite", "channels", "dynamics", "game", "entangle", "acceptance")),
+    "composite": (("bell_joint", "prospect_witness", "bell_prospect",
+                   "conditional_witness", "bell_entanglement"),
+                  ("channels", "dynamics", "game", "measure", "acceptance")),
+    "pipeline": (("pipeline_pointer",),
+                 ("composite", "dynamics", "game", "entangle", "measure", "acceptance")),
+    "game": (("game_broken", "game_cohort", "quarter_law_uniform"),
+             ("composite", "channels", "dynamics", "entangle", "measure", "acceptance")),
+    "dynamics": (("dynamics_rabi",),
+                 ("channels", "game", "entangle", "measure", "acceptance")),
+}
+RUN_EACH = """
+import json
+from qprospect.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+class TestLazyLoading:
+    """One CLI process imports only the modules its op needs."""
+
+    def test_families_cover_every_scenario(self):
+        covered = sorted(name for names, _ in FAMILIES.values() for name in names)
+        assert covered == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_op_runs_with_other_modules_refused(self, family, tmp_path):
+        names, refused = FAMILIES[family]
+        runs = [[SCENARIOS[name]["run"]["op"], "--scenario", data(f"{name}.json"),
+                 "--format", "csv", "--out", str(tmp_path / f"{name}.csv")]
+                for name in names]
+        result = run_cli_python(
+            refusing(*(f"qprospect.{m}" for m in refused)) + RUN_EACH, json.dumps(runs))
+        assert result.returncode == 0, result.stderr
+        for name in names:
+            produced = (tmp_path / f"{name}.csv").read_bytes()
+            expected, exact = _reference(name)
+            if exact:
+                assert produced == expected, name
+            else:
+                assert _same_csv(produced.decode(), expected.decode()), name
+
+    def test_refused_qprospect_module_is_refused(self):
+        # guards the test above: refusing the module an op needs breaks the op
+        result = run_cli_python(refusing("qprospect.measure") + RUN_MAIN, "born",
+                                "--scenario", data("born_plus.json"))
+        assert result.returncode != 0
+        assert "qprospect.measure is refused" in result.stderr
+
+    def test_package_import_loads_no_numpy(self):
+        result = run_cli_python(
+            "import sys, qprospect\n"
+            "qprospect.__version__\n"
+            "print('numpy' in sys.modules, sorted(m for m in sys.modules if 'qprospect' in m))\n"
+            "import qprospect.measure\n"
+            "print(qprospect.born_distribution is qprospect.measure.born_distribution)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["False ['qprospect']", "True"]
+
+    def test_submodules_stay_reachable(self):
+        from qprospect import events
+        from qprospect.events import DensityOperator
+
+        assert qprospect.DensityOperator is DensityOperator is events.DensityOperator
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_NESTED = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# each of the seven JSON types about as often as the others
+JSON_VALUES = (JSON_SCALARS | st.lists(JSON_NESTED, max_size=3)
+               | st.dictionaries(st.text(max_size=6), JSON_NESTED, max_size=3))
+
+
+def _locations(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """An op and a ``tests/data`` scenario with fields dropped, swapped or added.
+
+    The op is the scenario's own half of the time and any op otherwise.
+    """
+    doc = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
+    op = draw(st.just(doc["run"]["op"]) | st.sampled_from(sorted(_HANDLERS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # a depth first, so sections and their fields are hit as often as
+        # the many entries of a matrix
+        by_depth = {}
+        for where in _locations(doc):
+            by_depth.setdefault(len(where), []).append(where)
+        kind = draw(st.sampled_from(("drop", "swap", "add", "add to run")))
+        if kind == "add to run" and isinstance(doc.get("run"), dict):
+            doc["run"][draw(st.text(max_size=6))] = draw(JSON_VALUES)
+            continue
+        path = draw(st.sampled_from(by_depth[draw(st.sampled_from(sorted(by_depth)))]))
+        if not path:
+            if kind == "add":  # a section of any name, known ones included
+                doc[draw(st.sampled_from(SECTIONS) | st.text(max_size=6))] = draw(JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "add" and isinstance(target, dict):
+            target[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        elif kind == "add" and isinstance(target, list):
+            target.append(draw(JSON_VALUES))
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return op, doc
+
+
+class TestNeverATraceback:
+    """Every input ends in a result (0), a ValidationError (2) or a contract (3)."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=mutated_scenarios(), fmt=st.sampled_from(("table", "csv", "json")))
+    def test_mutated_scenarios_end_in_an_exit_code(self, case, fmt):
+        op, doc = case
+        text = json.dumps(doc)
+        # main maps ValidationError to 2 and NumericContractError to 3; any
+        # other exception from parse, run or render propagates and fails here
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            code = main([op, "--scenario", path, "--format", fmt,
+                         "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3)
+
+    def test_oversized_cohort_is_2(self, tmp_path, capsys):
+        # 10^12 pairs used to escape as a numpy MemoryError
+        doc = copy.deepcopy(SCENARIOS["game_cohort"])
+        doc["game"]["cohort"]["n_pairs"] = 10**12
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps(doc))
+        assert main(["game", "--scenario", str(path)]) == 2
+        assert "above the cap 10000000" in capsys.readouterr().err

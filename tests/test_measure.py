@@ -133,6 +133,36 @@ class TestLudersReduction:
         assert np.abs(out.post_state.matrix - np.diag([0.0, 1.0])).max() < 1e-14
         assert out.event == ("Z", 1)
 
+    def test_reduction_is_not_decomposed(self, monkeypatch):
+        # P rho P / p is the pure state |n><n|: no projector, no eigensolver
+        d = 64
+        rng = np.random.default_rng(6464)
+        rho = random_density(d, rng)
+        obs = random_observable(d, rng)
+        calls = []
+
+        def counting(name, original):
+            def count(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return count
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(events.Projector, "__post_init__",
+                            counting("Projector", events.Projector.__post_init__))
+        out = apply_measurement(rho, obs, 5)
+        assert calls == []
+        DensityOperator(out.post_state.matrix)
+        projector_of(obs, 5)
+        assert calls == ["eigvalsh", "Projector"]  # the counters do count
+        v = obs.vector(5)
+        assert out.probability == born_probability(rho, obs, 5)
+        assert np.array_equal(out.post_state.matrix, np.outer(v, v.conj()))
+        # the closed-form spectrum is the one the skipped check would find
+        w = np.linalg.eigvalsh(out.post_state.matrix)
+        assert np.abs(w - out.post_state.spectrum).max() < 1e-12
+
 
 class TestLudersTransition:
     def test_hadamard_pair_is_unbiased(self):
