@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, policy
 from .errors import NumericContractError, ScenarioError, ValidationError
-from .scenario import FORMATS, KNOWN_OPS, ResultTable, Scenario, parse_scenario
+from .scenario import FORMATS, KNOWN_OPS, ResultTable, Scenario, _wrap_domain, parse_scenario
 
 
 # ----------------------------------------------------------- subcommands
@@ -49,7 +49,7 @@ def _op_lueders(scenario: Scenario, table: ResultTable, seed: int):
     from .measure import apply_measurement
     rho = scenario.need_density()
     obs = scenario.need_observable("observable")
-    n = scenario.need_index()
+    n = scenario.directive("index")
     outcome = apply_measurement(rho, obs, n)
     table.add("event", f"{outcome.event[0]}={outcome.event[1]}", "apply_measurement")
     table.add_probability("probability", outcome.probability, "apply_measurement")
@@ -139,7 +139,7 @@ def _op_conditional(scenario: Scenario, table: ResultTable, seed: int):
     from .composite import Prospect, conditional_under_uncertainty
     state = scenario.need_composite()
     b = scenario.need_multimode()
-    n = scenario.need_index()
+    n = scenario.directive("index")
     value = conditional_under_uncertainty(state, Prospect(n, b))
     table.add_probability(f"p[n={n} | B]", value, "conditional_under_uncertainty")
 
@@ -148,9 +148,7 @@ def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
     from .channels import pointer_measurer, run_pipeline
     rho = scenario.need_density()
     measurer = scenario.measurer if scenario.measurer is not None else pointer_measurer()
-    if scenario.stages is None:
-        raise ScenarioError("this operation needs a 'stages' section", "stages")
-    trace = run_pipeline(rho, measurer, scenario.stages)
+    trace = run_pipeline(rho, measurer, scenario.need("stages"))
     for k, record in enumerate(trace.records):
         table.add(f"stage[{k}].kind", record.kind, "run_pipeline")
         table.add(f"stage[{k}].time", record.time, "run_pipeline")
@@ -191,7 +189,7 @@ def _resolve_q(scenario: Scenario) -> float:
         raise ScenarioError(
             "game needs 'q': a magnitude or the string \"quarter-law\"", "game.q")
     if options["q"] == "quarter-law":
-        dist = scenario.need_interference()
+        dist = scenario.need("interference")
         return quarter_law(dist)[0]
     return float(options["q"])
 
@@ -199,7 +197,7 @@ def _resolve_q(scenario: Scenario) -> float:
 def _op_game(scenario: Scenario, table: ResultTable, seed: int):
     from .game import (
         broken_symmetry_probabilities, classical_prospects, monte_carlo_cohort)
-    spec = scenario.need_game()
+    spec = scenario.need("game")
     options = scenario.game_options
     f = classical_prospects(spec)
     q_magnitude = _resolve_q(scenario)
@@ -222,7 +220,7 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
                       "broken_symmetry_probabilities")
     if "cohort" in options:
         body = options["cohort"]
-        dist = scenario.need_interference()
+        dist = scenario.need("interference")
         report = monte_carlo_cohort(
             spec, dist, body["n_pairs"], symmetry=body["symmetry"],
             favored=options.get("favored", "cooperate"), seed=seed,
@@ -240,7 +238,7 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
 
 def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
     from .game import quarter_law
-    dist = scenario.need_interference()
+    dist = scenario.need("interference")
     q_plus, q_minus = quarter_law(dist)
     table.add("q_plus", q_plus, "quarter_law")
     table.add("q_minus", q_minus, "quarter_law")
@@ -249,17 +247,10 @@ def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
 def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
     from .dynamics import (
         WaveState, amplitude_matrix, evolve_state, occupation_residual, two_time_prospect)
-    h = scenario.need_hamiltonian()
-    t0, t = scenario.need_times()
-    start_name = scenario.run.get("start")
-    if not isinstance(start_name, str) or start_name not in scenario.multimode:
-        raise ScenarioError(
-            "run.start must name a multimode coefficient vector to evolve",
-            "run.start")
-    try:
-        psi0 = WaveState(scenario.multimode[start_name], t0)
-    except ValidationError as exc:
-        raise ScenarioError(str(exc), f"multimode.{start_name}") from exc
+    h = scenario.need("hamiltonian")
+    t0, t = scenario.need("times")
+    name, start = scenario.resolve("start", "multimode")
+    psi0 = _wrap_domain(f"multimode.{name}", WaveState, start, t0)
     final = evolve_state(psi0, h, t)
     occ = np.abs(final.coefficients) ** 2
     for k, value in enumerate(occ):
@@ -267,8 +258,8 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
     amp = amplitude_matrix(psi0, h, t0, t)
     table.add("occupation_residual", occupation_residual(amp, final),
               "occupation_residual")
-    if "index" in scenario.run and "multimode" in scenario.run:
-        n = scenario.need_index()
+    if "index" in scenario.run or "multimode" in scenario.run:  # both or neither
+        n = scenario.directive("index")
         b = scenario.need_multimode()
         entry = two_time_prospect(amp, n, b)
         table.add(f"prospect.p[{n}]", entry.p, "two_time_prospect")

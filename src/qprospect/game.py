@@ -258,6 +258,14 @@ class CohortReport:
     fixed_q: bool
 
 
+def _inverse_cdf(dist: InterferenceDistribution, grid, kinks, n: int, rng) -> np.ndarray:
+    """``n`` draws by inverting the trapezoid-rule CDF on ``grid`` and ``kinks``."""
+    fine = np.unique(np.concatenate([grid, kinks]))
+    values = np.asarray(dist.pdf(fine), dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * np.diff(fine) / 2.0)])
+    return np.interp(rng.random(n), cum / cum[-1], fine)
+
+
 def _sample_magnitudes(dist: InterferenceDistribution, n: int, rng) -> np.ndarray:
     """Positive interference magnitudes whose population mean is ``q_plus``.
 
@@ -270,14 +278,8 @@ def _sample_magnitudes(dist: InterferenceDistribution, n: int, rng) -> np.ndarra
         raise ValidationError("density has no mass on the positive half-line")
     if dist.kind == "uniform":
         return mass * rng.random(n)
-    kinks = np.concatenate([[0.0], dist.grid[(dist.grid > 0) & (dist.grid < 1)], [1.0]])
-    fine = np.unique(np.concatenate([np.linspace(0.0, 1.0, 16385), kinks]))
-    values = np.asarray(dist.pdf(fine), dtype=float)
-    widths = np.diff(fine)
-    cum = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * widths / 2.0)])
-    cdf = cum / cum[-1]
-    draws = np.interp(rng.random(n), cdf, fine)
-    return mass * draws
+    kinks = dist.grid[(dist.grid > 0) & (dist.grid < 1)]
+    return mass * _inverse_cdf(dist, np.linspace(0.0, 1.0, 16385), kinks, n, rng)
 
 
 def _sample_signed(dist: InterferenceDistribution, n: int, rng) -> np.ndarray:
@@ -285,12 +287,7 @@ def _sample_signed(dist: InterferenceDistribution, n: int, rng) -> np.ndarray:
     if dist.kind == "uniform":
         body = 2.0 * rng.random(n) - 1.0
     else:
-        fine = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 32769), dist.grid]))
-        values = np.asarray(dist.pdf(fine), dtype=float)
-        widths = np.diff(fine)
-        cum = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * widths / 2.0)])
-        cdf = cum / cum[-1]
-        body = np.interp(rng.random(n), cdf, fine)
+        body = _inverse_cdf(dist, np.linspace(-1.0, 1.0, 32769), dist.grid, n, rng)
     signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
     return signs * np.abs(body)
 

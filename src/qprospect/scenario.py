@@ -10,7 +10,7 @@ coefficients where a vector is expected.
 
 Sections::
 
-    run          directives: op, format, seed, tolerance, op parameters
+    run          directives (below)
     state        {"pure": v} | {"density": m} |
                  {"composite": {"matrix": m, "dims": [da, db]}} |
                  {"amplitudes": m}
@@ -27,6 +27,22 @@ Sections::
                   "cohort": {"n_pairs": n, "symmetry": ..., "fixed_q": bool}}
     interference {"kind": "uniform"} |
                  {"kind": "tabulated", "grid": [...], "density": [...]}
+
+Run directives, each type-checked at parse time::
+
+    op           one of KNOWN_OPS
+    format       "table" | "csv" | "json"
+    seed         integer >= 0
+    normalized   true | false
+    log_base     "natural" | "e" | number > 1
+    tolerance    number in (0, 1)
+    index        integer
+    observable, first, second     name of a declared observable
+    multimode, start              name of a declared multimode vector
+
+Every object with fixed fields, ``run`` included, refuses a field it does
+not know.  Whether a directive an operation needs is present, and whether
+a name is declared, is checked when the operation runs.
 """
 
 from __future__ import annotations
@@ -47,11 +63,6 @@ KNOWN_OPS = (
 )
 FORMATS = ("table", "csv", "json")
 
-_TOP_LEVEL = (
-    "run", "state", "observables", "multimode", "measurer", "stages",
-    "hamiltonian", "times", "game", "interference",
-)
-
 
 # ---------------------------------------------------------------- parsing
 
@@ -60,9 +71,15 @@ def _require(condition: bool, message: str, path: str):
         raise ScenarioError(message, path)
 
 
-def _known_fields(section: dict, known: tuple[str, ...], what: str, path: str):
-    extra = set(section) - set(known)
+def _fields(section, path: str, what: str, required=(), optional=()) -> dict:
+    """``section`` as an object with every required field and no field outside
+    ``required`` and ``optional``."""
+    _require(isinstance(section, dict), f"{what} must be an object", path)
+    missing = [key for key in required if key not in section]
+    _require(not missing, f"{what} needs {' and '.join(map(repr, missing))}", path)
+    extra = set(section) - set(required) - set(optional)
     _require(not extra, f"unknown {what} fields {sorted(extra)}", path)
+    return section
 
 
 def _scalar(value, path: str) -> complex:
@@ -112,13 +129,38 @@ def _bool(value, path: str) -> bool:
     return value
 
 
+def _name(value, path: str) -> str:
+    _require(isinstance(value, str), f"expected a name, got {value!r}", path)
+    return value
+
+
+def _log_base(value, path: str):
+    if value not in ("natural", "e"):
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 f"log base must be \"natural\", \"e\" or a number, got {value!r}", path)
+        _require(_real(value, path) > 1.0, f"log base must exceed 1, got {value!r}", path)
+
+
+# every run directive and its check, in the order they are checked
+_DIRECTIVES = {
+    "op": lambda op, path: _require(
+        op in KNOWN_OPS, f"unknown op {op!r} (known: {', '.join(KNOWN_OPS)})", path),
+    "format": lambda fmt, path: _require(
+        fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}", path),
+    "seed": _seed,
+    "normalized": _bool,
+    "log_base": _log_base,
+    "tolerance": lambda tol, path: _require(
+        0.0 < _real(tol, path) < 1.0, "tolerance must lie in (0, 1)", path),
+    "index": _int,
+    **dict.fromkeys(("observable", "first", "second", "multimode", "start"), _name),
+}
+
+
 def _vector(value, path: str) -> np.ndarray:
     _require(isinstance(value, list) and value, "expected a non-empty list", path)
     out = np.array([_scalar(x, f"{path}[{k}]") for k, x in enumerate(value)])
-    _require(
-        bool(np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))),
-        "vector has non-finite entries", path,
-    )
+    _require(bool(np.isfinite(out).all()), "vector has non-finite entries", path)
     return out
 
 
@@ -135,10 +177,7 @@ def _matrix(value, path: str) -> np.ndarray:
                  f"expected {width}", f"{path}[{i}]")
         rows.append([_scalar(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
     out = np.array(rows)
-    _require(
-        bool(np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))),
-        "matrix has non-finite entries", path,
-    )
+    _require(bool(np.isfinite(out).all()), "matrix has non-finite entries", path)
     return out
 
 
@@ -150,6 +189,34 @@ def _wrap_domain(path: str, build, *args, **kwargs):
         raise
     except QProspectError as exc:
         raise ScenarioError(str(exc), path) from exc
+
+
+def _density(section, path: str, kinds=("pure", "density")) -> DensityOperator:
+    """The state an object of exactly one of ``kinds`` gives.
+
+    ``{"pure": v} | {"density": m}`` by default; ``state`` also takes the
+    ``composite`` and ``amplitudes`` forms, which give a CompositeState.
+    """
+    _require(isinstance(section, dict), f"{path} must be an object", path)
+    _require(len(section) == 1 and set(section) <= set(kinds),
+             f"{path} takes exactly one of {sorted(kinds)}, got {sorted(section)}",
+             path)
+    [(kind, value)] = section.items()
+    path = f"{path}.{kind}"
+    if kind == "pure":
+        return _wrap_domain(path, DensityOperator.from_pure, _vector(value, path))
+    if kind == "density":
+        return _wrap_domain(path, DensityOperator, _matrix(value, path))
+    from .composite import CompositeState
+    if kind == "amplitudes":
+        return _wrap_domain(path, CompositeState.from_amplitudes, _matrix(value, path))
+    _fields(value, path, "composite", ("matrix", "dims"))
+    m = _matrix(value["matrix"], f"{path}.matrix")
+    dims = value["dims"]
+    _require(isinstance(dims, list) and len(dims) == 2,
+             "dims must be [dim_a, dim_b]", f"{path}.dims")
+    dims = tuple(_int(d, f"{path}.dims[{k}]") for k, d in enumerate(dims))
+    return _wrap_domain(path, CompositeState, m, dims)
 
 
 @dataclass
@@ -172,6 +239,15 @@ class Scenario:
 
     # -- reference resolution -------------------------------------------
 
+    def need(self, section: str):
+        """The parsed ``section`` (an attribute name), which this operation needs."""
+        value = getattr(self, section)
+        if value is None:
+            article = "an" if section[0] in "aeiou" else "a"
+            raise ScenarioError(
+                f"this operation needs {article} '{section}' section", section)
+        return value
+
     def need_density(self) -> DensityOperator:
         if self.density is None:
             raise ScenarioError(
@@ -186,106 +262,50 @@ class Scenario:
                 "matrix or an amplitude matrix", "state")
         return self.composite
 
-    def need_observable(self, key: str) -> Observable:
-        name = self.run.get(key)
-        _require(isinstance(name, str),
-                 f"run.{key} must name an observable", f"run.{key}")
-        if name not in self.observables:
+    def directive(self, key: str):
+        """``run.<key>``, which this operation needs; parsing checked its type."""
+        _require(key in self.run, f"run.{key} is required for this operation",
+                 f"run.{key}")
+        return self.run[key]
+
+    def resolve(self, key: str, section: str) -> tuple[str, object]:
+        """``(name, entry)``: the entry of ``section`` that ``run.<key>`` names."""
+        declared = getattr(self, section)
+        name = self.directive(key)
+        noun = "observable" if section == "observables" else "multimode vector"
+        if name not in declared:
             raise ScenarioError(
-                f"observable {name!r} is not declared (have: "
-                f"{sorted(self.observables) or 'none'})", f"run.{key}")
-        return self.observables[name]
+                f"{noun} {name!r} is not declared (have: "
+                f"{sorted(declared) or 'none'})", f"run.{key}")
+        return name, declared[name]
+
+    def need_observable(self, key: str) -> Observable:
+        return self.resolve(key, "observables")[1]
 
     def need_multimode(self, key: str = "multimode") -> MultimodeState:
-        name = self.run.get(key)
-        _require(isinstance(name, str),
-                 f"run.{key} must name a multimode coefficient vector", f"run.{key}")
-        if name not in self.multimode:
-            raise ScenarioError(
-                f"multimode vector {name!r} is not declared (have: "
-                f"{sorted(self.multimode) or 'none'})", f"run.{key}")
-        return _wrap_domain(
-            f"multimode.{name}", MultimodeState.in_standard_basis,
-            self.multimode[name], name,
-        )
-
-    def need_index(self, key: str = "index") -> int:
-        if key not in self.run:
-            raise ScenarioError(f"run.{key} is required for this operation",
-                                f"run.{key}")
-        return _int(self.run[key], f"run.{key}")
-
-    def need_hamiltonian(self) -> HamiltonianSpec:
-        if self.hamiltonian is None:
-            raise ScenarioError("this operation needs a 'hamiltonian' section",
-                                "hamiltonian")
-        return self.hamiltonian
-
-    def need_times(self) -> tuple[float, float]:
-        if self.times is None:
-            raise ScenarioError("this operation needs a 'times' section", "times")
-        return self.times
-
-    def need_game(self) -> GameSpec:
-        if self.game is None:
-            raise ScenarioError("this operation needs a 'game' section", "game")
-        return self.game
-
-    def need_interference(self) -> InterferenceDistribution:
-        if self.interference is None:
-            raise ScenarioError(
-                "this operation needs an 'interference' section", "interference")
-        return self.interference
+        name, v = self.resolve(key, "multimode")
+        return _wrap_domain(f"multimode.{name}", MultimodeState.in_standard_basis, v, name)
 
     def seed(self, override: int | None = None) -> int:
         if override is not None:
             return _seed(int(override), "--seed")
-        return _seed(self.run.get("seed", 0), "run.seed")
+        return self.run.get("seed", 0)
 
 
 def _parse_state(section, scenario: Scenario):
-    _require(isinstance(section, dict), "state must be an object", "state")
-    keys = set(section)
-    known = {"pure", "density", "composite", "amplitudes"}
-    _require(len(keys) == 1 and keys <= known,
-             f"state takes exactly one of {sorted(known)}, got {sorted(keys)}",
-             "state")
-    if "pure" in section:
-        v = _vector(section["pure"], "state.pure")
-        scenario.pure = v
-        scenario.density = _wrap_domain("state.pure", DensityOperator.from_pure, v)
-    elif "density" in section:
-        m = _matrix(section["density"], "state.density")
-        scenario.density = _wrap_domain("state.density", DensityOperator, m)
-    elif "amplitudes" in section:
-        from .composite import CompositeState
-        m = _matrix(section["amplitudes"], "state.amplitudes")
-        scenario.density = scenario.composite = _wrap_domain(
-            "state.amplitudes", CompositeState.from_amplitudes, m)
-    else:
-        from .composite import CompositeState
-        body = section["composite"]
-        _require(isinstance(body, dict), "state.composite must be an object",
-                 "state.composite")
-        _require("matrix" in body and "dims" in body,
-                 "state.composite needs 'matrix' and 'dims'", "state.composite")
-        m = _matrix(body["matrix"], "state.composite.matrix")
-        dims = body["dims"]
-        _require(isinstance(dims, list) and len(dims) == 2,
-                 "dims must be [dim_a, dim_b]", "state.composite.dims")
-        da = _int(dims[0], "state.composite.dims[0]")
-        db = _int(dims[1], "state.composite.dims[1]")
-        scenario.density = scenario.composite = _wrap_domain(
-            "state.composite", CompositeState, m, (da, db))
+    scenario.density = _density(
+        section, "state", ("pure", "density", "composite", "amplitudes"))
+    if "pure" in section:  # kept for serialization
+        scenario.pure = _vector(section["pure"], "state.pure")
+    elif "density" not in section:
+        scenario.composite = scenario.density
 
 
 def _parse_observables(section, scenario: Scenario):
     _require(isinstance(section, dict), "observables must be an object", "observables")
     for name, body in section.items():
         path = f"observables.{name}"
-        _require(isinstance(body, dict), "observable must be an object", path)
-        _require("eigenvalues" in body and "eigenbasis" in body,
-                 "observable needs 'eigenvalues' and 'eigenbasis'", path)
+        _fields(body, path, "observable", ("eigenvalues", "eigenbasis"))
         values = _reals(body["eigenvalues"], f"{path}.eigenvalues")
         basis = _matrix(body["eigenbasis"], f"{path}.eigenbasis")
         scenario.observables[name] = _wrap_domain(
@@ -304,21 +324,9 @@ def _parse_multimode(section, scenario: Scenario):
 
 def _parse_measurer(section, scenario: Scenario):
     from .channels import MeasurerSpec
-    _require(isinstance(section, dict), "measurer must be an object", "measurer")
-    _require("dim" in section and "initial" in section and "coupling" in section,
-             "measurer needs 'dim', 'initial', and 'coupling'", "measurer")
-    _known_fields(section, ("dim", "initial", "coupling"), "measurer", "measurer")
+    _fields(section, "measurer", "measurer", ("dim", "initial", "coupling"))
     dim = _int(section["dim"], "measurer.dim")
-    initial = section["initial"]
-    _require(isinstance(initial, dict) and len(initial) == 1
-             and set(initial) <= {"pure", "density"},
-             "measurer.initial takes 'pure' or 'density'", "measurer.initial")
-    if "pure" in initial:
-        ready = _wrap_domain("measurer.initial.pure", DensityOperator.from_pure,
-                             _vector(initial["pure"], "measurer.initial.pure"))
-    else:
-        ready = _wrap_domain("measurer.initial.density", DensityOperator,
-                             _matrix(initial["density"], "measurer.initial.density"))
+    ready = _density(section["initial"], "measurer.initial")
     coupling = _matrix(section["coupling"], "measurer.coupling")
     scenario.measurer = _wrap_domain("measurer", MeasurerSpec, dim, ready, coupling)
 
@@ -330,32 +338,25 @@ def _parse_stages(section, scenario: Scenario):
     out = []
     for k, body in enumerate(section):
         path = f"stages[{k}]"
-        _require(isinstance(body, dict) and "kind" in body,
-                 "stage must be an object with a 'kind'", path)
-        kind = body["kind"]
-        _known_fields(body, ("kind", "duration", "matrix"), "stage", path)
+        _fields(body, path, "stage", ("kind",), ("duration", "matrix"))
         duration = _real(body.get("duration", 0.0), f"{path}.duration")
         transform = None
         if "matrix" in body:
             transform = _matrix(body["matrix"], f"{path}.matrix")
-        out.append(_wrap_domain(path, PipelineStage, kind, duration, transform))
+        out.append(_wrap_domain(path, PipelineStage, body["kind"], duration, transform))
     scenario.stages = out
 
 
 def _parse_hamiltonian(section, scenario: Scenario):
     from .dynamics import HamiltonianSpec
-    _require(isinstance(section, dict) and "h0" in section,
-             "hamiltonian needs at least 'h0'", "hamiltonian")
-    _known_fields(section, ("h0", "pieces"), "hamiltonian", "hamiltonian")
+    _fields(section, "hamiltonian", "hamiltonian", ("h0",), ("pieces",))
     h0 = _matrix(section["h0"], "hamiltonian.h0")
     raw = section.get("pieces", [])
     _require(isinstance(raw, list), "pieces must be a list", "hamiltonian.pieces")
     pieces = []
     for k, body in enumerate(raw):
         path = f"hamiltonian.pieces[{k}]"
-        _require(isinstance(body, dict) and "start" in body and "matrix" in body,
-                 "piece needs 'start' and 'matrix'", path)
-        _known_fields(body, ("start", "matrix"), "piece", path)
+        _fields(body, path, "piece", ("start", "matrix"))
         pieces.append((
             _real(body["start"], f"{path}.start"),
             _matrix(body["matrix"], f"{path}.matrix"),
@@ -365,9 +366,7 @@ def _parse_hamiltonian(section, scenario: Scenario):
 
 
 def _parse_times(section, scenario: Scenario):
-    _require(isinstance(section, dict) and "t0" in section and "t" in section,
-             "times needs 't0' and 't'", "times")
-    _known_fields(section, ("t0", "t"), "times", "times")
+    _fields(section, "times", "times", ("t0", "t"))
     scenario.times = (
         _real(section["t0"], "times.t0"),
         _real(section["t"], "times.t"),
@@ -376,8 +375,8 @@ def _parse_times(section, scenario: Scenario):
 
 def _parse_game(section, scenario: Scenario):
     from .game import GameSpec
-    _require(isinstance(section, dict) and "joint" in section,
-             "game needs a 'joint' action table", "game")
+    _fields(section, "game", "game", ("joint",),
+            ("payoffs", "q", "favored", "empirical", "cohort"))
     joint = _matrix(section["joint"], "game.joint")
     _require(bool(np.all(joint.imag == 0.0)), "joint table must be real", "game.joint")
     payoffs = None
@@ -409,10 +408,8 @@ def _parse_game(section, scenario: Scenario):
                  "game.empirical")
         options["empirical"] = empirical
     if "cohort" in section:
-        body = section["cohort"]
-        _require(isinstance(body, dict) and "n_pairs" in body,
-                 "cohort needs 'n_pairs'", "game.cohort")
-        _known_fields(body, ("n_pairs", "symmetry", "fixed_q"), "cohort", "game.cohort")
+        body = _fields(section["cohort"], "game.cohort", "cohort",
+                       ("n_pairs",), ("symmetry", "fixed_q"))
         options["cohort"] = {
             "n_pairs": _int(body["n_pairs"], "game.cohort.n_pairs"),
             "symmetry": body.get("symmetry", "broken"),
@@ -423,22 +420,34 @@ def _parse_game(section, scenario: Scenario):
 
 def _parse_interference(section, scenario: Scenario):
     from .game import InterferenceDistribution
-    _require(isinstance(section, dict) and "kind" in section,
-             "interference needs a 'kind'", "interference")
+    _fields(section, "interference", "interference", ("kind",), ("grid", "density"))
     kind = section["kind"]
     if kind == "uniform":
-        _require(set(section) == {"kind"},
+        _require(len(section) == 1,
                  "uniform interference takes no further fields", "interference")
         scenario.interference = InterferenceDistribution.uniform()
         return
     _require(kind == "tabulated",
              f"interference kind must be 'uniform' or 'tabulated', got {kind!r}",
              "interference.kind")
-    _require("grid" in section and "density" in section,
-             "tabulated interference needs 'grid' and 'density'", "interference")
+    _fields(section, "interference", "tabulated interference", ("grid", "density"), ("kind",))
     grid, density = (_reals(section[key], f"interference.{key}") for key in ("grid", "density"))
     scenario.interference = _wrap_domain(
         "interference", InterferenceDistribution.tabulated, grid, density)
+
+
+_SECTIONS = {
+    "state": _parse_state,
+    "observables": _parse_observables,
+    "multimode": _parse_multimode,
+    "measurer": _parse_measurer,
+    "stages": _parse_stages,
+    "hamiltonian": _parse_hamiltonian,
+    "times": _parse_times,
+    "game": _parse_game,
+    "interference": _parse_interference,
+}
+_TOP_LEVEL = ("run", *_SECTIONS)
 
 
 def parse_scenario(text) -> Scenario:
@@ -464,48 +473,16 @@ def parse_scenario(text) -> Scenario:
     unknown = set(data) - set(_TOP_LEVEL)
     _require(not unknown, f"unknown sections {sorted(unknown)}", "")
 
-    run = data.get("run", {})
-    _require(isinstance(run, dict), "run must be an object", "run")
-    run = dict(run)
-    if "op" in run:
-        _require(run["op"] in KNOWN_OPS,
-                 f"unknown op {run['op']!r} (known: {', '.join(KNOWN_OPS)})",
-                 "run.op")
-    if "format" in run:
-        _require(run["format"] in FORMATS,
-                 f"format must be one of {FORMATS}, got {run['format']!r}",
-                 "run.format")
-    if "seed" in run:
-        _seed(run["seed"], "run.seed")
-    if "normalized" in run:
-        _bool(run["normalized"], "run.normalized")
-    if "log_base" in run and run["log_base"] not in ("natural", "e"):
-        base = run["log_base"]
-        _require(isinstance(base, (int, float)) and not isinstance(base, bool),
-                 f"log base must be \"natural\", \"e\" or a number, got {base!r}",
-                 "run.log_base")
-        _require(_real(base, "run.log_base") > 1.0,
-                 f"log base must exceed 1, got {base!r}", "run.log_base")
-    if "tolerance" in run:
-        tol = _real(run["tolerance"], "run.tolerance")
-        _require(0.0 < tol < 1.0, "tolerance must lie in (0, 1)", "run.tolerance")
+    run = dict(_fields(data.get("run", {}), "run", "run", (), _DIRECTIVES))
+    for key, check in _DIRECTIVES.items():
+        if key in run:
+            check(run[key], f"run.{key}")
 
     scenario = Scenario(run=run)
-    parsers = {
-        "state": _parse_state,
-        "observables": _parse_observables,
-        "multimode": _parse_multimode,
-        "measurer": _parse_measurer,
-        "stages": _parse_stages,
-        "hamiltonian": _parse_hamiltonian,
-        "times": _parse_times,
-        "game": _parse_game,
-        "interference": _parse_interference,
-    }
     # a tolerance override covers the validation of the scenario's own
     # operators, not just the later computation
     with policy.tolerance_scope(run.get("tolerance", policy.tolerance())):
-        for key, parser in parsers.items():
+        for key, parser in _SECTIONS.items():
             if key in data:
                 parser(data[key], scenario)
     return scenario

@@ -247,7 +247,13 @@ class TestMalformedScenarios:
         ("dynamics_rabi", ["hamiltonian"], "hamiltonian", "hamiltonian", "h1"),
         ("dynamics_rabi", ["hamiltonian", "pieces", 0], "hamiltonian.pieces[0]", "piece", "strat"),
         ("dynamics_rabi", ["times"], "times", "times", "t1"),
-    ], ids=["measurer", "hamiltonian", "piece", "times"])
+        ("lueders_plus", ["run"], "run", "run", "indx"),
+        ("game_broken", ["game"], "game", "game", "favoured"),
+        ("born_plus", ["observables", "Z"], "observables.Z", "observable", "label"),
+        ("bell_joint", ["state", "composite"], "state.composite", "composite", "dimz"),
+        ("quarter_law_uniform", ["interference"], "interference", "interference", "bins"),
+    ], ids=["measurer", "hamiltonian", "piece", "times", "run", "game", "observable",
+            "composite", "tabulated-interference"])
     def test_unknown_section_fields_are_2(self, name, where, at, what, stray, tmp_path, capsys):
         with open(data(f"{name}.json")) as handle:
             doc = json.load(handle)
@@ -257,6 +263,9 @@ class TestMalformedScenarios:
                 "dim": 2, "initial": {"pure": [1, 0]},
                 "coupling": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
             }
+        if name == "quarter_law_uniform":
+            # the uniform density, tabulated
+            doc["interference"] = {"kind": "tabulated", "grid": [-1, 1], "density": [0.5, 0.5]}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main([doc["run"]["op"], "--scenario", str(path)]) == 0
@@ -267,6 +276,16 @@ class TestMalformedScenarios:
         path.write_text(json.dumps(doc))
         assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
         assert f"{at}: unknown {what} fields ['{stray}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["index", "multimode"])
+    def test_dynamics_prospect_needs_index_and_multimode(self, missing, tmp_path, capsys):
+        with open(data("dynamics_rabi.json")) as handle:
+            doc = json.load(handle)
+        del doc["run"][missing]
+        path = tmp_path / "dynamics.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dynamics", "--scenario", str(path)]) == 2
+        assert f"run.{missing}: run.{missing} is required" in capsys.readouterr().err
 
     def test_pure_state_inside_the_norm_window_names_the_norm(self, tmp_path, capsys):
         with open(data("born_plus.json")) as handle:

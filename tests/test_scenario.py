@@ -253,7 +253,7 @@ class TestParsing:
         sc = parse_scenario(doc)
         assert sc.hamiltonian is not None
         assert sc.hamiltonian.pieces[0][0] == 0.5
-        assert sc.need_times() == (0.0, 2.0)
+        assert sc.need("times") == (0.0, 2.0)
 
 
 class TestRoundTrip:
