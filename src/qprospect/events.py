@@ -9,6 +9,7 @@ that resolve the identity form a positive operator-valued measure.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -79,16 +80,22 @@ class Observable:
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _trusted(cls, *values, **fields):
     """An instance of a validated class from values whose checks already hold.
 
     The one way past ``__post_init__``, for states and operators whose
     spectrum is known in closed form (:mod:`qcore` ``pure_state``,
-    ``product_state``, ``rank_one``; ``channels.evolve``).  Values fill the
-    dataclass fields in order or by name; arrays are frozen, not copied.
+    ``product_state``, ``rank_one``; ``channels.evolve``; eigenvector
+    projectors in :func:`projector_of`).  Values fill the dataclass fields
+    in order or by name; arrays are frozen, not copied.
     """
     obj = object.__new__(cls)
-    named = zip((f.name for f in dataclasses.fields(cls)), values)
+    named = zip(_field_names(cls), values)
     for name, value in [*named, *fields.items()]:
         if isinstance(value, np.ndarray):
             value = qcore.freeze(value)
@@ -154,7 +161,11 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Rank-one projector testing a single event, tagged with its origin."""
+    """Rank-one projector testing a single event, tagged with its origin.
+
+    A supplied matrix is checked for hermiticity and idempotence, in
+    O(d^3); :func:`projector_of` checks an eigenvector's in O(d).
+    """
 
     matrix: np.ndarray
     source: tuple[str, int] = ("", -1)
@@ -172,9 +183,21 @@ class Projector:
 
 
 def projector_of(obs: Observable, n: int) -> Projector:
-    """Projector on the ``n``-th eigenvector of ``obs``."""
+    """Projector ``|v><v|`` on the ``n``-th eigenvector ``v`` of ``obs``.
+
+    Hermitian by construction (see :func:`qcore.pure_state`), finite and
+    within the cap as the validated eigenbasis is.  Idempotence is checked
+    exactly in O(d): ``P^2 - P = (<v|v> - 1) P``, so ``max |P^2 - P|`` is
+    ``|<v|v> - 1| max_i |v_i|^2``, read from the diagonal.  An observable
+    built under a looser :func:`policy.tolerance_scope` may break it.
+    """
     v = obs.vector(n)
-    return Projector(np.outer(v, v.conj()), (obs.label, n))
+    m = np.outer(v, v.conj())
+    w = m.diagonal().real
+    defect = abs(w.sum() - 1.0) * w.max()
+    if defect > policy.tolerance():
+        raise ValidationError(f"not idempotent: max |P^2 - P| = {defect:.3e}")
+    return _trusted(Projector, m, (obs.label, n))
 
 
 @dataclass(frozen=True, eq=False)

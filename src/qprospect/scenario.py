@@ -24,7 +24,9 @@ Sections::
     times        {"t0": a, "t": b}
     game         {"joint": m2x2, "payoffs": [...], "q": x | "quarter-law",
                   "favored": "cooperate" | "defect", "empirical": [p1, p2],
-                  "cohort": {"n_pairs": n, "symmetry": ..., "fixed_q": bool}}
+                  "cohort": {"n_pairs": 1..MAX_PAIRS,
+                             "symmetry": "broken" | "intact",
+                             "fixed_q": bool (broken symmetry only)}}
     interference {"kind": "uniform"} |
                  {"kind": "tabulated", "grid": [...], "density": [...]}
 
@@ -410,11 +412,18 @@ def _parse_game(section, scenario: Scenario):
     if "cohort" in section:
         body = _fields(section["cohort"], "game.cohort", "cohort",
                        ("n_pairs",), ("symmetry", "fixed_q"))
-        options["cohort"] = {
-            "n_pairs": _int(body["n_pairs"], "game.cohort.n_pairs"),
-            "symmetry": body.get("symmetry", "broken"),
-            "fixed_q": _bool(body.get("fixed_q", False), "game.cohort.fixed_q"),
-        }
+        n_pairs = _int(body["n_pairs"], "game.cohort.n_pairs")
+        _require(n_pairs >= 1, f"need at least one pair, got {n_pairs}", "game.cohort.n_pairs")
+        _require(n_pairs <= policy.MAX_PAIRS,
+                 f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}", "game.cohort.n_pairs")
+        symmetry = body.get("symmetry", "broken")
+        _require(symmetry in ("broken", "intact"),
+                 f"symmetry must be 'broken' or 'intact', got {symmetry!r}",
+                 "game.cohort.symmetry")
+        fixed_q = _bool(body.get("fixed_q", False), "game.cohort.fixed_q")
+        _require(not (fixed_q and symmetry == "intact"),
+                 "fixed_q only makes sense with broken symmetry", "game.cohort.fixed_q")
+        options["cohort"] = {"n_pairs": n_pairs, "symmetry": symmetry, "fixed_q": fixed_q}
     scenario.game_options = options
 
 

@@ -224,6 +224,41 @@ class TestMalformedScenarios:
         assert main(["game", "--scenario", data(f"{name}.json"), "--format", "csv"]) == 0
         assert "deviation[cooperate]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("cohort,at,message", [
+        ({"symmetry": "sideways"}, "symmetry",
+         "symmetry must be 'broken' or 'intact', got 'sideways'"),
+        ({"symmetry": None}, "symmetry", "symmetry must be 'broken' or 'intact', got None"),
+        ({"n_pairs": 0}, "n_pairs", "need at least one pair, got 0"),
+        ({"n_pairs": -5}, "n_pairs", "need at least one pair, got -5"),
+        ({"n_pairs": policy.MAX_PAIRS + 1}, "n_pairs",
+         f"{policy.MAX_PAIRS + 1} pairs is above the cap {policy.MAX_PAIRS}"),
+        ({"symmetry": "intact", "fixed_q": True}, "fixed_q",
+         "fixed_q only makes sense with broken symmetry"),
+    ], ids=["symmetry", "symmetry-null", "no-pairs", "negative-pairs", "above-cap",
+            "fixed-q-intact"])
+    def test_cohort_is_checked_at_parse(self, cohort, at, message, tmp_path, capsys):
+        with open(data("game_cohort.json")) as handle:
+            doc = json.load(handle)
+        doc["game"]["cohort"].update(cohort)
+        path = tmp_path / "cohort.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError) as caught:
+            parse_scenario(path.read_bytes())
+        assert caught.value.path == f"game.cohort.{at}"
+        assert main(["game", "--scenario", str(path)]) == 2
+        assert f"error: game.cohort.{at}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cohort", [
+        {"n_pairs": 1}, {"n_pairs": policy.MAX_PAIRS, "fixed_q": True},
+        {"symmetry": "intact", "fixed_q": False},
+    ], ids=["one-pair", "at-cap", "intact"])
+    def test_cohort_in_range_parses(self, cohort, tmp_path):
+        with open(data("game_cohort.json")) as handle:
+            doc = json.load(handle)
+        doc["game"]["cohort"].update(cohort)
+        options = parse_scenario(json.dumps(doc).encode()).game_options["cohort"]
+        assert options == doc["game"]["cohort"]
+
     @pytest.mark.parametrize("pieces", [{}, {"a": 1}, "pieces", 3, None])
     def test_hamiltonian_pieces_must_be_a_list(self, pieces, tmp_path, capsys):
         with open(data("dynamics_rabi.json")) as handle:

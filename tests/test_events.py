@@ -11,6 +11,7 @@ from qprospect import (
     MultimodeState,
     Observable,
     PovmFamily,
+    Projector,
     ValidationError,
     multimode_probability,
     policy,
@@ -80,6 +81,53 @@ class TestProjectors:
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
             projector_of(Observable.standard(2, "Z"), 2)
+
+    def test_matrix_is_the_outer_product_read_only(self, rng):
+        obs = random_observable(64, rng, "A")
+        for n in (0, 17, 63):
+            p = projector_of(obs, n)
+            v = obs.vector(n)
+            assert np.array_equal(p.matrix, np.outer(v, v.conj()))
+            assert p.source == ("A", n)
+            with pytest.raises(ValueError):
+                p.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-7], ids=["unit", "scaled"])
+    def test_vector_defect_is_the_matrix_defect(self, scale):
+        # P = |v><v| gives P^2 - P = (<v|v> - 1) P: the O(d) check in
+        # projector_of reads the bound of Projector's O(d^3) one
+        d = 64
+        basis = random_unitary(d, np.random.default_rng(64))
+        basis[:, 5] *= scale
+        with policy.tolerance_scope(1e-6):
+            obs = Observable(np.arange(d, dtype=float), basis)
+        for n in range(d):
+            v = obs.vector(n)
+            m = np.outer(v, v.conj())
+            w = np.abs(v) ** 2
+            vector = abs(w.sum() - 1.0) * w.max()
+            assert abs(vector - np.abs(m @ m - m).max()) <= 1e-15
+
+    def test_eigenvectors_of_a_looser_observable_are_refused(self):
+        # unitary within 1e-6, so an Observable under that scope; but
+        # |v><v| with <v|v> = (1 + 1e-7)^2 is not idempotent within 1e-10
+        basis = np.eye(3)
+        basis[:, 1] *= 1.0 + 1e-7
+        with policy.tolerance_scope(1e-6):
+            obs = Observable(np.array([0.0, 1.0, 2.0]), basis)
+            assert projector_of(obs, 1).source == ("A", 1)
+        with pytest.raises(ValidationError,
+                           match=r"not idempotent: max \|P\^2 - P\| = 2\.000e-07"):
+            projector_of(obs, 1)
+        assert np.array_equal(projector_of(obs, 0).matrix, np.diag([1.0, 0.0, 0.0]))
+
+    def test_supplied_matrices_are_still_checked(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            Projector(np.array([[1.0, 0.5], [0.0, 0.0]]))
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(np.diag([1.0 + 1e-7, 0.0]))
+        with pytest.raises(ValidationError, match="not idempotent"):
+            Projector(np.ones((2, 2)) / 2.0 + np.eye(2) * 1e-3)
 
 
 class TestDensityOperator:

@@ -36,6 +36,24 @@ X = Observable(np.array([1.0, -1.0]), HADAMARD, "X")
 PLUS = DensityOperator(np.ones((2, 2)) / 2.0)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Names of the eigensolver calls and validated Projector builds, in order."""
+    calls = []
+
+    def counting(name, original):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return count
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(events.Projector, "__post_init__",
+                        counting("Projector", events.Projector.__post_init__))
+    return calls
+
+
 class TestBorn:
     def test_plus_state_is_unbiased_in_z(self):
         assert abs(born_probability(PLUS, Z, 0) - 0.5) < 1e-14
@@ -133,30 +151,19 @@ class TestLudersReduction:
         assert np.abs(out.post_state.matrix - np.diag([0.0, 1.0])).max() < 1e-14
         assert out.event == ("Z", 1)
 
-    def test_reduction_is_not_decomposed(self, monkeypatch):
+    def test_reduction_is_not_decomposed(self, calls):
         # P rho P / p is the pure state |n><n|: no projector, no eigensolver
         d = 64
         rng = np.random.default_rng(6464)
         rho = random_density(d, rng)
         obs = random_observable(d, rng)
-        calls = []
-
-        def counting(name, original):
-            def count(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            return count
-
-        for name in ("eigvalsh", "eigh"):
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        monkeypatch.setattr(events.Projector, "__post_init__",
-                            counting("Projector", events.Projector.__post_init__))
+        calls.clear()
         out = apply_measurement(rho, obs, 5)
         assert calls == []
-        DensityOperator(out.post_state.matrix)
-        projector_of(obs, 5)
-        assert calls == ["eigvalsh", "Projector"]  # the counters do count
         v = obs.vector(5)
+        DensityOperator(out.post_state.matrix)
+        events.Projector(np.outer(v, v.conj()))
+        assert calls == ["eigvalsh", "Projector"]  # the counters do count
         assert out.probability == born_probability(rho, obs, 5)
         assert np.array_equal(out.post_state.matrix, np.outer(v, v.conj()))
         # the closed-form spectrum is the one the skipped check would find
@@ -389,27 +396,22 @@ class TestChainResidualIndependence:
 class TestNoPerEntryProjectors:
     """The table kernels are O(d^3): a d^2 loop of projectors would be O(d^5)."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        count = [0]
-        original = events.Projector.__post_init__
-
-        def counting(self):
-            count[0] += 1
-            original(self)
-
-        monkeypatch.setattr(events.Projector, "__post_init__", counting)
-        return count
-
-    def test_tables_build_no_projectors(self, builds):
+    def test_tables_build_no_projectors(self, calls):
         d = 64
         rng = np.random.default_rng(6464)
         rho = random_density(d, rng)
         a = random_observable(d, rng, "A")
         b = random_observable(d, rng, "B")
+        calls.clear()
         wigner_table(rho, a, b)
         kirkwood_table(rho, a, b)
         born_distribution(rho, a)
-        assert builds[0] == 0
-        identity_chain_residual(rho, a, 0, b)  # the counter does count
-        assert builds[0] == 2 * d
+        assert calls == []
+        # the scalar diagonal's 2 * d eigenvector projectors take the
+        # trusted route of projector_of: no validated build, no eigensolver
+        identity_chain_residual(rho, a, 0, b)
+        assert calls == []
+        v = a.vector(0)
+        events.Projector(np.outer(v, v.conj()))
+        np.linalg.eigvalsh(rho.matrix)
+        assert calls == ["Projector", "eigvalsh"]  # the counters do count
