@@ -129,23 +129,12 @@ def _conjugate(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
 
 
 def compose(rho: DensityOperator, measurer: MeasurerSpec) -> DensityOperator:
-    """Joint ready state ``rho (x) rho_meter``.
-
-    Every ``DensityOperator`` check runs; positivity is read from the
-    sorted products of the factors' kept spectra, whose bound
-    :func:`qcore.product_state` gives.
-    """
+    """Joint ready state ``rho (x) rho_meter``."""
     return _product(rho, measurer.initial_state)
 
 
 def evolve(rho: DensityOperator, h, t: float) -> DensityOperator:
-    """Unitary evolution of a state under a Hermitian generator for time ``t``.
-
-    Every ``DensityOperator`` check runs; positivity is read from the
-    spectrum of ``rho``.  The propagator comes from ``eigh`` and is unitary
-    to machine precision, so the eigenvalues move by a small multiple of
-    ``eps * dim``.
-    """
+    """Unitary evolution of a state under a Hermitian generator for time ``t``."""
     return _conjugate(rho, qcore.matrix_exponential(h, t))
 
 
@@ -206,13 +195,9 @@ def run_pipeline(
     -----
     The coupling is checked Hermitian and decomposed once, at the first
     evolve stage; each propagator uses the phase formula of
-    :func:`qcore.matrix_exponential`.  Every state gets every
-    ``DensityOperator`` check.  Compose, evolve and the joint re-composed
-    at each readout read positivity from a kept spectrum (see
-    :func:`compose` and :func:`evolve`); the transform stage and the
-    readout reductions decompose their matrix.  ``PipelineStage`` checked
-    ``T`` unitary, and ``T (x) 1`` has exactly its defect, so it is not
-    checked again.
+    :func:`qcore.matrix_exponential`.  Each state checks positivity as the
+    module docstring describes.  ``PipelineStage`` checked ``T`` unitary,
+    and ``T (x) 1`` has exactly its defect, so it is not checked again.
     """
     stages = list(stages)
     if not stages:

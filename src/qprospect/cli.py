@@ -202,7 +202,7 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
     f = classical_prospects(spec)
     q_magnitude = _resolve_q(scenario)
     result = broken_symmetry_probabilities(
-        f, q_magnitude, favored=options.get("favored", "cooperate"),
+        f, q_magnitude, favored=options["favored"],
         empirical_reference=options.get("empirical"),
     )
     for k, label in enumerate(("cooperate", "defect")):
@@ -223,7 +223,7 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
         dist = scenario.need("interference")
         report = monte_carlo_cohort(
             spec, dist, body["n_pairs"], symmetry=body["symmetry"],
-            favored=options.get("favored", "cooperate"), seed=seed,
+            favored=options["favored"], seed=seed,
             fixed_q=body["fixed_q"],
         )
         table.add("cohort.n_pairs", report.n_pairs, "monte_carlo_cohort")
@@ -250,7 +250,7 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
     h = scenario.need("hamiltonian")
     t0, t = scenario.need("times")
     name, start = scenario.resolve("start", "multimode")
-    psi0 = _wrap_domain(f"multimode.{name}", WaveState, start, t0)
+    psi0 = _wrap_domain(f"multimode.{name}", WaveState, start.coefficients, t0)
     final = evolve_state(psi0, h, t)
     occ = np.abs(final.coefficients) ** 2
     for k, value in enumerate(occ):

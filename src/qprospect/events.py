@@ -346,8 +346,9 @@ def validate_povm(
 
     The residual is the max-abs entry of ``sum_B P_B - 1``; the family
     passes when it stays within 1e-8.  With a density operator supplied the
-    report also carries each member's probability ``Tr(rho P_B)`` and their
-    total, which approaches 1 exactly as well as the family resolves unity.
+    report also carries each member's probability ``Tr(rho P_B)``, checked
+    by :func:`qcore.real_probabilities`, and their total, which approaches
+    1 exactly as well as the family resolves unity.
     """
     members = tuple(members)
     if not members:
@@ -370,12 +371,7 @@ def validate_povm(
                 f"density operator dim {rho.dim} vs family dimension {dim}"
             )
         raw = [complex(np.trace(rho.matrix @ member.operator)) for member in members]
-        for value in raw:
-            if abs(value.imag) > policy.PROBABILITY_TOL:
-                raise NumericContractError(
-                    f"member probability has imaginary residue {value.imag:.3e}"
-                )
-        probabilities = tuple(max(value.real, 0.0) for value in raw)
+        probabilities = tuple(qcore.real_probabilities(raw, "member probability").tolist())
         total_probability = float(sum(probabilities))
     return PovmReport(residual, passed, probabilities, total_probability)
 

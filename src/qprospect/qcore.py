@@ -69,9 +69,9 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def require_hermitian(m, name: str = "matrix", tol: float | None = None) -> np.ndarray:
+def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    bound = policy.tolerance() if tol is None else tol
+    bound = policy.tolerance()
     defect = hermiticity_defect(a)
     if defect > bound:
         raise ValidationError(
@@ -80,9 +80,9 @@ def require_hermitian(m, name: str = "matrix", tol: float | None = None) -> np.n
     return a
 
 
-def require_unitary(m, name: str = "matrix", tol: float | None = None) -> np.ndarray:
+def require_unitary(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    bound = policy.tolerance() if tol is None else tol
+    bound = policy.tolerance()
     defect = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
     if defect > bound:
         raise ValidationError(

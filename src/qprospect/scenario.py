@@ -45,6 +45,10 @@ Run directives, each type-checked at parse time::
 Every object with fixed fields, ``run`` included, refuses a field it does
 not know.  Whether a directive an operation needs is present, and whether
 a name is declared, is checked when the operation runs.
+
+A :class:`Scenario` keeps the text it was parsed from, which
+:func:`serialize_scenario` writes back with sorted keys, so the parsers
+alone define the format.
 """
 
 from __future__ import annotations
@@ -141,19 +145,31 @@ def _log_base(value, path: str):
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),
                  f"log base must be \"natural\", \"e\" or a number, got {value!r}", path)
         _require(_real(value, path) > 1.0, f"log base must exceed 1, got {value!r}", path)
+    return value
 
 
-# every run directive and its check, in the order they are checked
+def _member(value, options, message: str, path: str):
+    _require(value in options, message, path)
+    return value
+
+
+def _tolerance(value, path: str) -> float:
+    tol = _real(value, path)
+    _require(0.0 < tol < 1.0, "tolerance must lie in (0, 1)", path)
+    return tol
+
+
+# every run directive and its check, in the order they are checked; each
+# check returns the value it accepted, which is the value the run reads
 _DIRECTIVES = {
-    "op": lambda op, path: _require(
-        op in KNOWN_OPS, f"unknown op {op!r} (known: {', '.join(KNOWN_OPS)})", path),
-    "format": lambda fmt, path: _require(
-        fmt in FORMATS, f"format must be one of {FORMATS}, got {fmt!r}", path),
+    "op": lambda op, path: _member(
+        op, KNOWN_OPS, f"unknown op {op!r} (known: {', '.join(KNOWN_OPS)})", path),
+    "format": lambda fmt, path: _member(
+        fmt, FORMATS, f"format must be one of {FORMATS}, got {fmt!r}", path),
     "seed": _seed,
     "normalized": _bool,
     "log_base": _log_base,
-    "tolerance": lambda tol, path: _require(
-        0.0 < _real(tol, path) < 1.0, "tolerance must lie in (0, 1)", path),
+    "tolerance": _tolerance,
     "index": _int,
     **dict.fromkeys(("observable", "first", "second", "multimode", "start"), _name),
 }
@@ -223,14 +239,15 @@ def _density(section, path: str, kinds=("pure", "density")) -> DensityOperator:
 
 @dataclass
 class Scenario:
-    """Validated scenario: run directives plus resolved domain objects."""
+    """Validated scenario: the text it was parsed from (str or bytes), run
+    directives and resolved domain objects."""
 
+    source: str | bytes
     run: dict
     density: DensityOperator | None = None
-    pure: np.ndarray | None = None
     composite: CompositeState | None = None
     observables: dict[str, Observable] = field(default_factory=dict)
-    multimode: dict[str, np.ndarray] = field(default_factory=dict)
+    multimode: dict[str, MultimodeState] = field(default_factory=dict)
     measurer: MeasurerSpec | None = None
     stages: list[PipelineStage] | None = None
     hamiltonian: HamiltonianSpec | None = None
@@ -284,9 +301,8 @@ class Scenario:
     def need_observable(self, key: str) -> Observable:
         return self.resolve(key, "observables")[1]
 
-    def need_multimode(self, key: str = "multimode") -> MultimodeState:
-        name, v = self.resolve(key, "multimode")
-        return _wrap_domain(f"multimode.{name}", MultimodeState.in_standard_basis, v, name)
+    def need_multimode(self) -> MultimodeState:
+        return self.resolve("multimode", "multimode")[1]
 
     def seed(self, override: int | None = None) -> int:
         if override is not None:
@@ -297,9 +313,7 @@ class Scenario:
 def _parse_state(section, scenario: Scenario):
     scenario.density = _density(
         section, "state", ("pure", "density", "composite", "amplitudes"))
-    if "pure" in section:  # kept for serialization
-        scenario.pure = _vector(section["pure"], "state.pure")
-    elif "density" not in section:
+    if "composite" in section or "amplitudes" in section:
         scenario.composite = scenario.density
 
 
@@ -318,10 +332,8 @@ def _parse_multimode(section, scenario: Scenario):
     _require(isinstance(section, dict), "multimode must be an object", "multimode")
     for name, body in section.items():
         path = f"multimode.{name}"
-        v = _vector(body, path)
-        # construct once to surface validation now, store raw coefficients
-        _wrap_domain(path, MultimodeState.in_standard_basis, v, name)
-        scenario.multimode[name] = v
+        scenario.multimode[name] = _wrap_domain(
+            path, MultimodeState.in_standard_basis, _vector(body, path), name)
 
 
 def _parse_measurer(section, scenario: Scenario):
@@ -369,10 +381,7 @@ def _parse_hamiltonian(section, scenario: Scenario):
 
 def _parse_times(section, scenario: Scenario):
     _fields(section, "times", "times", ("t0", "t"))
-    scenario.times = (
-        _real(section["t0"], "times.t0"),
-        _real(section["t"], "times.t"),
-    )
+    scenario.times = tuple(_real(section[key], f"times.{key}") for key in ("t0", "t"))
 
 
 def _parse_game(section, scenario: Scenario):
@@ -392,10 +401,7 @@ def _parse_game(section, scenario: Scenario):
     options: dict = {}
     if "q" in section:
         q = section["q"]
-        if q == "quarter-law":
-            options["q"] = "quarter-law"
-        else:
-            options["q"] = _real(q, "game.q")
+        options["q"] = q if q == "quarter-law" else _real(q, "game.q")
     options["favored"] = section.get("favored", "cooperate")
     _require(options["favored"] in ("cooperate", "defect"),
              "favored must be 'cooperate' or 'defect'", "game.favored")
@@ -459,15 +465,15 @@ _SECTIONS = {
 _TOP_LEVEL = ("run", *_SECTIONS)
 
 
-def parse_scenario(text) -> Scenario:
-    """Parse and validate one scenario document (str or bytes)."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(
-                f"not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
-            ) from exc
+def parse_scenario(source) -> Scenario:
+    """Parse and validate one scenario document (str or bytes), which the
+    scenario keeps as its ``source``."""
+    try:
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -482,12 +488,11 @@ def parse_scenario(text) -> Scenario:
     unknown = set(data) - set(_TOP_LEVEL)
     _require(not unknown, f"unknown sections {sorted(unknown)}", "")
 
-    run = dict(_fields(data.get("run", {}), "run", "run", (), _DIRECTIVES))
-    for key, check in _DIRECTIVES.items():
-        if key in run:
-            check(run[key], f"run.{key}")
+    run = _fields(data.get("run", {}), "run", "run", (), _DIRECTIVES)
+    run = {key: check(run[key], f"run.{key}")
+           for key, check in _DIRECTIVES.items() if key in run}
 
-    scenario = Scenario(run=run)
+    scenario = Scenario(source, run)
     # a tolerance override covers the validation of the scenario's own
     # operators, not just the later computation
     with policy.tolerance_scope(run.get("tolerance", policy.tolerance())):
@@ -497,95 +502,11 @@ def parse_scenario(text) -> Scenario:
     return scenario
 
 
-# ------------------------------------------------------------ serializing
-
-def _encode_complex(z: complex):
-    re = float(np.real(z))
-    im = float(np.imag(z))
-    return re if im == 0.0 else [re, im]
-
-
-def _encode_vector(v) -> list:
-    return [_encode_complex(z) for z in np.asarray(v).reshape(-1)]
-
-
-def _encode_matrix(m) -> list:
-    return [[_encode_complex(z) for z in row] for row in np.asarray(m)]
-
-
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical JSON text; parsing it back is semantically idempotent."""
-    data: dict = {"run": scenario.run}
-    if scenario.pure is not None:
-        data["state"] = {"pure": _encode_vector(scenario.pure)}
-    elif scenario.composite is not None:
-        data["state"] = {"composite": {
-            "matrix": _encode_matrix(scenario.composite.matrix),
-            "dims": list(scenario.composite.dims),
-        }}
-    elif scenario.density is not None:
-        data["state"] = {"density": _encode_matrix(scenario.density.matrix)}
-    if scenario.observables:
-        data["observables"] = {
-            name: {
-                "eigenvalues": [float(x) for x in obs.eigenvalues],
-                "eigenbasis": _encode_matrix(obs.eigenbasis),
-            }
-            for name, obs in scenario.observables.items()
-        }
-    if scenario.multimode:
-        data["multimode"] = {
-            name: _encode_vector(v) for name, v in scenario.multimode.items()
-        }
-    if scenario.measurer is not None:
-        data["measurer"] = {
-            "dim": scenario.measurer.dim,
-            "initial": {"density": _encode_matrix(scenario.measurer.initial_state.matrix)},
-            "coupling": _encode_matrix(scenario.measurer.coupling),
-        }
-    if scenario.stages is not None:
-        stages = []
-        for s in scenario.stages:
-            body: dict = {"kind": s.kind}
-            if s.kind == "evolve":
-                body["duration"] = s.duration
-            if s.transform is not None:
-                body["matrix"] = _encode_matrix(s.transform)
-            stages.append(body)
-        data["stages"] = stages
-    if scenario.hamiltonian is not None:
-        data["hamiltonian"] = {
-            "h0": _encode_matrix(scenario.hamiltonian.h0),
-            "pieces": [
-                {"start": start, "matrix": _encode_matrix(m)}
-                for start, m in scenario.hamiltonian.pieces
-            ],
-        }
-    if scenario.times is not None:
-        data["times"] = {"t0": scenario.times[0], "t": scenario.times[1]}
-    if scenario.game is not None:
-        body = {"joint": _encode_matrix(scenario.game.joint)}
-        if scenario.game.payoffs is not None:
-            body["payoffs"] = list(scenario.game.payoffs)
-        options = scenario.game_options
-        if "q" in options:
-            body["q"] = options["q"]
-        body["favored"] = options.get("favored", "cooperate")
-        if "empirical" in options:
-            body["empirical"] = list(options["empirical"])
-        if "cohort" in options:
-            body["cohort"] = dict(options["cohort"])
-        data["game"] = body
-    if scenario.interference is not None:
-        if scenario.interference.kind == "uniform":
-            data["interference"] = {"kind": "uniform"}
-        else:
-            data["interference"] = {
-                "kind": "tabulated",
-                "grid": [float(x) for x in scenario.interference.grid],
-                "density": [float(x) for x in scenario.interference.density],
-            }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The document ``scenario`` was parsed from, in its own forms, with
+    sorted keys and no defaults filled in.  Parsing it back gives the same
+    objects, and serializing again gives the same text."""
+    return json.dumps(json.loads(scenario.source), indent=2, sort_keys=True) + "\n"
 
 
 # ------------------------------------------------------------ result table
@@ -616,9 +537,7 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
     def add(self, label: str, value, provenance: str):
-        if isinstance(value, (complex, np.complexfloating)) and not isinstance(
-            value, (float, int)
-        ):
+        if isinstance(value, (complex, np.complexfloating)):
             self.add(f"{label}.re", float(value.real), provenance)
             self.add(f"{label}.im", float(value.imag), provenance)
             return

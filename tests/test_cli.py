@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qprospect
 from qprospect import ScenarioError, policy
 from qprospect.cli import _HANDLERS, main, run
-from qprospect.scenario import _TOP_LEVEL as SECTIONS, parse_scenario
+from qprospect.scenario import _DIRECTIVES, _TOP_LEVEL as SECTIONS, parse_scenario
 
 HERE = os.path.dirname(__file__)
 DATA = os.path.join(HERE, "data")
@@ -346,6 +346,22 @@ class TestMalformedScenarios:
         assert main(["prospect", "--scenario", str(path)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance,code,shown", [
+        ([0.001, 0], 0, "meta.tolerance,0.001,metadata"),
+        ([0.001, 1], 2, "run.tolerance: expected a real number"),
+    ], ids=["real-pair", "complex-pair"])
+    def test_tolerance_pair_runs_as_its_real_value(
+            self, tolerance, code, shown, tmp_path, capsys):
+        # a [re, 0] pair once passed the check and reached the run as a list
+        with open(data("born_plus.json")) as handle:
+            doc = json.load(handle)
+        doc["run"]["tolerance"] = tolerance
+        path = tmp_path / "born.json"
+        path.write_text(json.dumps(doc))
+        assert main(["born", "--scenario", str(path), "--format", "csv"]) == code
+        out, err = capsys.readouterr()
+        assert shown in (out if code == 0 else err)
+
     def test_negative_seed_flag_is_2(self, capsys):
         code = main(["game", "--scenario", data("game_cohort.json"), "--seed", "-1"])
         assert code == 2
@@ -594,7 +610,10 @@ class TestLazyLoading:
         assert qprospect.DensityOperator is DensityOperator is events.DensityOperator
 
 
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+# number pairs too: a scenario writes a complex scalar as [re, im]
+NUMBERS = st.integers() | st.floats()
+JSON_SCALARS = (st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
+                | st.lists(NUMBERS, min_size=2, max_size=2))
 JSON_NESTED = st.recursive(
     JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=3)
@@ -631,7 +650,9 @@ def mutated_scenarios(draw):
             by_depth.setdefault(len(where), []).append(where)
         kind = draw(st.sampled_from(("drop", "swap", "add", "add to run")))
         if kind == "add to run" and isinstance(doc.get("run"), dict):
-            doc["run"][draw(st.text(max_size=6))] = draw(JSON_VALUES)
+            # a directive half the time, so values reach its check
+            key = draw(st.sampled_from(sorted(_DIRECTIVES)) | st.text(max_size=6))
+            doc["run"][key] = draw(JSON_VALUES)
             continue
         path = draw(st.sampled_from(by_depth[draw(st.sampled_from(sorted(by_depth)))]))
         if not path:

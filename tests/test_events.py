@@ -9,6 +9,7 @@ from qprospect import (
     DensityOperator,
     GeneralizedProposition,
     MultimodeState,
+    NumericContractError,
     Observable,
     PovmFamily,
     Projector,
@@ -347,6 +348,15 @@ class TestPovm:
         assert report.probabilities is not None
         assert abs(report.total_probability - 1.0) < 1e-10
         assert all(p >= -1e-12 for p in report.probabilities)
+
+    def test_member_probabilities_stay_in_the_window(self):
+        # passes the state checks at the default tolerance, but its first
+        # member probability lies above 1 + PROBABILITY_TOL
+        rho = DensityOperator(np.diag([1 + 5e-11, -5e-11]))
+        members = [GeneralizedProposition(np.diag([1.0, 0.0])),
+                   GeneralizedProposition(np.diag([0.0, 1.0]))]
+        with pytest.raises(NumericContractError, match=r"member probability\[0\]"):
+            validate_povm(members, rho)
 
     def test_unscaled_family_fails(self):
         vecs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),

@@ -11,6 +11,7 @@ import pytest
 from qprospect.errors import NumericContractError, ScenarioError
 from qprospect.scenario import (
     ResultTable,
+    Scenario,
     format_value,
     parse_scenario,
     serialize_scenario,
@@ -51,10 +52,10 @@ class TestParsing:
         assert "state.density" in str(info.value)
 
     def test_complex_pairs_in_vectors(self):
-        doc = minimal_born(state={"pure": [[0, 1], 0]})  # i|0> up to phase
+        doc = minimal_born(state={"pure": [[0, 0.6], 0.8]})  # 0.6i|0> + 0.8|1>
         sc = parse_scenario(doc)
-        assert sc.pure is not None
-        assert sc.pure[0] == 1j
+        v = np.array([0.6j, 0.8])
+        assert np.array_equal(sc.density.matrix, np.outer(v, v.conj()))
 
     def test_complex_pairs_in_matrices(self):
         y = {
@@ -269,11 +270,44 @@ class TestRoundTrip:
 
     def test_complex_entries_round_trip_exactly(self):
         doc = minimal_born(state={"pure": [[0.6, 0.0], [0.0, 0.8]]})
+        first = parse_scenario(doc)
+        once = serialize_scenario(first)
+        assert json.loads(once)["state"]["pure"] == [[0.6, 0.0], [0.0, 0.8]]
+        assert parse_scenario(once).density.matrix.tobytes() == first.density.matrix.tobytes()
+
+    def test_amplitude_state_stays_an_amplitude_matrix(self):
+        rng = np.random.default_rng(32)
+        c = rng.normal(size=(32, 32))
+        doc = minimal_born(state={"amplitudes": (c / np.linalg.norm(c)).tolist()})
         once = serialize_scenario(parse_scenario(doc))
-        sc = parse_scenario(once)
-        assert sc.pure is not None
-        assert sc.pure[0] == 0.6
-        assert sc.pure[1] == 0.8j
+        assert len(once) < 2 * len(doc)
+        assert list(json.loads(once)["state"]) == ["amplitudes"]
+
+    def test_pure_measurer_state_stays_pure(self):
+        coupling = np.kron(np.diag([1, -1]), [[0, 1], [1, 0]]).tolist()
+        doc = minimal_born(measurer={"dim": 2, "initial": {"pure": [1, 0]}, "coupling": coupling})
+        once = serialize_scenario(parse_scenario(doc))
+        assert json.loads(once)["measurer"]["initial"] == {"pure": [1, 0]}
+
+    @pytest.mark.parametrize(
+        "path", sorted(glob.glob(os.path.join(DATA, "*.json"))),
+        ids=lambda p: os.path.splitext(os.path.basename(p))[0])
+    def test_read_back_is_bit_identical(self, path):
+        def arrays(sc):  # serializing sorts the keys, so compare by name
+            out = {} if sc.density is None else {"state": sc.density.matrix}
+            for name, obs in sc.observables.items():
+                out[f"{name}.eigenvalues"] = obs.eigenvalues
+                out[f"{name}.eigenbasis"] = obs.eigenbasis
+            out.update((name, b.coefficients) for name, b in sc.multimode.items())
+            return {key: a.tobytes() for key, a in out.items()}
+
+        with open(path, "rb") as handle:
+            first = parse_scenario(handle.read())
+        assert arrays(parse_scenario(serialize_scenario(first))) == arrays(first)
+
+    def test_scenario_without_source_is_refused(self):
+        with pytest.raises(TypeError, match="source"):
+            serialize_scenario(Scenario(run={"op": "born"}))
 
 
 class TestFormatValue:
