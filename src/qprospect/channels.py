@@ -31,7 +31,7 @@ import numpy as np
 
 from . import qcore
 from .errors import DimensionMismatchError, ProtocolError, ValidationError
-from .events import DensityOperator, Observable, _trusted
+from .events import DensityOperator, _trusted, basis_change  # noqa: F401 - public here too
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +158,6 @@ def transform_basis(rho: DensityOperator, t) -> DensityOperator:
             f"transform dim {t.shape[0]} vs state dim {rho.dim}"
         )
     return DensityOperator(t @ rho.matrix @ t.conj().T)
-
-
-def basis_change(obs_a: Observable, obs_b: Observable) -> np.ndarray:
-    """Default transform between two observables' eigenbases.
-
-    Maps coordinates in the eigenbasis of ``obs_b`` to coordinates in the
-    eigenbasis of ``obs_a``; unitary whenever both bases are orthonormal.
-    """
-    if obs_a.dim != obs_b.dim:
-        raise DimensionMismatchError(
-            f"observables {obs_a.label!r} and {obs_b.label!r} act on different spaces"
-        )
-    return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
 
 
 def run_pipeline(

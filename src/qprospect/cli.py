@@ -13,9 +13,8 @@ acceptance criteria and prints one pass/fail line per criterion.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error (bad
 scenario, bad references, invariant violations), 3 numeric-contract
-violation.  ``run.tolerance`` in the scenario (or the ``QPROSPECT_TOL``
-environment variable, read at import) overrides the operator-validation
-tolerance for the duration of the run.
+violation.  ``run.tolerance`` in the scenario overrides the
+operator-validation tolerance for the duration of the run.
 
 Output is deterministic for a fixed seed; seed precedence is
 ``--seed`` > ``run.seed`` > 0.  The only randomized operation is the

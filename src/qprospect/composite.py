@@ -141,11 +141,9 @@ def marginals(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:
     pa, pb = table.sum(axis=1), table.sum(axis=0)
     ra = qcore.partial_trace(state.matrix, state.dims, 0).diagonal().real
     rb = qcore.partial_trace(state.matrix, state.dims, 1).diagonal().real
-    mismatch = max(np.abs(pa - ra).max(), np.abs(pb - rb).max())
-    if mismatch > 1e-12:
-        raise NumericContractError(
-            f"marginal routes disagree: table sums vs partial traces by {mismatch:.3e}"
-        )
+    qcore.require_within(np.maximum(np.abs(pa - ra).max(), np.abs(pb - rb).max()), 1e-12,
+                         "marginal routes disagree: table sums vs partial traces by "
+                         "{measured:.3e}", NumericContractError)
     return pa, pb
 
 
@@ -253,12 +251,11 @@ class ProspectProbability:
             if not np.isfinite(value):
                 raise ValidationError(f"prospect probability field {name} is not finite")
         scale = max(1.0, abs(self.p), abs(self.f), abs(self.q))
-        if abs(self.p - (self.f + self.q)) > 1e-12 * scale:
-            raise NumericContractError(
-                f"prospect split broken: p - (f + q) = {self.p - (self.f + self.q):.3e}"
-            )
-        if self.f < -1e-12:
-            raise NumericContractError(f"classical part is negative: f = {self.f!r}")
+        gap = self.p - (self.f + self.q)
+        qcore.require_within(abs(gap), 1e-12 * scale, "prospect split broken: p - (f + q) = "
+                             "{gap:.3e}", NumericContractError, gap=gap)
+        qcore.require_within(-self.f, 1e-12, "classical part is negative: f = {f!r}",
+                             NumericContractError, f=self.f)
         if self.normalized:
             w = policy.PROBABILITY_TOL
             if not -w <= self.p <= 1.0 + w:
@@ -283,7 +280,7 @@ def _components(state: CompositeState, b: MultimodeState, ns) -> tuple[np.ndarra
     blocks = state.matrix.reshape(da, db, da, db)[ns, :, ns, :]
     raw, f, q = qcore.mode_split(b.coefficients, e.conj().T @ blocks @ e)
     window = policy.PROBABILITY_TOL * max(1.0, b.gram())
-    broken = np.flatnonzero(np.abs(raw.imag) > window)
+    broken = np.flatnonzero(~(np.abs(raw.imag) <= window))
     if broken.size:
         raise NumericContractError(
             f"prospect probability has imaginary residue {raw.imag[broken[0]]:.3e}"

@@ -81,11 +81,10 @@ class WaveState:
 
     def __post_init__(self):
         c = np.array(qcore.as_complex_vector(self.coefficients, "coefficients"))
-        norm = np.linalg.norm(c)
-        if abs(norm - 1.0) > policy.NORM_TOL:
-            raise ValidationError(
-                f"coefficient norm {float(norm)!r} drifts from 1 beyond {policy.NORM_TOL:.0e}"
-            )
+        norm = float(np.linalg.norm(c))
+        qcore.require_within(abs(norm - 1.0), policy.NORM_TOL,
+                             "coefficient norm {norm!r} drifts from 1 beyond {bound:.0e}",
+                             norm=norm)
         if not np.isfinite(self.time):
             raise ValidationError("time must be finite")
         object.__setattr__(self, "coefficients", qcore.freeze(c))
@@ -178,13 +177,10 @@ def amplitude_matrix(psi: WaveState, h: HamiltonianSpec, t0: float, t: float) ->
     start = _evolve_state(psi, h, t0, decompositions)
     u = _propagator(h, t0, t, decompositions)
     c = u * start.coefficients[None, :]
-    column_defect = float(
-        np.abs(np.sum(np.abs(c) ** 2, axis=0) - start.occupations()).max()
-    )
-    if column_defect > 1e-10:
-        raise NumericContractError(
-            f"column norms drift from start occupations by {column_defect:.3e}"
-        )
+    column_defect = float(np.abs(np.sum(np.abs(c) ** 2, axis=0) - start.occupations()).max())
+    qcore.require_within(column_defect, 1e-10,
+                         "column norms drift from start occupations by {measured:.3e}",
+                         NumericContractError)
     return AmplitudeMatrix(c, (float(t0), float(t)))
 
 

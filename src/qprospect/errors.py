@@ -6,6 +6,9 @@ pipelines), while :class:`NumericContractError` means validated inputs
 produced numbers that break a stated numeric promise (a probability far
 outside [0, 1], disagreeing dual-path computations, norm drift).  The
 command line maps the former to exit code 2 and the latter to exit code 3.
+
+A failed tolerance check (:func:`qcore.require_within`) sets ``measured``
+and ``bound`` on its error; a :class:`ScenarioError` chains it as its cause.
 """
 
 

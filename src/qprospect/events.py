@@ -80,6 +80,20 @@ class Observable:
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
 
 
+def basis_change(obs_a: Observable, obs_b: Observable) -> np.ndarray:
+    """Default transform between two observables' eigenbases, ``A^dag B``.
+
+    Maps coordinates in the eigenbasis of ``obs_b`` to coordinates in the
+    eigenbasis of ``obs_a``: entry ``[n, alpha]`` is ``<n|alpha>``.  Unitary
+    whenever both bases are orthonormal.
+    """
+    if obs_a.dim != obs_b.dim:
+        raise DimensionMismatchError(
+            f"observables {obs_a.label!r} and {obs_b.label!r} act on different spaces"
+        )
+    return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
+
+
 @functools.cache
 def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
@@ -140,16 +154,12 @@ class DensityOperator:
         """
         v = qcore.as_complex_vector(vector, "state vector")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > policy.NORM_TOL:
-            raise ValidationError(
-                f"state vector norm {norm!r} deviates from 1 beyond {policy.NORM_TOL:.0e}"
-            )
-        tol, off = policy.tolerance(), abs(norm * norm - 1.0)
-        if off > tol:
-            raise ValidationError(
-                f"state vector norm {norm!r} deviates from 1: squared norm is off "
-                f"by {off:.3e}, beyond {tol:.1e}"
-            )
+        qcore.require_within(abs(norm - 1.0), policy.NORM_TOL,
+                             "state vector norm {norm!r} deviates from 1 beyond {bound:.0e}",
+                             norm=norm)
+        qcore.require_within(abs(norm * norm - 1.0), policy.tolerance(),
+                             "state vector norm {norm!r} deviates from 1: squared norm is off "
+                             "by {measured:.3e}, beyond {bound:.1e}", norm=norm)
         # a plain DensityOperator also when called on a subclass, which may
         # need fields a vector does not give (CompositeState's dims)
         return _trusted(DensityOperator, *qcore.pure_state(v, "density operator"))
@@ -172,9 +182,7 @@ class Projector:
 
     def __post_init__(self):
         m = np.array(qcore.require_hermitian(self.matrix, "projector"))
-        defect = float(np.abs(m @ m - m).max())
-        if defect > policy.tolerance():
-            raise ValidationError(f"not idempotent: max |P^2 - P| = {defect:.3e}")
+        _require_idempotent(float(np.abs(m @ m - m).max()))
         object.__setattr__(self, "matrix", qcore.freeze(m))
 
     @property
@@ -194,10 +202,13 @@ def projector_of(obs: Observable, n: int) -> Projector:
     v = obs.vector(n)
     m = np.outer(v, v.conj())
     w = m.diagonal().real
-    defect = abs(w.sum() - 1.0) * w.max()
-    if defect > policy.tolerance():
-        raise ValidationError(f"not idempotent: max |P^2 - P| = {defect:.3e}")
+    _require_idempotent(abs(w.sum() - 1.0) * w.max())
     return _trusted(Projector, m, (obs.label, n))
+
+
+def _require_idempotent(defect: float):
+    qcore.require_within(defect, policy.tolerance(),
+                         "not idempotent: max |P^2 - P| = {measured:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,21 +320,16 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
     direct, classical, quantum = complex(direct), float(classical), float(quantum)
 
     window = policy.PROBABILITY_TOL * max(1.0, state.gram())
-    if abs(direct.imag) > window:
-        raise NumericContractError(
-            f"multimode probability has imaginary residue {direct.imag:.3e}"
-        )
+    qcore.require_within(abs(direct.imag), window,
+                         "multimode probability has imaginary residue {imag:.3e}",
+                         NumericContractError, imag=direct.imag)
     p = direct.real
-    if p < -window or p > state.gram() + window:
-        raise NumericContractError(
-            f"multimode probability {p!r} outside [0, <B|B>] window"
-        )
-
-    if abs(p - (classical + quantum)) > window:
-        raise NumericContractError(
-            f"multimode decomposition broken: p - (classical + quantum) = "
-            f"{p - (classical + quantum):.3e}"
-        )
+    if not -window <= p <= state.gram() + window:
+        raise NumericContractError(f"multimode probability {p!r} outside [0, <B|B>] window")
+    gap = p - (classical + quantum)
+    qcore.require_within(abs(gap), window,
+                         "multimode decomposition broken: p - (classical + quantum) = {gap:.3e}",
+                         NumericContractError, gap=gap)
     p = min(max(p, 0.0), state.gram())
     return MultimodeProbability(p, classical, quantum)
 
@@ -384,12 +390,9 @@ class PovmFamily:
 
     def __post_init__(self):
         members = tuple(self.members)
-        report = validate_povm(members)
-        if not report.passed:
-            raise ValidationError(
-                f"family breaks the resolution of unity: residual "
-                f"{report.residual:.3e} exceeds {policy.POVM_TOL:.0e}"
-            )
+        qcore.require_within(validate_povm(members).residual, policy.POVM_TOL,
+                             "family breaks the resolution of unity: residual {measured:.3e} "
+                             "exceeds {bound:.0e}")
         object.__setattr__(self, "members", members)
 
     @property

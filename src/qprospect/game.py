@@ -44,12 +44,11 @@ class GameSpec:
             raise ValidationError(f"joint table must be 2x2, got shape {table.shape}")
         if not np.all(np.isfinite(table)):
             raise ValidationError("joint table has non-finite entries")
-        if table.min() < -policy.PROBABILITY_TOL:
-            raise ValidationError(f"joint table has negative entry {float(table.min())!r}")
-        if abs(table.sum() - 1.0) > 1e-12:
-            raise ValidationError(
-                f"joint table must sum to 1, got {float(table.sum())!r}"
-            )
+        low, total = float(table.min()), float(table.sum())
+        qcore.require_within(-low, policy.PROBABILITY_TOL,
+                             "joint table has negative entry {low!r}", low=low)
+        qcore.require_within(abs(total - 1.0), 1e-12, "joint table must sum to 1, got {total!r}",
+                             total=total)
         object.__setattr__(self, "joint", qcore.freeze(np.clip(table, 0.0, 1.0)))
         if self.payoffs is not None:
             x1, x2, x3, x4 = (float(x) for x in self.payoffs)
@@ -112,15 +111,14 @@ class InterferenceDistribution:
             raise ValidationError("tabulated density has non-finite entries")
         if np.any(np.diff(grid) <= 0):
             raise ValidationError("tabulated grid must be strictly increasing")
-        if grid[0] < -1.0 or grid[-1] > 1.0:
+        if not (-1.0 <= grid[0] and grid[-1] <= 1.0):
             raise ValidationError("tabulated grid must stay within [-1, 1]")
-        if density.min() < 0:
-            raise ValidationError(f"density has negative value {float(density.min())!r}")
+        low = float(density.min())
+        qcore.require_within(-low, 0.0, "density has negative value {low!r}", low=low)
         mass, mean = _piecewise_linear_moments(grid, density)
-        if abs(mass - 1.0) > 1e-10:
-            raise ValidationError(f"density is not normalized: integral = {mass!r}")
-        if abs(mean) > 1e-10:
-            raise ValidationError(f"density has nonzero mean: {mean!r}")
+        qcore.require_within(abs(mass - 1.0), 1e-10,
+                             "density is not normalized: integral = {mass!r}", mass=mass)
+        qcore.require_within(abs(mean), 1e-10, "density has nonzero mean: {mean!r}", mean=mean)
         object.__setattr__(self, "grid", qcore.freeze(grid))
         object.__setattr__(self, "density", qcore.freeze(density))
 
@@ -223,10 +221,10 @@ def broken_symmetry_probabilities(
     keeping the decomposition ``p = f + q`` meaningful for interior values.
     """
     f1, f2 = float(f[0]), float(f[1])
-    if f1 < -policy.PROBABILITY_TOL or f2 < -policy.PROBABILITY_TOL:
-        raise ValidationError(f"classical weights must be nonnegative, got {f}")
-    if abs(f1 + f2 - 1.0) > 1e-10:
-        raise ValidationError(f"classical weights must sum to 1, got {f1 + f2!r}")
+    qcore.require_within(-np.minimum(f1, f2), policy.PROBABILITY_TOL,
+                         "classical weights must be nonnegative, got {f}", f=f)
+    qcore.require_within(abs(f1 + f2 - 1.0), 1e-10,
+                         "classical weights must sum to 1, got {total!r}", total=f1 + f2)
     if not 0.0 <= q_magnitude <= 1.0:
         raise ValidationError(f"interference magnitude must lie in [0, 1], got {q_magnitude}")
     if favored == "cooperate":

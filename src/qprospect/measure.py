@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import policy, qcore
-from .events import DensityOperator, Observable, _trusted, projector_of
+from .events import DensityOperator, Observable, _trusted, basis_change, projector_of
 from .errors import (
     DimensionMismatchError,
     NumericContractError,
@@ -60,10 +60,9 @@ def expected_value(rho: DensityOperator, obs: Observable) -> float:
     probs = born_distribution(rho, obs)
     value = float(probs @ obs.eigenvalues)
     direct = np.trace(rho.matrix @ obs.operator())
-    if abs(direct - value) > 1e-10 * max(1.0, np.abs(obs.eigenvalues).max()):
-        raise NumericContractError(
-            f"expected value paths disagree: {value!r} vs {direct!r}"
-        )
+    qcore.require_within(abs(direct - value), 1e-10 * max(1.0, np.abs(obs.eigenvalues).max()),
+                         "expected value paths disagree: {value!r} vs {direct!r}",
+                         NumericContractError, value=value, direct=direct)
     return value
 
 
@@ -140,18 +139,9 @@ def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) 
     return qcore.real_probability(abs(amp) ** 2, "transition probability")
 
 
-def _overlaps(obs_a: Observable, obs_b: Observable) -> np.ndarray:
-    """Basis change ``A^dag B``: entry ``[n, alpha]`` is ``<n|alpha>``."""
-    if obs_a.dim != obs_b.dim:
-        raise DimensionMismatchError(
-            f"observables {obs_a.label!r} and {obs_b.label!r} act on different spaces"
-        )
-    return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
-
-
 def transition_matrix(obs_a: Observable, obs_b: Observable) -> np.ndarray:
     """Full doubly stochastic table, row ``n`` and column ``alpha``."""
-    return np.abs(_overlaps(obs_a, obs_b)) ** 2
+    return np.abs(basis_change(obs_a, obs_b)) ** 2
 
 
 def wigner_distribution(
@@ -198,7 +188,7 @@ def wigner_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> 
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
-    raw = np.abs(_overlaps(obs_a, obs_b)) ** 2 * _diagonal_in(rho, obs_b)[None, :]
+    raw = np.abs(basis_change(obs_a, obs_b)) ** 2 * _diagonal_in(rho, obs_b)[None, :]
     return qcore.real_probabilities(raw, "sequential probability")
 
 
@@ -212,7 +202,7 @@ def kirkwood_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
     sandwich = obs_b.eigenbasis.conj().T @ rho.matrix @ obs_a.eigenbasis
-    return sandwich.T * _overlaps(obs_a, obs_b)
+    return sandwich.T * basis_change(obs_a, obs_b)
 
 
 def identity_chain_residual(

@@ -2,16 +2,14 @@
 
 All operator-level validation (hermiticity, unitarity, positivity, unit
 trace) uses a single absolute tolerance.  It defaults to 1e-10 and can be
-overridden programmatically with :func:`set_tolerance`, for a block of code
-with :func:`tolerance_scope`, or through the ``QPROSPECT_TOL`` environment
-variable, read once at import time.
+overridden with :func:`set_tolerance`, or for a block of code with
+:func:`tolerance_scope`; both check the value.
 
 The remaining constants are fixed contracts, not tunables: probability
 window checks, POVM resolution residuals, and wave-function norm drift
 each have their own scale and are pinned here by name.
 """
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -42,7 +40,7 @@ MAX_DIM = 4096
 # Hard cap on the pairs of one Monte Carlo cohort (about 0.7 GB at the cap).
 MAX_PAIRS = 10**7
 
-_tolerance = float(os.environ.get("QPROSPECT_TOL", DEFAULT_TOLERANCE))
+_tolerance = DEFAULT_TOLERANCE
 # the value of the innermost tolerance_scope in this context, None outside one
 _scoped: ContextVar[float | None] = ContextVar("qprospect_tolerance", default=None)
 

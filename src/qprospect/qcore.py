@@ -24,6 +24,20 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_within(measured, bound, message: str, error=ValidationError, **fields):
+    """Raise ``error`` unless ``measured <= bound``, so a NaN is refused.
+
+    ``message`` is a :meth:`str.format` template over ``measured``, ``bound``
+    and ``fields``, filled only when raising; text from a scenario, such as
+    a label, goes in a field and never into the template.  The raised error
+    carries ``measured`` and ``bound`` as attributes.
+    """
+    if not measured <= bound:
+        exc = error(message.format(measured=measured, bound=bound, **fields))
+        exc.measured, exc.bound = measured, bound
+        raise exc
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex ndarray; raise on anything else."""
     a = np.asarray(m, dtype=complex)
@@ -59,8 +73,8 @@ def as_amplitude_matrix(c, tol: float) -> np.ndarray:
     if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
         raise ValidationError("amplitude matrix has non-finite entries")
     total = float(np.sum(np.abs(c) ** 2))
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}")
+    require_within(abs(total - 1.0), tol,
+                   "amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}", total=total)
     return c
 
 
@@ -71,23 +85,17 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    bound = policy.tolerance()
-    defect = hermiticity_defect(a)
-    if defect > bound:
-        raise ValidationError(
-            f"{name} is not Hermitian: max deviation {defect:.3e} exceeds {bound:.1e}"
-        )
+    require_within(hermiticity_defect(a), policy.tolerance(),
+                   "{name} is not Hermitian: max deviation {measured:.3e} exceeds {bound:.1e}",
+                   name=name)
     return a
 
 
 def require_unitary(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    bound = policy.tolerance()
-    defect = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
-    if defect > bound:
-        raise ValidationError(
-            f"{name} is not unitary: max deviation {defect:.3e} exceeds {bound:.1e}"
-        )
+    require_within(float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()), policy.tolerance(),
+                   "{name} is not unitary: max deviation {measured:.3e} exceeds {bound:.1e}",
+                   name=name)
     return a
 
 
@@ -98,24 +106,21 @@ def real_probabilities(values, name: str = "probability") -> np.ndarray:
     window and its real part must lie in ``[-w, 1 + w]`` with
     ``w = policy.PROBABILITY_TOL``.  The first violation raises
     :class:`NumericContractError` naming the entry's index (``name[n, alpha]``
-    for a table, plain ``name`` for a scalar); clamping is only allowed
-    after the window check passes.
+    for a table, plain ``name`` for a scalar); a NaN part is a violation.
+    Clamping is only allowed after the window check passes.
     """
     w = policy.PROBABILITY_TOL
     a = np.asarray(values, dtype=complex)
-    imaginary = np.abs(a.imag) > w
-    broken = imaginary | (a.real < -w) | (a.real > 1.0 + w)
+    broken = ~((np.abs(a.imag) <= w) & (-w <= a.real) & (a.real <= 1.0 + w))
     if broken.any():
         at = tuple(int(k) for k in np.argwhere(broken)[0])
         where = f"{name}[{', '.join(map(str, at))}]" if at else name
-        if imaginary[at]:
-            raise NumericContractError(
-                f"{where} has imaginary residue {a.imag[at]:.3e} beyond {w:.1e}"
-            )
+        require_within(abs(a.imag[at]), w, "{where} has imaginary residue {imag:.3e} beyond "
+                       "{bound:.1e}", NumericContractError, where=where, imag=a.imag[at])
         raise NumericContractError(
             f"{where} = {float(a.real[at])!r} lies outside [-{w:.0e}, 1 + {w:.0e}]"
         )
-    # like min(max(x, 0.0), 1.0) on a float: -0.0 and NaN pass unchanged
+    # like min(max(x, 0.0), 1.0) on a float: -0.0 passes unchanged (NaN was refused)
     return a.real.clip(0.0, 1.0)
 
 
@@ -195,12 +200,11 @@ def _require_dims(dim: int, dims: tuple[int, int] | None, what: str = "matrix"):
 
 
 def _require_unit_trace(a: np.ndarray, name: str, composite: bool):
-    tol = policy.tolerance()
     tr = a.trace()
-    if abs(tr - 1.0) > tol:
-        # a composite state has always reported the trace alone
-        detail = "" if composite else f" (deviation {abs(tr - 1.0):.3e} exceeds {tol:.1e})"
-        raise ValidationError(f"{name} breaks unit trace: Tr = {float(tr.real)!r}{detail}")
+    # a composite state has always reported the trace alone
+    detail = "" if composite else " (deviation {measured:.3e} exceeds {bound:.1e})"
+    require_within(abs(tr - 1.0), policy.tolerance(), "{name} breaks unit trace: Tr = {tr!r}"
+                   + detail, name=name, tr=float(tr.real))
 
 
 def validate_state(
@@ -227,10 +231,10 @@ def validate_state(
     _require_dims(a.shape[0], dims)
     _require_unit_trace(a, name, composite=dims is not None)
     w = np.linalg.eigvalsh(a) if spectrum is None else spectrum
-    if w.min() < -policy.tolerance():
-        raise ValidationError(
-            f"{name} not positive-semidefinite: lowest eigenvalue {w.min():.3e}"
-        )
+    low = w.min()
+    require_within(-low, policy.tolerance(),
+                   "{name} not positive-semidefinite: lowest eigenvalue {low:.3e}",
+                   name=name, low=low)
     return a, w
 
 
@@ -279,10 +283,12 @@ def validate_rank_one(m, name: str, dims: tuple[int, int] | None = None):
     _require_dims(a.shape[0], dims, "operator")
     tol = policy.tolerance()
     w = np.linalg.eigvalsh(a)
-    if w.min() < -tol:
-        raise ValidationError(f"{name} not positive: lowest eigenvalue {w.min():.3e}")
-    if w.size > 1 and w[-2] > tol * max(1.0, w[-1]):
-        raise ValidationError(f"{name} has rank > 1: second eigenvalue {w[-2]:.3e}")
+    low = w.min()
+    require_within(-low, tol, "{name} not positive: lowest eigenvalue {low:.3e}",
+                   name=name, low=low)
+    if w.size > 1:
+        require_within(w[-2], tol * max(1.0, w[-1]),
+                       "{name} has rank > 1: second eigenvalue {measured:.3e}", name=name)
     return a, w
 
 
@@ -324,8 +330,8 @@ def spectral_norm(m) -> float:
     """Largest eigenvalue of a Hermitian positive-semidefinite matrix."""
     a = require_hermitian(m, "operator")
     w = np.linalg.eigvalsh(a)
-    if w.min() < -policy.tolerance():
-        raise ValidationError(
-            f"operator has negative eigenvalue {w.min():.3e}, not positive-semidefinite"
-        )
+    low = w.min()
+    require_within(-low, policy.tolerance(),
+                   "operator has negative eigenvalue {low:.3e}, not positive-semidefinite",
+                   low=low)
     return float(w.max())

@@ -550,7 +550,7 @@ class ResultTable:
     def add_probability(self, label: str, value: float, provenance: str):
         value = float(value)
         window = policy.PROBABILITY_TOL
-        if not np.isfinite(value) or value < -window or value > 1.0 + window:
+        if not -window <= value <= 1.0 + window:
             raise NumericContractError(
                 f"result row {label!r} = {value!r} is not a probability"
             )

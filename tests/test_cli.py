@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,38 @@ class TestMalformedScenarios:
         path.write_text(json.dumps(doc))
         assert main([doc["run"]["op"], "--scenario", str(path)]) == 2
         assert (f"observables.{observable}.eigenvalues: expected a list of numbers"
+                in capsys.readouterr().err)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_overflowing_eigenbasis_is_2(self, tmp_path, capsys):
+        # A^dag A overflows to inf - inf, so the unitarity defect is NaN; the
+        # basis once passed and the run ended in exit 3 at p(Z)
+        with open(data("born_plus.json")) as handle:
+            doc = json.load(handle)
+        doc["observables"]["Z"]["eigenbasis"] = [
+            [[1.37e154, 9.40e290], [-6.65e153, -7.43e291]],
+            [[3.52e153, -9.22e291], [9.03e153, -4.58e291]],
+        ]
+        path = tmp_path / "born.json"
+        path.write_text(json.dumps(doc))
+        assert main(["born", "--scenario", str(path)]) == 2
+        assert ("observables.Z: eigenbasis of 'Z' is not unitary: max deviation nan"
+                in capsys.readouterr().err)
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(path.read_bytes())
+        assert info.value.path == "observables.Z"
+        assert math.isnan(info.value.__cause__.measured)
+        assert info.value.__cause__.bound == policy.tolerance()
+
+    def test_label_is_not_a_message_template(self, tmp_path, capsys):
+        with open(data("born_plus.json")) as handle:
+            doc = json.load(handle)
+        doc["observables"] = {"{x}": {"eigenvalues": [0, 1], "eigenbasis": [[1, 0], [0, 2]]}}
+        doc["run"]["observable"] = "{x}"
+        path = tmp_path / "born.json"
+        path.write_text(json.dumps(doc))
+        assert main(["born", "--scenario", str(path)]) == 2
+        assert ("observables.{x}: eigenbasis of '{x}' is not unitary: max deviation 3.000e+00"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("empirical", [
@@ -611,7 +644,8 @@ class TestLazyLoading:
 
 
 # number pairs too: a scenario writes a complex scalar as [re, im]
-NUMBERS = st.integers() | st.floats()
+NUMBERS = (st.integers() | st.floats() | st.floats(min_value=1e300, max_value=1.7e308)
+           | st.floats(min_value=-1.7e308, max_value=-1e300))
 JSON_SCALARS = (st.none() | st.booleans() | NUMBERS | st.text(max_size=6)
                 | st.lists(NUMBERS, min_size=2, max_size=2))
 JSON_NESTED = st.recursive(

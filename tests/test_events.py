@@ -20,7 +20,16 @@ from qprospect import (
     validate_povm,
 )
 
-from helpers import random_density, random_multimode_coefficients, random_observable, random_unitary
+from qprospect.events import _trusted
+
+from helpers import (
+    overflowing_cases,
+    random_density,
+    random_multimode_coefficients,
+    random_observable,
+    random_unitary,
+    returns_or_refuses,
+)
 
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -129,6 +138,34 @@ class TestProjectors:
             Projector(np.diag([1.0 + 1e-7, 0.0]))
         with pytest.raises(ValidationError, match="not idempotent"):
             Projector(np.ones((2, 2)) / 2.0 + np.eye(2) * 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+class TestFailClosed:
+    """Finite inputs whose entries reach 1e308 are refused or truly valid."""
+
+    def test_pure_state(self):
+        for v in overflowing_cases(11, lambda d, rng: random_unitary(d, rng)[:, 0]):
+            got = returns_or_refuses(DensityOperator.from_pure, v)
+            assert got is None or np.abs(got.matrix).max() <= 1.0 + policy.tolerance()
+
+    def test_supplied_projector(self):
+        def projector(d, rng):
+            u = random_unitary(d, rng)[:, : rng.integers(1, d + 1)]
+            return u @ u.conj().T
+
+        for m in overflowing_cases(12, projector, hermitian=True):
+            got = returns_or_refuses(Projector, m)
+            assert got is None or np.abs(got.matrix).max() <= 1.0 + policy.tolerance()
+
+    def test_eigenvector_projector(self):
+        # a basis that skipped the unitarity check, as only a looser
+        # tolerance_scope lets one through
+        for basis in overflowing_cases(13, random_unitary):
+            obs = _trusted(Observable, np.arange(basis.shape[0], dtype=float), basis, "W")
+            for n in range(obs.dim):
+                got = returns_or_refuses(projector_of, obs, n)
+                assert got is None or np.abs(got.matrix).max() <= 1.0 + policy.tolerance()
 
 
 class TestDensityOperator:

@@ -18,6 +18,7 @@ from qprospect import (
 )
 from qprospect import policy
 from qprospect.qcore import (
+    as_amplitude_matrix,
     as_complex_matrix,
     as_complex_vector,
     freeze,
@@ -26,11 +27,20 @@ from qprospect.qcore import (
     pure_state,
     real_probabilities,
     real_probability,
+    require_hermitian,
+    require_unitary,
+    require_within,
     validate_rank_one,
     validate_state,
 )
 
-from helpers import random_density, random_unitary
+from helpers import (
+    overflowing_cases,
+    random_amplitudes,
+    random_density,
+    random_unitary,
+    returns_or_refuses,
+)
 
 
 def kron_by_loops(a, b):
@@ -316,7 +326,7 @@ class TestConversionGuards:
             got = real_probability(x, "p")
             assert type(got) is float
             assert repr(got) == repr(min(max(x, 0.0), 1.0))
-        assert np.isnan(real_probability(float("nan"), "p"))
+        pytest.raises(NumericContractError, real_probability, float("nan"), "p")
 
     def test_table_window_names_the_first_offending_entry(self):
         table = np.array([[0.5, 1e-14j], [-1e-13, 1.0 + 1e-13]])
@@ -329,3 +339,71 @@ class TestConversionGuards:
             real_probabilities(np.array([[0.5, 0.2 + 1e-9j], [-0.1, 2.0]]), "w")
         with pytest.raises(NumericContractError, match=r"^p\[2\] = 1\.5 lies"):
             real_probabilities([0.1, 0.2, 1.5, -3.0], "p")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+class TestFailClosed:
+    """Finite inputs whose entries reach 1e308 are refused or truly valid.
+
+    A defect such as ``max |A^dag A - 1|`` overflows to ``inf - inf = NaN``
+    on them, and ``NaN > bound`` is false, so a check written that way lets
+    them through.
+    """
+
+    def test_unitary_check(self):
+        for a in overflowing_cases(1, random_unitary):
+            got = returns_or_refuses(require_unitary, a, "U")
+            assert got is None or np.abs(got).max() <= 1.0 + policy.tolerance()
+
+    def test_hermitian_check(self):
+        for a in overflowing_cases(2, lambda d, rng: random_density(d, rng).matrix):
+            got = returns_or_refuses(require_hermitian, a, "H")
+            assert got is None or hermiticity_defect(got) <= policy.tolerance()
+
+    def test_state_checks(self):
+        for a in overflowing_cases(3, lambda d, rng: random_density(d, rng).matrix, hermitian=True):
+            got = returns_or_refuses(validate_state, a, "rho")
+            assert got is None or np.abs(got[0]).max() <= 1.0 + policy.tolerance()
+
+    def test_pure_state_check(self):
+        for v in overflowing_cases(4, lambda d, rng: random_unitary(d, rng)[:, 0]):
+            got = returns_or_refuses(pure_state, v, "psi")
+            assert got is None or np.abs(got[0]).max() <= 1.0 + policy.tolerance()
+
+    def test_rank_one_check(self):
+        def rank_one(d, rng):
+            v = random_unitary(d, rng)[:, 0] * rng.uniform(0.5, 2.0)
+            return np.outer(v, v.conj())
+
+        for a in overflowing_cases(5, rank_one, hermitian=True):
+            returns_or_refuses(validate_rank_one, a, "P")
+
+    def test_amplitude_matrix_check(self):
+        for c in overflowing_cases(6, lambda d, rng: random_amplitudes(d, 2, rng)):
+            got = returns_or_refuses(as_amplitude_matrix, c, policy.tolerance())
+            assert got is None or np.abs(got).max() <= 1.0 + policy.tolerance()
+
+    def test_probability_window(self):
+        for a in overflowing_cases(7, lambda d, rng: rng.uniform(0.0, 1.0, size=(d, 2))):
+            got = returns_or_refuses(real_probabilities, a, "p")
+            assert got is None or (np.all(got >= 0.0) and np.all(got <= 1.0))
+
+
+class TestRequireWithin:
+    def test_nan_defect_is_refused_with_its_numbers(self):
+        # A^dag A overflows to inf - inf: the defect is NaN
+        basis = np.array([[1.37e154 + 9.40e290j, -6.65e153 - 7.43e291j],
+                          [3.52e153 - 9.22e291j, 9.03e153 - 4.58e291j]])
+        with np.errstate(all="ignore"), pytest.raises(
+                ValidationError, match=r"^U is not unitary: max deviation nan exceeds 1\.0e-10$"
+        ) as info:
+            require_unitary(basis, "U")
+        assert np.isnan(info.value.measured)
+        assert info.value.bound == policy.tolerance()
+
+    def test_message_is_filled_from_fields_only_when_raising(self):
+        require_within(1.0, 1.0, "{undefined}")
+        with pytest.raises(NumericContractError, match=r"^\{x\} is off by 2\.0$") as info:
+            require_within(2.0, 1.0, "{label} is off by {measured}", NumericContractError,
+                           label="{x}")
+        assert (info.value.measured, info.value.bound) == (2.0, 1.0)
