@@ -363,10 +363,13 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        scenario = parse_scenario(text)
-        table = run(scenario, op=args.subcommand, seed=args.seed)
-        fmt = args.format or scenario.run.get("format", "table")
-        rendered = table.render(fmt)
+        # every check refuses the NaN or inf an overflow leaves, so numpy's
+        # warnings would only put lines ahead of the one error line
+        with np.errstate(all="ignore"):
+            scenario = parse_scenario(text)
+            table = run(scenario, op=args.subcommand, seed=args.seed)
+            fmt = args.format or scenario.run.get("format", "table")
+            rendered = table.render(fmt)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,7 +217,7 @@ class MultimodeState:
 
     The coefficient vector is *not* required to be normalized; its squared
     norm ``<B|B>`` rescales every operator built from the state.  At least
-    one coefficient must be nonzero.
+    one coefficient must be nonzero, and ``<B|B>`` must be finite.
     """
 
     coefficients: np.ndarray
@@ -232,6 +232,9 @@ class MultimodeState:
         if not np.any(b != 0):
             raise ValidationError("multimode state needs at least one nonzero coefficient")
         object.__setattr__(self, "coefficients", qcore.freeze(b))
+        gram = self.gram()
+        if not np.isfinite(gram):
+            raise ValidationError(f"multimode state norm <B|B> = {gram} is not finite")
 
     @property
     def dim(self) -> int:

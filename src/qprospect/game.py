@@ -13,7 +13,10 @@ Broken symmetry (the empirically observed case) assigns the positive
 interference to one favored prospect and its negative to the other.
 Cohort simulations draw a per-participant interference whose population
 mean reproduces the quarter-law value, so the sampled cooperation
-fraction converges on the closed-form one.
+fraction converges on the closed-form one.  A cohort of ``n`` pairs holds
+at most four arrays of ``n`` float64 values at once, about three at its
+peak: the draws land in one buffer, and the probabilities are worked out
+in place in that buffer and two more.
 """
 
 from dataclasses import dataclass
@@ -198,14 +201,18 @@ class GameResult:
         )
 
 
-def _clamp_and_renormalize(p1, p2) -> tuple[np.ndarray, np.ndarray, bool]:
-    clamped = bool(np.any(p1 < 0) or np.any(p1 > 1) or np.any(p2 < 0) or np.any(p2 > 1))
-    c1 = np.clip(p1, 0.0, 1.0)
-    c2 = np.clip(p2, 0.0, 1.0)
-    total = c1 + c2
+def _clamp_and_renormalize(p1: np.ndarray, p2: np.ndarray, total: np.ndarray) -> None:
+    """Clamp ``p1`` and ``p2`` to [0, 1] and divide each by their sum, in place.
+
+    ``total`` is a buffer of the same shape that receives the clamped sum.
+    """
+    np.clip(p1, 0.0, 1.0, out=p1)
+    np.clip(p2, 0.0, 1.0, out=p2)
+    np.add(p1, p2, out=total)
     if np.any(total <= policy.ZERO_EVENT_TOL):
         raise ZeroProbabilityError("both prospect probabilities clamp to zero")
-    return c1 / total, c2 / total, clamped
+    np.divide(p1, total, out=p1)
+    np.divide(p2, total, out=p2)
 
 
 def broken_symmetry_probabilities(
@@ -233,9 +240,10 @@ def broken_symmetry_probabilities(
         q1, q2 = -q_magnitude, q_magnitude
     else:
         raise ValidationError(f"favored must be 'cooperate' or 'defect', got {favored!r}")
-    p1, p2, clamped = _clamp_and_renormalize(
-        np.asarray(f1 + q1), np.asarray(f2 + q2)
-    )
+    s1, s2 = f1 + q1, f2 + q2
+    clamped = s1 < 0 or s1 > 1 or s2 < 0 or s2 > 1
+    p1, p2 = np.array(s1), np.array(s2)
+    _clamp_and_renormalize(p1, p2, np.empty(()))
     return GameResult(
         (f1, f2), (q1, q2), (float(p1), float(p2)), clamped, empirical_reference
     )
@@ -275,19 +283,27 @@ def _sample_magnitudes(dist: InterferenceDistribution, n: int, rng) -> np.ndarra
     if mass <= policy.ZERO_EVENT_TOL:
         raise ValidationError("density has no mass on the positive half-line")
     if dist.kind == "uniform":
-        return mass * rng.random(n)
-    kinks = dist.grid[(dist.grid > 0) & (dist.grid < 1)]
-    return mass * _inverse_cdf(dist, np.linspace(0.0, 1.0, 16385), kinks, n, rng)
+        draws = rng.random(n)
+    else:
+        kinks = dist.grid[(dist.grid > 0) & (dist.grid < 1)]
+        draws = _inverse_cdf(dist, np.linspace(0.0, 1.0, 16385), kinks, n, rng)
+    draws *= mass
+    return draws
 
 
 def _sample_signed(dist: InterferenceDistribution, n: int, rng) -> np.ndarray:
     """Signed draws from the full density with equiprobable sign assignment."""
     if dist.kind == "uniform":
-        body = 2.0 * rng.random(n) - 1.0
+        body = rng.random(n)
+        body *= 2.0
+        body -= 1.0
     else:
         body = _inverse_cdf(dist, np.linspace(-1.0, 1.0, 32769), dist.grid, n, rng)
-    signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    return signs * np.abs(body)
+    # integer signs 2 k - 1: copysign(body, signs) is exactly signs * |body|
+    signs = rng.integers(0, 2, size=n)
+    signs *= 2
+    signs -= 1
+    return np.copysign(body, signs, out=body)
 
 
 def monte_carlo_cohort(
@@ -327,23 +343,25 @@ def monte_carlo_cohort(
             )
         if fixed_q:
             q_plus, _ = quarter_law(dist)
-            magnitudes = np.full(n_pairs, q_plus)
+            draws = np.full(n_pairs, q_plus)
         else:
-            magnitudes = _sample_magnitudes(dist, n_pairs, rng)
-        q1 = magnitudes if favored == "cooperate" else -magnitudes
-        reported = magnitudes
+            draws = _sample_magnitudes(dist, n_pairs, rng)
     else:
         favored = None
-        q1 = _sample_signed(dist, n_pairs, rng)
-        reported = q1
+        draws = _sample_signed(dist, n_pairs, rng)
 
-    p1, p2, _ = _clamp_and_renormalize(f1 + q1, f2 - q1)
-    stderr = float(reported.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
+    # report the draws as sampled: the buffer then holds q1, and then the total
+    mean_q = float(draws.mean())
+    stderr = float(draws.std(ddof=1) / np.sqrt(n_pairs)) if n_pairs > 1 else 0.0
+    if favored == "defect":
+        np.negative(draws, out=draws)
+    p1, p2 = f1 + draws, f2 - draws
+    _clamp_and_renormalize(p1, p2, total=draws)
     return CohortReport(
         n_pairs=n_pairs,
         symmetry=symmetry,
         favored=favored,
-        mean_q=float(reported.mean()),
+        mean_q=mean_q,
         q_stderr=stderr,
         cooperation_fraction=float(p1.mean()),
         defection_fraction=float(p2.mean()),

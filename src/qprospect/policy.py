@@ -37,7 +37,8 @@ ZERO_EVENT_TOL = 1e-12
 # Hard cap on the dimension of any operator this package will build.
 MAX_DIM = 4096
 
-# Hard cap on the pairs of one Monte Carlo cohort (about 0.7 GB at the cap).
+# Hard cap on the pairs of one Monte Carlo cohort (a cohort peaks at about
+# 0.25 GB of arrays at the cap).
 MAX_PAIRS = 10**7
 
 _tolerance = DEFAULT_TOLERANCE

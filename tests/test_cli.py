@@ -532,6 +532,40 @@ class TestNumpyOnlyRuntime:
         assert "scipy is refused" in result.stderr
 
 
+OVERFLOWING = {
+    # <B|B> = 2e310 overflows; the state once parsed and the run failed
+    # later, with no path and six numpy warning lines ahead of the error
+    "multimode_norm": ("prospect", "prospect_witness.json", ("multimode", "b"),
+                       [1e155, 1e155],
+                       "error: multimode.b: multimode state norm <B|B> = inf is not finite"),
+    # A^dag A overflows to inf - inf: four numpy warning lines before
+    "eigenbasis": ("born", "born_plus.json", ("observables", "Z", "eigenbasis"),
+                   [[[1.37e154, 9.40e290], [-6.65e153, -7.43e291]],
+                    [[3.52e153, -9.22e291], [9.03e153, -4.58e291]]],
+                   "error: observables.Z: eigenbasis of 'Z' is not unitary: "
+                   "max deviation nan exceeds 1.0e-10"),
+}
+
+
+class TestOneStderrLine:
+    """A refused run writes its one error line to stderr and nothing else."""
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING))
+    def test_overflow_is_one_line(self, case, tmp_path):
+        op, name, location, value, line = OVERFLOWING[case]
+        doc = copy.deepcopy(SCENARIOS[name[:-5]])
+        parent = doc
+        for key in location[:-1]:
+            parent = parent[key]
+        parent[location[-1]] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        result = run_cli_python("import sys\n" + RUN_MAIN, op, "--scenario", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [line]
+
+
 def _load(file: str) -> dict:
     with open(data(file), encoding="utf-8") as handle:
         return json.load(handle)

@@ -250,6 +250,14 @@ class TestMultimodeState:
         with pytest.raises(ValidationError):
             MultimodeState.in_standard_basis(np.zeros(3))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_overflowing_norm_rejected(self):
+        # each coefficient is finite, but <B|B> = 2e310 is not; the state
+        # once passed and left an inf window to the probabilities built on it
+        with pytest.raises(ValidationError, match=r"<B\|B> = inf is not finite"):
+            MultimodeState.in_standard_basis([1e155, 1e155])
+        assert MultimodeState.in_standard_basis([1e153, 1e153]).gram() == 2e306
+
     def test_vector_combines_basis_columns(self, rng):
         obs = random_observable(3, rng)
         b = np.array([1.0, 1j, 0.0])
@@ -352,7 +360,10 @@ class TestGeneralizedProposition:
         ([1e200, 0.0], "non-finite entries"),
     ])
     def test_from_state_keeps_its_weight_and_finiteness_checks(self, coefficients, message):
-        state = MultimodeState.in_standard_basis(np.array(coefficients))
+        # MultimodeState refuses an overflowing <B|B> when it is built, so the
+        # coefficients are set afterwards to reach the check from_state keeps
+        state = MultimodeState.in_standard_basis(np.array([1.0, 0.0]))
+        object.__setattr__(state, "coefficients", np.array(coefficients, dtype=complex))
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match=message):
             GeneralizedProposition.from_state(state)
 

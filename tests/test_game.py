@@ -1,5 +1,8 @@
 """Prisoner-dilemma prospects: quarter law, broken symmetry, cohort sampling."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,13 +10,16 @@ from scipy.integrate import quad
 from qprospect import (
     GameSpec,
     InterferenceDistribution,
+    SizeLimitError,
     ValidationError,
+    ZeroProbabilityError,
     broken_symmetry_probabilities,
     classical_prospects,
     monte_carlo_cohort,
+    policy,
     quarter_law,
 )
-from qprospect.game import _piecewise_linear_moments, _positive_mass
+from qprospect.game import CohortReport, _piecewise_linear_moments, _positive_mass
 
 # joint-action statistics of the canonical disjunction-effect experiment:
 # cooperation is rare whatever the partner does
@@ -269,9 +275,147 @@ class TestMonteCarloCohort:
     def test_rejects_bad_modes(self):
         spec = GameSpec(DISJUNCTION_TABLE)
         dist = InterferenceDistribution.uniform()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^need at least one pair, got 0$"):
             monte_carlo_cohort(spec, dist, 0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(SizeLimitError,
+                           match=f"^{policy.MAX_PAIRS + 1} pairs is above the cap "
+                                 f"{policy.MAX_PAIRS}$"):
+            monte_carlo_cohort(spec, dist, policy.MAX_PAIRS + 1)
+        with pytest.raises(ValidationError,
+                           match="^fixed_q only makes sense with broken symmetry$"):
             monte_carlo_cohort(spec, dist, 10, symmetry="intact", fixed_q=True)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match="^symmetry must be 'broken' or 'intact', got 'sideways'$"):
             monte_carlo_cohort(spec, dist, 10, symmetry="sideways")
+        with pytest.raises(ValidationError,
+                           match="^favored must be 'cooperate' or 'defect', got 'sideways'$"):
+            monte_carlo_cohort(spec, dist, 10, favored="sideways")
+
+    def test_degenerate_inputs_keep_their_messages(self):
+        # no zero-mean density lives on one half-line, so these are built
+        # without validation
+        spec = GameSpec(DISJUNCTION_TABLE)
+        negative = unvalidated([-1.0, -0.5], [1.0, 1.0])
+        with pytest.raises(ValidationError,
+                           match="^density has no mass on the positive half-line$"):
+            monte_carlo_cohort(spec, negative, 10)
+        # with no interference, an all-zero table leaves both prospects at 0
+        empty = object.__new__(GameSpec)
+        object.__setattr__(empty, "joint", np.zeros((2, 2)))
+        with pytest.raises(ZeroProbabilityError,
+                           match="^both prospect probabilities clamp to zero$"):
+            monte_carlo_cohort(empty, negative, 10, fixed_q=True)
+
+
+def reference_positive_mass(dist: InterferenceDistribution) -> float:
+    """Trapezoid mass on [0, 1], with a knot at 0 where the grid straddles it."""
+    if dist.kind == "uniform":
+        return 0.5
+    grid, density = dist.grid, dist.density
+    if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
+        cut = int(np.searchsorted(grid, 0.0))
+        grid = np.insert(grid, cut, 0.0)
+        density = np.insert(density, cut, dist.pdf(0.0))
+    keep = grid >= 0.0
+    grid, density = grid[keep], density[keep]
+    return float(np.sum((density[:-1] + density[1:]) * np.diff(grid) / 2.0))
+
+
+def reference_inverse_cdf(dist, grid, kinks, n, rng):
+    fine = np.unique(np.concatenate([grid, kinks]))
+    values = dist.pdf(fine)
+    cum = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * np.diff(fine) / 2.0)])
+    return np.interp(rng.random(n), cum / cum[-1], fine)
+
+
+def reference_cohort(spec, dist, n, symmetry, favored, seed, fixed_q) -> CohortReport:
+    """The cohort as plain whole-array expressions, one fresh array per step.
+
+    The draws are made in the same order from the same generator, so every
+    field must equal the library's bit for bit.
+    """
+    f1, f2 = classical_prospects(spec)
+    rng = np.random.default_rng(seed)
+    if symmetry == "broken":
+        if fixed_q:
+            magnitudes = np.full(n, quarter_law(dist)[0])
+        elif dist.kind == "uniform":
+            magnitudes = reference_positive_mass(dist) * rng.random(n)
+        else:
+            kinks = dist.grid[(dist.grid > 0) & (dist.grid < 1)]
+            magnitudes = reference_positive_mass(dist) * reference_inverse_cdf(
+                dist, np.linspace(0.0, 1.0, 16385), kinks, n, rng)
+        q1 = magnitudes if favored == "cooperate" else -magnitudes
+        reported = magnitudes
+    else:
+        favored = None
+        if dist.kind == "uniform":
+            body = 2.0 * rng.random(n) - 1.0
+        else:
+            body = reference_inverse_cdf(dist, np.linspace(-1.0, 1.0, 32769), dist.grid, n, rng)
+        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        q1 = reported = signs * np.abs(body)
+    c1 = np.clip(f1 + q1, 0.0, 1.0)
+    c2 = np.clip(f2 - q1, 0.0, 1.0)
+    total = c1 + c2
+    p1, p2 = c1 / total, c2 / total
+    stderr = float(reported.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return CohortReport(n, symmetry, favored, float(reported.mean()), stderr,
+                        float(p1.mean()), float(p2.mean()), seed, fixed_q)
+
+
+COHORT_TABLES = [
+    DISJUNCTION_TABLE,                        # f = (0.1, 0.9): favoring defection clamps
+    np.array([[0.3, 0.2], [0.25, 0.25]]),     # f = (0.5, 0.5)
+    np.array([[0.5, 0.45], [0.03, 0.02]]),    # f = (0.95, 0.05): favoring cooperation clamps
+]
+COHORT_MODES = [("broken", False), ("broken", True), ("intact", False)]
+
+
+def cohort_densities():
+    return [
+        InterferenceDistribution.uniform(),
+        # a knot at 0 on a lopsided shape
+        InterferenceDistribution.tabulated([-1.0, -0.5, 0.0, 1.0], [0.0, 0.5, 1.0, 0.0]),
+        # a grid that straddles 0 without a knot there
+        random_zero_mean_density(np.random.default_rng(1301), with_zero_knot=False),
+    ]
+
+
+def bits(report: CohortReport) -> list[str]:
+    return [repr(x) for x in astuple(report)]
+
+
+class TestCohortKernel:
+    """The in-place cohort kernel against the plain-array reference."""
+
+    @pytest.mark.parametrize("favored", ["cooperate", "defect"])
+    @pytest.mark.parametrize("symmetry,fixed_q", COHORT_MODES)
+    def test_bit_identical_to_the_plain_formula(self, symmetry, fixed_q, favored):
+        densities = cohort_densities()
+        cases = [(table, dist, n, seed)
+                 for table in COHORT_TABLES for dist in densities
+                 for n in (1, 2, 7, 20_000) for seed in (0, 1, 2)]
+        # one clamping table and two densities at the benchmark's size
+        cases += [(DISJUNCTION_TABLE, dist, 1_000_000, 3) for dist in densities[:2]]
+        for table, dist, n, seed in cases:
+            spec = GameSpec(table)
+            got = monte_carlo_cohort(spec, dist, n, symmetry, favored, seed, fixed_q)
+            want = reference_cohort(spec, dist, n, symmetry, favored, seed, fixed_q)
+            assert bits(got) == bits(want), (table.tolist(), dist.kind, n, seed)
+
+    @pytest.mark.parametrize("favored", ["cooperate", "defect"])
+    @pytest.mark.parametrize("symmetry,fixed_q", COHORT_MODES)
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["uniform", "tabulated"])
+    def test_peak_is_at_most_four_arrays(self, symmetry, fixed_q, favored, tabulated):
+        n = 1_000_000
+        spec = GameSpec(DISJUNCTION_TABLE)
+        dist = cohort_densities()[1 if tabulated else 0]
+        tracemalloc.start()
+        try:
+            monte_carlo_cohort(spec, dist, n, symmetry, favored, seed=9, fixed_q=fixed_q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one fresh array per step held about eight at once
+        assert peak <= 4 * 8 * n
