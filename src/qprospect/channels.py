@@ -145,8 +145,8 @@ def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperato
             f"dims {dims} incompatible with joint state of dim {rho.dim}"
         )
     return (
-        DensityOperator(qcore.partial_trace(rho.matrix, dims, 0)),
-        DensityOperator(qcore.partial_trace(rho.matrix, dims, 1)),
+        DensityOperator(qcore._partial_trace(rho.matrix, dims, 0)),
+        DensityOperator(qcore._partial_trace(rho.matrix, dims, 1)),
     )
 
 

@@ -65,11 +65,15 @@ class CompositeState(DensityOperator):
     def element(self, m: int, alpha: int, n: int, beta: int) -> complex:
         """Matrix element ``<m alpha| rho |n beta>``."""
         da, db = self.dims
+        if not (0 <= m < da and 0 <= n < da and 0 <= alpha < db and 0 <= beta < db):
+            raise ValidationError(
+                f"element indices ({m}, {alpha}, {n}, {beta}) out of range for dims {self.dims}"
+            )
         return complex(self.matrix[m * db + alpha, n * db + beta])
 
     def reduced(self, keep: int) -> DensityOperator:
         """Reduced state of one factor (0 keeps the first, 1 the second)."""
-        return DensityOperator(qcore.partial_trace(self.matrix, self.dims, keep))
+        return DensityOperator(qcore._partial_trace(self.matrix, self.dims, keep))
 
     @classmethod
     def from_amplitudes(cls, c) -> "CompositeState":
@@ -139,8 +143,8 @@ def marginals(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:
     """
     table = joint_table(state)
     pa, pb = table.sum(axis=1), table.sum(axis=0)
-    ra = qcore.partial_trace(state.matrix, state.dims, 0).diagonal().real
-    rb = qcore.partial_trace(state.matrix, state.dims, 1).diagonal().real
+    ra = qcore._partial_trace(state.matrix, state.dims, 0).diagonal().real
+    rb = qcore._partial_trace(state.matrix, state.dims, 1).diagonal().real
     qcore.require_within(np.maximum(np.abs(pa - ra).max(), np.abs(pb - rb).max()), 1e-12,
                          "marginal routes disagree: table sums vs partial traces by "
                          "{measured:.3e}", NumericContractError)

@@ -152,8 +152,17 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     keep : int
         0 keeps the first factor (traces out the second), 1 keeps the
         second.
+
+    A raw ``m`` is checked in full here: square, nonempty, within the cap
+    and finite.  The reductions of a validated state (``CompositeState``,
+    ``composite.marginals``, ``channels.readout``) skip that O(D^2) scan,
+    because the state's matrix was checked once, when the state was built.
     """
-    a = as_complex_matrix(m, "bipartite operator")
+    return _partial_trace(as_complex_matrix(m, "bipartite operator"), dims, keep)
+
+
+def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """:func:`partial_trace` of a square finite complex ``a``; checks ``dims`` and ``keep``."""
     d0, d1 = int(dims[0]), int(dims[1])
     if d0 < 1 or d1 < 1 or d0 * d1 != a.shape[0]:
         raise DimensionMismatchError(

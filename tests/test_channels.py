@@ -7,6 +7,7 @@ import scipy.linalg
 from qprospect import (
     CompositeState,
     DensityOperator,
+    DimensionMismatchError,
     MeasurerSpec,
     Observable,
     PipelineStage,
@@ -66,6 +67,14 @@ class TestStageBuildingBlocks:
         system, meter = readout(joint, (2, 2))
         assert np.abs(system.matrix - rho_a.matrix).max() < 1e-12
         assert np.abs(meter.matrix - rho_b.matrix).max() < 1e-12
+
+    def test_readout_refuses_non_positive_dims(self, rng):
+        joint = DensityOperator(tensor_product(random_density(2, rng).matrix,
+                                               random_density(2, rng).matrix))
+        # (-2) * (-2) matches the joint dimension, so the reduction's own dims check refuses it
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^dims \(-2, -2\) incompatible with operator of dimension 4$"):
+            readout(joint, (-2, -2))
 
     def test_transform_conjugates(self, rng):
         rho = random_density(3, rng)

@@ -35,7 +35,7 @@ from qprospect import (
     prospect_probability,
     resolution_residuals,
 )
-from qprospect import policy
+from qprospect import channels, policy, qcore
 
 from helpers import (
     random_amplitudes,
@@ -79,6 +79,21 @@ class TestCompositeState:
         state = CompositeState.product(rho_a, rho_b)
         assert np.abs(state.reduced(0).matrix - rho_a.matrix).max() < 1e-12
         assert np.abs(state.reduced(1).matrix - rho_b.matrix).max() < 1e-12
+
+    def test_element_indices_are_range_checked(self):
+        state = CompositeState.from_amplitudes([[0.6, 0.0], [0.8, 0.0]])
+        assert state.element(1, 0, 1, 0) == pytest.approx(0.64)
+        # each of these once aliased to <1 0|rho|1 0> or ended in a numpy IndexError
+        for indices in [(0, 2, 0, 2), (-1, 0, -1, 0), (2, 0, 2, 0), (0, 0, 0, 2), (0, 0, 2, 0),
+                        (0, -1, 0, 0), (0, 0, -1, 0)]:
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"element indices {indices} out of range for dims (2, 2)")):
+                state.element(*indices)
+
+    def test_reduced_keep_is_checked(self, rng):
+        state = random_composite(2, 3, rng)
+        with pytest.raises(ValidationError, match="^keep must be 0 or 1, got 2$"):
+            state.reduced(2)
 
     def test_dims_must_divide_matrix(self):
         with pytest.raises(ValidationError):
@@ -170,6 +185,59 @@ class TestEachStateValidatedOnce:
             # one rounded product per entry: a few ulp, far inside the tolerance
             assert np.abs(m - m.conj().T).max() <= 1e-15
             assert np.linalg.eigvalsh(m).min() >= -policy.tolerance()
+
+
+class TestStateMatrixScannedOnce:
+    """The reductions of a validated state skip the full-size finiteness scan."""
+
+    @pytest.fixture
+    def scanned_shapes(self, monkeypatch):
+        shapes = []
+        original = qcore.as_complex_matrix
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(qcore, "as_complex_matrix", counting)
+        return shapes
+
+    def test_reductions_of_a_state_do_not_rescan_it(self, scanned_shapes, rng):
+        state = CompositeState.from_amplitudes(random_amplitudes(32, 32, rng))
+        b = MultimodeState.in_standard_basis(random_multimode_coefficients(32, rng))
+        scanned_shapes.clear()
+        marginals(state)
+        entanglement_production(state)
+        conditional_under_uncertainty(state, Prospect(3, b))
+        assert (1024, 1024) not in scanned_shapes
+        # the counter counts: the public function scans a raw matrix in full
+        qcore.partial_trace(state.matrix, state.dims, 0)
+        assert scanned_shapes.count((1024, 1024)) == 1
+
+    @pytest.mark.parametrize("dims", [(2, 2), (8, 8), (16, 16), (32, 32)])
+    def test_bit_identical_to_the_public_route(self, dims, rng, monkeypatch):
+        states = [CompositeState.from_amplitudes(random_amplitudes(*dims, rng))]
+        if dims[0] * dims[1] <= 64:
+            states.append(random_composite(*dims, rng))
+        kernel, seen = qcore._partial_trace, []
+
+        def recording(*args):
+            seen.append(kernel(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(qcore, "_partial_trace", recording)
+        for state in states:
+            public = [qcore.partial_trace(state.matrix, dims, keep) for keep in (0, 1)]
+            for keep in (0, 1):
+                assert np.array_equal(state.reduced(keep).matrix, public[keep])
+            for got, want in zip(channels.readout(state, dims), public):
+                assert np.array_equal(got.matrix, want)
+            seen.clear()
+            pa, pb = marginals(state)
+            # the cross-check read the very reductions the public route gives
+            assert len(seen) == 2 and all(map(np.array_equal, seen, public))
+            table = joint_table(state)
+            assert np.array_equal(pa, table.sum(axis=1)) and np.array_equal(pb, table.sum(axis=0))
 
 
 class TestJointEvents:

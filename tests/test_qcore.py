@@ -111,6 +111,35 @@ class TestPartialTrace:
         with pytest.raises(ValidationError):
             partial_trace(np.eye(6), (2, 2), 0)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1j * np.nan, -1j * np.inf])
+    def test_raw_matrix_is_scanned_for_finiteness(self, entry):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = entry
+        # the scan runs before the O(1) checks, so a bad keep does not mask it
+        for keep in (0, 2):
+            with pytest.raises(ValidationError, match="^bipartite operator has non-finite entries$"):
+                partial_trace(m, (2, 2), keep)
+
+    @pytest.mark.parametrize("m, dims, keep, error, message", [
+        (np.ones((2, 3)), (1, 2), 0, DimensionMismatchError,
+         r"bipartite operator must be square, got shape \(2, 3\)"),
+        (np.zeros((0, 0)), (1, 1), 0, ValidationError, "bipartite operator is empty"),
+        # a broadcast view: checked against the cap without allocating 4097^2 entries
+        (np.broadcast_to(np.complex128(0), (4097, 4097)), (17, 241), 0, SizeLimitError,
+         "bipartite operator has dimension 4097, above the cap 4096"),
+        (np.eye(4), (-2, -2), 0, DimensionMismatchError,
+         r"dims \(-2, -2\) incompatible with operator of dimension 4"),
+        (np.eye(4), (0, 4), 1, DimensionMismatchError,
+         r"dims \(0, 4\) incompatible with operator of dimension 4"),
+        (np.eye(6), (2, 2), 0, DimensionMismatchError,
+         r"dims \(2, 2\) incompatible with operator of dimension 6"),
+        (np.eye(4), (2, 2), 2, ValidationError, "keep must be 0 or 1, got 2"),
+    ])
+    def test_refusals_keep_their_type_and_message(self, m, dims, keep, error, message):
+        with pytest.raises(error, match=f"^{message}$") as info:
+            partial_trace(m, dims, keep)
+        assert type(info.value) is error
+
 
 class TestMatrixExponential:
     def test_agrees_with_scipy_expm(self, rng):
