@@ -22,6 +22,8 @@ of their kept spectra (:func:`qcore.product_state`).  An evolved state
 a small multiple of ``eps * dim``.  A transform ``T`` is checked unitary
 only entrywise within the tolerance, which may move the eigenvalues of
 ``T rho T+`` by ``dim`` times the tolerance, so that state is decomposed.
+A ``MeasurerSpec`` decomposes its coupling once, at the first evolve
+stage of the first pipeline it runs, and keeps the ``eigh``.
 """
 
 from dataclasses import dataclass
@@ -61,10 +63,18 @@ class MeasurerSpec:
                 f"of the measurer dimension {self.dim}"
             )
         object.__setattr__(self, "coupling", qcore.freeze(coupling))
+        object.__setattr__(self, "_coupling_eigh", None)
 
     @property
     def system_dim(self) -> int:
         return self.coupling.shape[0] // self.dim
+
+    def _decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept ``eigh`` of the coupling, found on first use."""
+        if self._coupling_eigh is None:
+            kept = tuple(map(qcore.freeze, np.linalg.eigh(self.coupling)))
+            object.__setattr__(self, "_coupling_eigh", kept)
+        return self._coupling_eigh
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +190,9 @@ def run_pipeline(
 
     Notes
     -----
-    The coupling is checked Hermitian and decomposed once, at the first
-    evolve stage; each propagator uses the phase formula of
+    The coupling, checked Hermitian when ``measurer`` was built, is
+    decomposed once per ``MeasurerSpec``, at the first evolve stage of the
+    first pipeline it runs; each propagator uses the phase formula of
     :func:`qcore.matrix_exponential`.  Each state checks positivity as the
     module docstring describes.  ``PipelineStage`` checked ``T`` unitary,
     and ``T (x) 1`` has exactly its defect, so it is not checked again.
@@ -209,7 +220,6 @@ def run_pipeline(
     records: list[StageRecord] = []
     clock = 0.0
     joint = None
-    generator = None
     first_readout: DensityOperator | None = None
     last_readout: DensityOperator | None = None
 
@@ -218,10 +228,7 @@ def run_pipeline(
             joint = compose(rho, measurer)
             records.append(StageRecord("compose", clock, joint))
         elif stage.kind == "evolve":
-            if generator is None:
-                generator = np.linalg.eigh(
-                    qcore.require_hermitian(measurer.coupling, "generator"))
-            u = qcore.propagator_from_eigh(generator, float(stage.duration))
+            u = qcore.propagator_from_eigh(measurer._decomposition(), float(stage.duration))
             joint = _conjugate(joint, u)
             clock += stage.duration
             records.append(StageRecord("evolve", clock, joint))

@@ -3,12 +3,12 @@
 States are coefficient vectors over a fixed mode basis; the generator
 is a static part plus a piecewise-constant perturbation, so propagation
 is an ordered product of exact matrix exponentials, one per constant
-segment.  Evolving each mode separately from a common start time yields
-the two-time amplitude matrix ``c[n, alpha]``: the weight of arriving in
-mode ``n`` at the final time having been in mode ``alpha`` at the start
-time.  Its squared entries are joint two-time probabilities, and
-multimode combinations of its rows carry interference exactly like
-composite prospects.
+segment, and each generator is decomposed once per spec.  Evolving each
+mode separately from a common start time yields the two-time amplitude
+matrix ``c[n, alpha]``: the weight of arriving in mode ``n`` at the
+final time having been in mode ``alpha`` at the start time.  Its squared
+entries are joint two-time probabilities, and multimode combinations of
+its rows carry interference exactly like composite prospects.
 """
 
 from dataclasses import dataclass
@@ -33,6 +33,15 @@ class HamiltonianSpec:
     increasing start times; each matrix is Hermitian and applies from its
     start time until the next piece begins.  Before the first start time
     only ``h0`` acts.
+
+    Each generator ``h0 + V(t)`` is checked Hermitian and decomposed the
+    first time a propagation needs it, and the spec keeps the ``eigh``.  A
+    generator refused by the check is not kept, so every call refuses it.
+    Under :func:`policy.tolerance_scope` the check that counts is the one
+    at the first decomposition, as a ``DensityOperator``'s are the ones
+    made when it was built.  Threads need no lock: a race computes the
+    same decomposition twice.  A fully used spec holds about twice the
+    memory of its matrices, one ``d x d`` eigenvector matrix per generator.
     """
 
     h0: np.ndarray
@@ -43,8 +52,12 @@ class HamiltonianSpec:
         object.__setattr__(self, "h0", qcore.freeze(h0))
         cleaned = []
         previous = -np.inf
-        for k, (start, matrix) in enumerate(self.pieces):
-            start = float(start)
+        for k, piece in enumerate(self.pieces):
+            try:
+                start, matrix = piece
+                start = float(start)
+            except (TypeError, ValueError):
+                raise ValidationError(f"piece {k} must be a (start, matrix) pair") from None
             if not np.isfinite(start):
                 raise ValidationError(f"piece {k} has non-finite start time")
             if start <= previous:
@@ -57,6 +70,7 @@ class HamiltonianSpec:
                 )
             cleaned.append((start, qcore.freeze(m)))
         object.__setattr__(self, "pieces", tuple(cleaned))
+        object.__setattr__(self, "_decompositions", {})
 
     @property
     def dim(self) -> int:
@@ -70,6 +84,15 @@ class HamiltonianSpec:
         """Full generator ``h0 + V(t)`` active at time ``t``."""
         k = self._begun(t)
         return self.h0 if k == 0 else self.h0 + self.pieces[k - 1][1]
+
+    def _decomposition(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The kept ``eigh`` of the generator active at ``t``, found on first use."""
+        k = self._begun(t)
+        found = self._decompositions.get(k)
+        if found is None:
+            generator = qcore.require_hermitian(self.generator_at(t), "generator")
+            found = self._decompositions[k] = tuple(map(qcore.freeze, np.linalg.eigh(generator)))
+        return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +123,6 @@ class WaveState:
 
 def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
     """Ordered product of exact segment propagators from ``t0`` to ``t``."""
-    return _propagator(h, t0, t, {})
-
-
-def _propagator(h: HamiltonianSpec, t0: float, t: float, decompositions: dict) -> np.ndarray:
-    """:func:`propagator`, reusing the generator decompositions kept in ``decompositions``."""
     t0, t = float(t0), float(t)
     if not (np.isfinite(t0) and np.isfinite(t)):
         raise ValidationError("propagation times must be finite")
@@ -116,25 +134,17 @@ def _propagator(h: HamiltonianSpec, t0: float, t: float, decompositions: dict) -
     edges = [t0, *cuts, t]
     u = np.eye(h.dim, dtype=complex)
     for a, b in zip(edges, edges[1:]):
-        k = h._begun(a)
-        if k not in decompositions:
-            decompositions[k] = np.linalg.eigh(
-                qcore.require_hermitian(h.generator_at(a), "generator"))
-        u = qcore.propagator_from_eigh(decompositions[k], b - a) @ u
+        u = qcore.propagator_from_eigh(h._decomposition(a), b - a) @ u
     return u
 
 
 def evolve_state(psi: WaveState, h: HamiltonianSpec, t: float) -> WaveState:
     """Propagate a wave state to time ``t``; norm drift is an error."""
-    return _evolve_state(psi, h, t, {})
-
-
-def _evolve_state(psi: WaveState, h: HamiltonianSpec, t: float, decompositions: dict) -> WaveState:
     if psi.dim != h.dim:
         raise DimensionMismatchError(
             f"state dim {psi.dim} vs generator dim {h.dim}"
         )
-    u = _propagator(h, psi.time, t, decompositions)
+    u = propagator(h, psi.time, t)
     return WaveState(u @ psi.coefficients, t)
 
 
@@ -171,11 +181,11 @@ def amplitude_matrix(psi: WaveState, h: HamiltonianSpec, t0: float, t: float) ->
     to ``t`` by the same propagator.  Unitarity makes every column's
     squared norm equal the start-time occupation of its mode; that
     identity is enforced here to 1e-10 as a numeric contract.  Each
-    generator is decomposed once, also the one both propagations use at ``t0``.
+    generator is decomposed once per spec, also the one both propagations
+    use at ``t0``; a later call on the same ``h`` decomposes none.
     """
-    decompositions: dict = {}
-    start = _evolve_state(psi, h, t0, decompositions)
-    u = _propagator(h, t0, t, decompositions)
+    start = evolve_state(psi, h, t0)
+    u = propagator(h, t0, t)
     c = u * start.coefficients[None, :]
     column_defect = float(np.abs(np.sum(np.abs(c) ** 2, axis=0) - start.occupations()).max())
     qcore.require_within(column_defect, 1e-10,
@@ -222,11 +232,8 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
     rows, cols = amp.dims
     if not 0 <= n < rows:
         raise ValidationError(f"mode index {n} out of range for {rows} modes")
-    if isinstance(b, MultimodeState):
-        if not np.array_equal(b.basis.eigenbasis, np.eye(cols)):
-            raise ValidationError(
-                "two-time prospects are defined over the mode basis itself"
-            )
+    multimode = isinstance(b, MultimodeState)
+    if multimode:
         coeff = b.coefficients
     else:
         coeff = qcore.as_complex_vector(b, "multimode coefficients")
@@ -236,6 +243,8 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
         raise DimensionMismatchError(
             f"{coeff.size} multimode weights vs {cols} start modes"
         )
+    if multimode and not np.array_equal(b.basis.eigenbasis, np.eye(cols)):
+        raise ValidationError("two-time prospects are defined over the mode basis itself")
     row = amp.c[n]
     _, f, q = qcore.mode_split(coeff, np.outer(row, row.conj()))
     p = abs(np.vdot(coeff, row)) ** 2

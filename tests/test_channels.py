@@ -308,6 +308,18 @@ class TestKeptSpectra:
         assert decomposed_sizes["eigvalsh"].count(256) == 1
         assert sorted(decomposed_sizes["eigvalsh"]) == [16, 16, 16, 16, 256]
 
+    def test_second_pipeline_decomposes_nothing(self, decomposed_sizes, rng):
+        rho, measurer, stages = six_stage_pipeline(4, 3, rng)
+        run_pipeline(rho, measurer, stages)
+        decomposed_sizes["eigh"].clear()
+        again = run_pipeline(rho, measurer, stages)
+        assert decomposed_sizes["eigh"] == []
+        fresh = run_pipeline(rho, MeasurerSpec(3, measurer.initial_state, measurer.coupling),
+                             stages)
+        assert decomposed_sizes["eigh"] == [12]
+        for kept, built in zip(again.records, fresh.records):
+            assert np.array_equal(kept.state.matrix, built.state.matrix)
+
     def test_every_stage_keeps_its_spectrum(self, rng):
         rho, measurer, stages = six_stage_pipeline(16, 16, rng)
         trace = run_pipeline(rho, measurer, stages)

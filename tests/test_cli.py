@@ -566,6 +566,18 @@ class TestOneStderrLine:
         assert result.stderr.splitlines() == [line]
 
 
+    def test_wrong_size_multimode_state_is_one_line(self, tmp_path):
+        # the size check once came after the mode-basis check, whose message misled
+        doc = copy.deepcopy(SCENARIOS["dynamics_rabi"])
+        doc["multimode"]["b"] = [0.6, 0.8, 0.0]
+        path = tmp_path / "dynamics_rabi.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli_python("import sys\n" + RUN_MAIN, "dynamics", "--scenario", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["error: 3 multimode weights vs 2 start modes"]
+
+
 def _load(file: str) -> dict:
     with open(data(file), encoding="utf-8") as handle:
         return json.load(handle)

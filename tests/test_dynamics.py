@@ -1,5 +1,8 @@
 """Piecewise-constant dynamics, two-time amplitudes, and their prospects."""
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +10,7 @@ import scipy.linalg
 from qprospect import (
     AmplitudeMatrix,
     CompositeState,
+    DimensionMismatchError,
     HamiltonianSpec,
     MultimodeState,
     Prospect,
@@ -16,6 +20,7 @@ from qprospect import (
     evolve_state,
     occupation_residual,
     propagator,
+    policy,
     prospect_probability,
     two_time_joint,
     two_time_prospect,
@@ -37,6 +42,30 @@ def rk4_propagate(h_of_t, c0, t0, t, steps=4000):
         k4 = f(tk + dt, c + dt * k3)
         c = c + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6
     return c
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The size of every matrix passed to ``np.linalg.eigh`` while the test runs."""
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *args, **kw: calls.append(np.shape(a)[-1]) or original(a, *args, **kw))
+    return calls
+
+
+def random_drive(d, rng):
+    """A random static generator and ten random pieces starting at 0.1, 0.2, ..., 1.0."""
+    def hermitian(scale=1.0):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return scale * (a + a.conj().T) / 2.0
+
+    return hermitian(), tuple((0.1 * (k + 1), hermitian(0.5)) for k in range(10))
+
+
+def random_wave(d, rng):
+    c0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return WaveState(c0 / np.linalg.norm(c0))
 
 
 class TestHamiltonianSpec:
@@ -63,6 +92,73 @@ class TestHamiltonianSpec:
     def test_piece_shape_must_match(self):
         with pytest.raises(ValidationError):
             HamiltonianSpec(np.zeros((2, 2)), pieces=((0.0, np.zeros((3, 3))),))
+
+    @pytest.mark.parametrize("piece", [(0.0,), 0.0, (0.0, SX, SX), ("soon", SX), (1j, SX)],
+                             ids=["one", "bare", "three", "text-start", "complex-start"])
+    def test_malformed_piece_rejected(self, piece):
+        with pytest.raises(ValidationError, match=r"^piece 0 must be a \(start, matrix\) pair$"):
+            HamiltonianSpec(np.eye(2), pieces=(piece,))
+
+
+class TestKeptDecompositions:
+    """A spec decomposes each generator once and every later call reuses it."""
+
+    def test_second_call_decomposes_nothing(self, eigh_calls, rng):
+        parts, psi = random_drive(8, rng), random_wave(8, rng)
+        h = HamiltonianSpec(*parts)
+        evolve_state(psi, h, 1.3)
+        amplitude_matrix(psi, h, 0.25, 1.3)
+        eigh_calls.clear()
+        state, amp = evolve_state(psi, h, 1.3), amplitude_matrix(psi, h, 0.25, 1.3)
+        assert eigh_calls == []
+        assert np.array_equal(state.coefficients,
+                              evolve_state(psi, HamiltonianSpec(*parts), 1.3).coefficients)
+        assert np.array_equal(amp.c, amplitude_matrix(psi, HamiltonianSpec(*parts), 0.25, 1.3).c)
+
+    def test_refused_generator_is_refused_again(self):
+        # h0 and the piece each pass, 0.9 tol from Hermitian; their sum is 1.8 tol off
+        skew = np.array([[0.0, 0.9 * policy.tolerance()], [0.0, 0.0]])
+        h = HamiltonianSpec(skew, pieces=((0.5, skew),))
+        psi = WaveState(np.array([1.0, 0.0]))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as refused:
+                evolve_state(psi, h, 1.0)
+            messages.append(str(refused.value))
+        assert messages == ["generator is not Hermitian: max deviation 1.800e-10 "
+                            "exceeds 1.0e-10"] * 2
+
+    def test_replace_gives_its_own_store(self, eigh_calls, rng):
+        (h0, pieces), psi = random_drive(8, rng), random_wave(8, rng)
+        h = HamiltonianSpec(h0, pieces)
+        evolve_state(psi, h, 1.3)
+        eigh_calls.clear()
+        doubled = dataclasses.replace(h, h0=2.0 * h0)
+        got = evolve_state(psi, doubled, 1.3)
+        assert len(eigh_calls) == 11
+        assert np.array_equal(got.coefficients,
+                              evolve_state(psi, HamiltonianSpec(2.0 * h0, pieces), 1.3).coefficients)
+        eigh_calls.clear()
+        evolve_state(psi, h, 1.3)
+        assert eigh_calls == []
+
+    def test_threads_agree_bit_for_bit(self, rng):
+        parts, psi = random_drive(32, rng), random_wave(32, rng)
+        h = HamiltonianSpec(*parts)
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def evolve(slot):
+            start.wait()
+            results[slot] = amplitude_matrix(psi, h, 0.25, 1.3).c
+
+        threads = [threading.Thread(target=evolve, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        want = amplitude_matrix(psi, HamiltonianSpec(*parts), 0.25, 1.3).c
+        assert all(c is not None and np.array_equal(c, want) for c in results)
 
 
 class TestPropagator:
@@ -174,26 +270,15 @@ class TestAmplitudeMatrix:
         cols = np.sum(np.abs(amp.c) ** 2, axis=0)
         assert np.abs(cols - at_one.occupations()).max() < 1e-12
 
-    def test_each_generator_is_decomposed_once(self, rng, monkeypatch):
-        def hermitian(d, scale=1.0):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            return scale * (a + a.conj().T) / 2.0
-
-        d = 16
-        h = HamiltonianSpec(
-            hermitian(d), tuple((0.1 * (k + 1), hermitian(d, 0.5)) for k in range(10)))
-        c0 = rng.normal(size=d) + 1j * rng.normal(size=d)
-        psi = WaveState(c0 / np.linalg.norm(c0))
+    def test_each_generator_is_decomposed_once(self, eigh_calls, rng):
+        h = HamiltonianSpec(*random_drive(16, rng))
+        psi = random_wave(16, rng)
         t0, t = 0.35, 1.25
-        # the public two-step route, which decomposes the generator at t0 twice
+        # the public two-step route, then the one-call route, on one fresh spec
         want = propagator(h, t0, t) * evolve_state(psi, h, t0).coefficients[None, :]
-        calls = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda a, *args, **kw: calls.append(a) or original(a, *args, **kw))
         amp = amplitude_matrix(psi, h, t0, t)
-        # h0 and the ten pieces: every piece has begun by t
-        assert len(calls) == 11
+        # h0 and the ten pieces, once each: every piece has begun by t
+        assert len(eigh_calls) == 11
         assert np.array_equal(amp.c, want)
 
     def test_total_weight_validated(self):
@@ -307,6 +392,14 @@ class TestTwoTimeProspect:
         )
         with pytest.raises(ValidationError):
             two_time_prospect(amp, 0, rotated)
+
+    def test_wrong_size_state_is_a_size_mismatch(self):
+        # the size is checked before the basis, as for a bare array
+        amp = amplitude_matrix(WaveState(np.array([0.6, 0.8])), self.drive(), 0.0, 0.8)
+        for b in (np.array([0.6, 0.8, 0.0]), MultimodeState.in_standard_basis([0.6, 0.8, 0.0])):
+            with pytest.raises(DimensionMismatchError,
+                               match="^3 multimode weights vs 2 start modes$"):
+                two_time_prospect(amp, 0, b)
 
     def test_zero_weights_rejected(self):
         psi = WaveState(np.array([0.6, 0.8]))
