@@ -5,15 +5,14 @@ Usage::
     qprospect <subcommand> --scenario <path> [--format table|csv|json]
               [--seed N] [--out <path>]
 
-Subcommands: born, lueders, wigner, kirkwood, joint, prospect,
-conditional, pipeline, entanglement, game, quarter-law, dynamics,
-selftest.  All except ``selftest`` read one scenario file (see
-:mod:`qprospect.scenario` for the format); ``selftest`` runs the
+The subcommands are the ops of ``_OPS`` below, each with the ``run``
+directives it reads, plus ``selftest``.  Every op reads one scenario file
+(see :mod:`qprospect.scenario` for the format); ``selftest`` runs the
 acceptance criteria and prints one pass/fail line per criterion.
 
 Exit codes: 0 success, 1 selftest failure, 2 validation error (bad
-scenario, bad references, invariant violations), 3 numeric-contract
-violation.  ``run.tolerance`` in the scenario overrides the
+scenario, bad references, invariant violations, an unwritable ``--out``),
+3 numeric-contract violation.  ``run.tolerance`` in the scenario overrides the
 operator-validation tolerance for the duration of the run.
 
 Output is deterministic for a fixed seed; seed precedence is
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import __version__, policy
 from .errors import NumericContractError, ScenarioError, ValidationError
-from .scenario import FORMATS, KNOWN_OPS, ResultTable, Scenario, _wrap_domain, parse_scenario
+from .scenario import FORMATS, ResultTable, Scenario, _seed, _wrap_domain, parse_scenario
 
 
 # ----------------------------------------------------------- subcommands
@@ -266,19 +265,21 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
         table.add(f"prospect.q[{n}]", entry.q, "two_time_prospect")
 
 
-_HANDLERS = {
-    "born": _op_born,
-    "lueders": _op_lueders,
-    "wigner": _op_wigner,
-    "kirkwood": _op_kirkwood,
-    "joint": _op_joint,
-    "prospect": _op_prospect,
-    "conditional": _op_conditional,
-    "pipeline": _op_pipeline,
-    "entanglement": _op_entanglement,
-    "game": _op_game,
-    "quarter-law": _op_quarter_law,
-    "dynamics": _op_dynamics,
+# every op: its handler and the run directives it reads besides op, format,
+# seed and tolerance
+_OPS = {
+    "born": (_op_born, ("observable",)),
+    "lueders": (_op_lueders, ("observable", "index")),
+    "wigner": (_op_wigner, ("first", "second")),
+    "kirkwood": (_op_kirkwood, ("first", "second")),
+    "joint": (_op_joint, ()),
+    "prospect": (_op_prospect, ("multimode", "normalized")),
+    "conditional": (_op_conditional, ("multimode", "index")),
+    "pipeline": (_op_pipeline, ()),
+    "entanglement": (_op_entanglement, ("log_base",)),
+    "game": (_op_game, ()),
+    "quarter-law": (_op_quarter_law, ()),
+    "dynamics": (_op_dynamics, ("start", "index", "multimode")),
 }
 
 
@@ -286,11 +287,15 @@ def run(scenario: Scenario, op: str | None = None, seed: int | None = None) -> R
     """Dispatch a parsed scenario to its library operation.
 
     ``op`` overrides (and must agree with) the scenario's ``run.op`` when
-    both are present.  ``seed`` overrides ``run.seed``; the resolved value
-    lands in the table metadata so results are reproducible from the
-    output alone.
+    both are present.  A ``run`` directive the op does not read is refused.
+    ``seed`` overrides ``run.seed``; the resolved value lands in the table
+    metadata so results are reproducible from the output alone.
     """
     declared = scenario.run.get("op")
+    known = (*_OPS, "selftest")  # a tuple: an unhashable op is unknown, not a TypeError
+    for name in (declared, op):
+        if name is not None and name not in known:
+            raise ScenarioError(f"unknown op {name!r} (known: {', '.join(known)})", "run.op")
     if op is None:
         op = declared
     elif declared is not None and declared != op:
@@ -300,29 +305,31 @@ def run(scenario: Scenario, op: str | None = None, seed: int | None = None) -> R
         raise ScenarioError("no operation: pass a subcommand or set run.op", "run.op")
     if op == "selftest":
         raise ScenarioError("selftest takes no scenario; run it directly", "run.op")
-    if op not in _HANDLERS:
-        raise ScenarioError(f"unknown op {op!r}", "run.op")
+    handler, reads = _OPS[op]
+    for key in scenario.run:
+        if key not in reads and key not in ("op", "format", "seed", "tolerance"):
+            raise ScenarioError(f"op {op!r} does not read this directive", f"run.{key}")
 
-    resolved_seed = scenario.seed(seed)
+    resolved_seed = scenario.run.get("seed", 0) if seed is None else _seed(seed, "--seed")
     table = ResultTable(title=op)
     table.metadata["version"] = __version__
     table.metadata["op"] = op
     table.metadata["seed"] = resolved_seed
     with policy.tolerance_scope(scenario.run.get("tolerance", policy.tolerance())):
         table.metadata["tolerance"] = policy.tolerance()
-        _HANDLERS[op](scenario, table, resolved_seed)
+        handler(scenario, table, resolved_seed)
     return table
 
 
-def _selftest(out) -> int:
+def _selftest() -> tuple[str, int]:
+    """The self-test report and its exit code."""
     from .acceptance import run_all
 
     results = run_all()
-    for result in results:
-        print(result.line(), file=out)
     failed = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - failed}/{len(results)} criteria passed", file=out)
-    return 1 if failed else 0
+    lines = [r.line() for r in results]
+    lines.append(f"{len(results) - failed}/{len(results)} criteria passed")
+    return "\n".join(lines) + "\n", 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in KNOWN_OPS:
+    for name in (*_OPS, "selftest"):
         p = sub.add_parser(name)
         if name != "selftest":
             p.add_argument("--scenario", required=True,
@@ -350,39 +357,40 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.subcommand == "selftest":
-        if args.out is None:
-            return _selftest(sys.stdout)
-        with open(args.out, "w", newline="\n") as out:
-            return _selftest(out)
+        rendered, code = _selftest()
+    else:
+        try:
+            with open(args.scenario, "rb") as handle:
+                text = handle.read()
+        except OSError as exc:
+            print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+            return 2
 
-    try:
-        with open(args.scenario, "rb") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        # every check refuses the NaN or inf an overflow leaves, so numpy's
-        # warnings would only put lines ahead of the one error line
-        with np.errstate(all="ignore"):
-            scenario = parse_scenario(text)
-            table = run(scenario, op=args.subcommand, seed=args.seed)
-            fmt = args.format or scenario.run.get("format", "table")
-            rendered = table.render(fmt)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericContractError as exc:
-        print(f"numeric contract violated: {exc}", file=sys.stderr)
-        return 3
+        try:
+            # every check refuses the NaN or inf an overflow leaves, so numpy's
+            # warnings would only put lines ahead of the one error line
+            with np.errstate(all="ignore"):
+                scenario = parse_scenario(text)
+                table = run(scenario, op=args.subcommand, seed=args.seed)
+                fmt = args.format or scenario.run.get("format", "table")
+                rendered, code = table.render(fmt), 0
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except NumericContractError as exc:
+            print(f"numeric contract violated: {exc}", file=sys.stderr)
+            return 3
 
     if args.out is None:
         sys.stdout.write(rendered)
-    else:
+        return code
+    try:
         with open(args.out, "w", newline="\n") as out:
             out.write(rendered)
-    return 0
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -58,17 +58,15 @@ class CompositeState(DensityOperator):
     def block(self, m: int, n: int) -> np.ndarray:
         """The ``<m .| rho |n .>`` block, a ``db x db`` matrix over the second factor."""
         da, db = self.dims
-        if not (0 <= m < da and 0 <= n < da):
-            raise ValidationError(f"block indices ({m}, {n}) out of range for dim {da}")
+        qcore._require_indices((m, n), (da, da),
+                               "block indices ({0}, {1}) out of range for dim {2}")
         return self.matrix[m * db:(m + 1) * db, n * db:(n + 1) * db]
 
     def element(self, m: int, alpha: int, n: int, beta: int) -> complex:
         """Matrix element ``<m alpha| rho |n beta>``."""
         da, db = self.dims
-        if not (0 <= m < da and 0 <= n < da and 0 <= alpha < db and 0 <= beta < db):
-            raise ValidationError(
-                f"element indices ({m}, {alpha}, {n}, {beta}) out of range for dims {self.dims}"
-            )
+        qcore._require_indices((m, alpha, n, beta), (da, db, da, db), "element indices "
+                               "({0}, {1}, {2}, {3}) out of range for dims ({4}, {5})")
         return complex(self.matrix[m * db + alpha, n * db + beta])
 
     def reduced(self, keep: int) -> DensityOperator:
@@ -115,11 +113,9 @@ class CompositeState(DensityOperator):
 def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
     """Probability of the elementary composite event ``A_n (x) B_alpha``."""
     da, db = state.dims
-    if not (0 <= n < da and 0 <= alpha < db):
-        raise ValidationError(
-            f"event indices ({n}, {alpha}) out of range for dims {state.dims}"
-        )
-    raw = state.element(n, alpha, n, alpha)
+    qcore._require_indices((n, alpha), (da, db),
+                           "event indices ({0}, {1}) out of range for dims ({2}, {3})")
+    raw = state.matrix[n * db + alpha, n * db + alpha]
     return qcore.real_probability(raw, f"p(A_{n} x B_{alpha})")
 
 
@@ -170,8 +166,7 @@ class Prospect:
     b: MultimodeState
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"prospect index must be nonnegative, got {self.n}")
+        qcore._require_indices((self.n,), (np.inf,), "prospect index must be nonnegative, got {0}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +185,7 @@ class ProspectOperator:
 
 def _require_fits(n: int, b: MultimodeState, dims: tuple[int, int]):
     """A prospect ``(n, b)`` must index the first factor and span the second."""
-    if n >= dims[0]:
-        raise ValidationError(f"prospect index {n} out of range for dim {dims[0]}")
+    qcore._require_indices((n,), dims[:1], "prospect index {0} out of range for dim {1}")
     if b.dim != dims[1]:
         raise DimensionMismatchError(f"multimode state dim {b.dim} vs second factor dim {dims[1]}")
 

@@ -211,11 +211,8 @@ def occupation_residual(amp: AmplitudeMatrix, final: WaveState) -> float:
 
 def two_time_joint(amp: AmplitudeMatrix, n: int, alpha: int) -> float:
     """Joint probability of mode ``alpha`` at ``t0`` and mode ``n`` at ``t``."""
-    rows, cols = amp.dims
-    if not (0 <= n < rows and 0 <= alpha < cols):
-        raise ValidationError(
-            f"mode indices ({n}, {alpha}) out of range for dims {amp.dims}"
-        )
+    qcore._require_indices((n, alpha), amp.dims,
+                           "mode indices ({0}, {1}) out of range for dims ({2}, {3})")
     return qcore.real_probability(abs(amp.c[n, alpha]) ** 2, "two-time probability")
 
 
@@ -230,8 +227,7 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
     the state built from the same amplitudes.
     """
     rows, cols = amp.dims
-    if not 0 <= n < rows:
-        raise ValidationError(f"mode index {n} out of range for {rows} modes")
+    qcore._require_indices((n,), (rows,), "mode index {0} out of range for {1} modes")
     multimode = isinstance(b, MultimodeState)
     if multimode:
         coeff = b.coefficients

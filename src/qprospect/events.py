@@ -64,8 +64,7 @@ class Observable:
 
     def vector(self, n: int) -> np.ndarray:
         """Eigenvector for outcome index ``n``."""
-        if not 0 <= n < self.dim:
-            raise ValidationError(f"outcome index {n} out of range for dim {self.dim}")
+        qcore._require_indices((n,), (self.dim,), "outcome index {0} out of range for dim {1}")
         return self.eigenbasis[:, n]
 
     def operator(self) -> np.ndarray:

@@ -38,6 +38,15 @@ def require_within(measured, bound, message: str, error=ValidationError, **field
         raise exc
 
 
+def _require_indices(indices, bounds, message: str):
+    """Raise :class:`ValidationError` unless each index is a Python or numpy
+    integer, not a ``bool``, in ``range`` of its bound.  ``message`` is a
+    :meth:`str.format` template over the indices, then the bounds."""
+    for n, bound in zip(indices, bounds):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < bound:
+            raise ValidationError(message.format(*indices, *bounds))
+
+
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite square complex ndarray; raise on anything else."""
     a = np.asarray(m, dtype=complex)

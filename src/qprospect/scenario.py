@@ -32,7 +32,7 @@ Sections::
 
 Run directives, each type-checked at parse time::
 
-    op           one of KNOWN_OPS
+    op           name of an operation (the ops of :mod:`qprospect.cli`)
     format       "table" | "csv" | "json"
     seed         integer >= 0
     normalized   true | false
@@ -43,8 +43,10 @@ Run directives, each type-checked at parse time::
     multimode, start              name of a declared multimode vector
 
 Every object with fixed fields, ``run`` included, refuses a field it does
-not know.  Whether a directive an operation needs is present, and whether
-a name is declared, is checked when the operation runs.
+not know.  When the operation runs, it checks that the op is known, that
+it reads every directive given besides ``op``, ``format``, ``seed`` and
+``tolerance``, that each directive it needs is present and that each name
+is declared.
 
 A :class:`Scenario` keeps the text it was parsed from, which
 :func:`serialize_scenario` writes back with sorted keys, so the parsers
@@ -62,11 +64,6 @@ from . import policy
 from .errors import NumericContractError, QProspectError, ScenarioError
 from .events import DensityOperator, MultimodeState, Observable
 
-KNOWN_OPS = (
-    "born", "lueders", "wigner", "kirkwood", "joint", "prospect",
-    "conditional", "pipeline", "entanglement", "game", "quarter-law",
-    "dynamics", "selftest",
-)
 FORMATS = ("table", "csv", "json")
 
 
@@ -148,8 +145,8 @@ def _log_base(value, path: str):
     return value
 
 
-def _member(value, options, message: str, path: str):
-    _require(value in options, message, path)
+def _format(value, path: str) -> str:
+    _require(value in FORMATS, f"format must be one of {FORMATS}, got {value!r}", path)
     return value
 
 
@@ -162,10 +159,8 @@ def _tolerance(value, path: str) -> float:
 # every run directive and its check, in the order they are checked; each
 # check returns the value it accepted, which is the value the run reads
 _DIRECTIVES = {
-    "op": lambda op, path: _member(
-        op, KNOWN_OPS, f"unknown op {op!r} (known: {', '.join(KNOWN_OPS)})", path),
-    "format": lambda fmt, path: _member(
-        fmt, FORMATS, f"format must be one of {FORMATS}, got {fmt!r}", path),
+    "op": _name,
+    "format": _format,
     "seed": _seed,
     "normalized": _bool,
     "log_base": _log_base,
@@ -303,11 +298,6 @@ class Scenario:
 
     def need_multimode(self) -> MultimodeState:
         return self.resolve("multimode", "multimode")[1]
-
-    def seed(self, override: int | None = None) -> int:
-        if override is not None:
-            return _seed(int(override), "--seed")
-        return self.run.get("seed", 0)
 
 
 def _parse_state(section, scenario: Scenario):

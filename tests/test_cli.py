@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qprospect
-from qprospect import ScenarioError, policy
-from qprospect.cli import _HANDLERS, main, run
+from qprospect import ScenarioError, cli, policy
+from qprospect.cli import _OPS, main, run
 from qprospect.scenario import _DIRECTIVES, _TOP_LEVEL as SECTIONS, parse_scenario
 
 HERE = os.path.dirname(__file__)
@@ -45,6 +45,13 @@ SMOKE = [
 
 
 class TestDispatch:
+    def test_smoke_covers_every_op(self):
+        assert {op for op, _ in SMOKE} == set(_OPS)
+
+    def test_every_handler_is_in_the_table(self):
+        handlers = {f for name, f in vars(cli).items() if name.startswith("_op_")}
+        assert handlers == {handler for handler, _ in _OPS.values()}
+
     @pytest.mark.parametrize("subcommand,name", SMOKE,
                              ids=[f"{s}-{n}" for s, n in SMOKE])
     def test_every_subcommand_runs(self, subcommand, name, capsys):
@@ -92,6 +99,31 @@ class TestDispatch:
         assert table.metadata["op"] == "born"
         assert any(label == "p[Z=0]" for label, _, _ in table.rows)
 
+    @pytest.mark.parametrize("declared,requested,unknown", [
+        ("teleport", None, "teleport"), ("teleport", "born", "teleport"),
+        (None, "teleport", "teleport"), ("born", "teleport", "teleport"),
+        ([1, 2], None, [1, 2]), (None, [1, 2], [1, 2]),
+    ], ids=["declared", "declared-over-born", "requested", "requested-over-born",
+            "declared-list", "requested-list"])
+    def test_unknown_op_rejected(self, declared, requested, unknown):
+        # one check covers the declared op and the requested one, declared first
+        with open(data("born_plus.json"), "rb") as handle:
+            scenario = parse_scenario(handle.read())
+        scenario.run.pop("op")
+        if declared is not None:
+            scenario.run["op"] = declared
+        with pytest.raises(ScenarioError) as caught:
+            run(scenario, op=requested)
+        known = ", ".join((*_OPS, "selftest"))
+        assert str(caught.value) == f"run.op: unknown op {unknown!r} (known: {known})"
+
+    @pytest.mark.parametrize("seed", [2.7, True, "5"])
+    def test_seed_is_not_coerced(self, seed):
+        with open(data("game_cohort.json"), "rb") as handle:
+            scenario = parse_scenario(handle.read())
+        with pytest.raises(ScenarioError, match=r"^--seed: expected an integer"):
+            run(scenario, seed=seed)
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):
@@ -132,6 +164,17 @@ class TestExitCodes:
         code = main(["born", "--scenario", "/nonexistent/x.json"])
         assert code == 2
         assert "cannot read scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["born", "--scenario", data("born_plus.json")], ["selftest"],
+    ], ids=["born", "selftest"])
+    def test_unwritable_out_is_2(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        assert main([*argv, "--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: cannot write output: [Errno 2] No such file or directory: '{target}'"]
 
     def test_numeric_contract_violation_is_3(self, tmp_path, capsys):
         # a loose tolerance lets a non-positive "density" through validation;
@@ -647,6 +690,10 @@ class TestLazyLoading:
         covered = sorted(name for names, _ in FAMILIES.values() for name in names)
         assert covered == sorted(SCENARIOS)
 
+    def test_families_cover_every_op(self):
+        ops = {SCENARIOS[name]["run"]["op"] for names, _ in FAMILIES.values() for name in names}
+        assert ops == set(_OPS)
+
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_op_runs_with_other_modules_refused(self, family, tmp_path):
         names, refused = FAMILIES[family]
@@ -689,6 +736,33 @@ class TestLazyLoading:
         assert qprospect.DensityOperator is DensityOperator is events.DensityOperator
 
 
+# a well-typed value of each directive that only some ops read
+DIRECTIVE_VALUES = {"normalized": False, "log_base": 2, "index": 0, "observable": "Z",
+                    "first": "Z", "second": "Z", "multimode": "b", "start": "a"}
+
+
+class TestStrayDirectives:
+    """A run directive the op does not read is refused, not ignored."""
+
+    def test_values_cover_every_op_directive(self):
+        assert set(DIRECTIVE_VALUES) == set(_DIRECTIVES) - {"op", "format", "seed", "tolerance"}
+        assert all(set(reads) <= set(DIRECTIVE_VALUES) for _, reads in _OPS.values())
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_unread_directive_is_2(self, name, tmp_path, capsys):
+        doc = copy.deepcopy(SCENARIOS[name])
+        op = doc["run"]["op"]
+        unread = [key for key in DIRECTIVE_VALUES if key not in _OPS[op][1]]
+        key = unread[sorted(SCENARIOS).index(name) % len(unread)]  # each scenario its own
+        doc["run"][key] = DIRECTIVE_VALUES[key]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([op, "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: run.{key}: op {op!r} does not read this directive"]
+
+
 # number pairs too: a scenario writes a complex scalar as [re, im]
 NUMBERS = (st.integers() | st.floats() | st.floats(min_value=1e300, max_value=1.7e308)
            | st.floats(min_value=-1.7e308, max_value=-1e300))
@@ -721,7 +795,7 @@ def mutated_scenarios(draw):
     The op is the scenario's own half of the time and any op otherwise.
     """
     doc = copy.deepcopy(SCENARIOS[draw(st.sampled_from(sorted(SCENARIOS)))])
-    op = draw(st.just(doc["run"]["op"]) | st.sampled_from(sorted(_HANDLERS)))
+    op = draw(st.just(doc["run"]["op"]) | st.sampled_from(list(_OPS)))
     for _ in range(draw(st.integers(1, 3))):
         # a depth first, so sections and their fields are hit as often as
         # the many entries of a matrix

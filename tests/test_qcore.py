@@ -436,3 +436,46 @@ class TestRequireWithin:
             require_within(2.0, 1.0, "{label} is off by {measured}", NumericContractError,
                            label="{x}")
         assert (info.value.measured, info.value.bound) == (2.0, 1.0)
+
+
+def _index_entry_points():
+    """Each library call that takes an event or mode index, as ``(call, dim)``
+    with the index as the call's one argument."""
+    from qprospect import (AmplitudeMatrix, DensityOperator, MultimodeState, Observable,
+                           Prospect, apply_measurement, bell_state, born_probability,
+                           joint_probability, prospect_probability, two_time_joint,
+                           two_time_prospect)
+    obs = Observable.standard(3)
+    rho = DensityOperator.from_pure([0.6, 0.0, 0.8])
+    state = bell_state(2)
+    b = MultimodeState.in_standard_basis([1.0, 1.0])
+    amp = AmplitudeMatrix(np.full((2, 2), 0.5), (0.0, 1.0))
+    return {
+        "Observable.vector": (obs.vector, 3),
+        "born_probability": (lambda n: born_probability(rho, obs, n), 3),
+        "apply_measurement": (lambda n: apply_measurement(rho, obs, n).probability, 3),
+        "CompositeState.block": (lambda n: state.block(0, n), 2),
+        "CompositeState.element": (lambda n: state.element(0, n, 0, 0), 2),
+        "joint_probability": (lambda n: joint_probability(state, n, 0), 2),
+        "prospect_probability": (lambda n: prospect_probability(state, Prospect(n, b)).p, 2),
+        "two_time_joint": (lambda n: two_time_joint(amp, n, 0), 2),
+        "two_time_prospect": (lambda n: two_time_prospect(amp, n, b).p, 2),
+    }
+
+
+class TestIndexGuard:
+    """An index is a Python or numpy integer in range; anything else is a
+    ValidationError with the call's own message, never a numpy error."""
+
+    @pytest.mark.parametrize("entry", sorted(_index_entry_points()))
+    @pytest.mark.parametrize("index", ["half", "bool", "negative", "dim"])
+    def test_bad_index_is_a_validation_error(self, entry, index):
+        call, dim = _index_entry_points()[entry]
+        bad = {"half": 0.5, "bool": True, "negative": -1, "dim": dim}[index]
+        with pytest.raises(ValidationError, match="out of range|must be nonnegative"):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", sorted(_index_entry_points()))
+    def test_numpy_integer_is_an_index(self, entry):
+        call, dim = _index_entry_points()[entry]
+        np.testing.assert_array_equal(call(np.int64(dim - 1)), call(dim - 1))

@@ -85,11 +85,6 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="unknown sections.*extra"):
             parse_scenario(minimal_born(extra={}))
 
-    def test_unknown_op_rejected(self):
-        doc = minimal_born(run={"op": "teleport"})
-        with pytest.raises(ScenarioError, match="unknown op"):
-            parse_scenario(doc)
-
     def test_bad_format_rejected(self):
         doc = minimal_born(run={"op": "born", "format": "xml"})
         with pytest.raises(ScenarioError, match="run.format"):
@@ -125,7 +120,7 @@ class TestParsing:
         ("normalized", "no"), ("normalized", 0), ("normalized", None),
         ("log_base", "ten"), ("log_base", True), ("log_base", [10, 0]),
         ("log_base", 1), ("log_base", 0.5), ("log_base", 1e400),
-        ("seed", -1), ("seed", 1.5),
+        ("seed", -1), ("seed", 1.5), ("op", [1, 2]), ("op", 7),
     ])
     def test_mistyped_directives_rejected(self, key, value):
         doc = minimal_born(run={"op": "born", key: value})
