@@ -25,7 +25,6 @@ _EXPORTS = {
         "ProspectProbability", "bayes_conditional", "classical_limit_check",
         "conditional_under_uncertainty", "joint_probability", "joint_table",
         "marginals", "prospect_lattice", "prospect_operator", "prospect_probability",
-        "resolution_residuals",
     ),
     "channels": (
         "MeasurerSpec", "PipelineStage", "PipelineTrace", "basis_change", "compose",

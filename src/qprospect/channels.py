@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .errors import DimensionMismatchError, ProtocolError, ValidationError
+from .errors import ProtocolError, ValidationError
 from .events import DensityOperator, _trusted, basis_change  # noqa: F401 - public here too
 
 
@@ -50,18 +50,13 @@ class MeasurerSpec:
     coupling: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError(f"measurer dimension must be positive, got {self.dim}")
-        if self.initial_state.dim != self.dim:
-            raise DimensionMismatchError(
-                f"measurer ready state has dim {self.initial_state.dim}, expected {self.dim}"
-            )
+        qcore._require_size(self.dim, 1, "measurer dimension",
+                            "measurer dimension must be positive, got {0}")
+        qcore._require_equal(self.initial_state.dim, self.dim,
+                             "measurer ready state has dim {0}, expected {1}")
         coupling = np.array(qcore.require_hermitian(self.coupling, "coupling"))
-        if coupling.shape[0] % self.dim != 0 or coupling.shape[0] < self.dim:
-            raise DimensionMismatchError(
-                f"coupling dimension {coupling.shape[0]} is not a multiple "
-                f"of the measurer dimension {self.dim}"
-            )
+        qcore._require_equal(coupling.shape[0] % self.dim, 0, "coupling dimension {2} is not a "
+                             "multiple of the measurer dimension {3}", coupling.shape[0], self.dim)
         object.__setattr__(self, "coupling", qcore.freeze(coupling))
         object.__setattr__(self, "_coupling_eigh", None)
 
@@ -150,10 +145,9 @@ def evolve(rho: DensityOperator, h, t: float) -> DensityOperator:
 
 def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperator, DensityOperator]:
     """Reduced states of both factors of a joint state."""
-    if dims[0] * dims[1] != rho.dim:
-        raise DimensionMismatchError(
-            f"dims {dims} incompatible with joint state of dim {rho.dim}"
-        )
+    da, db = qcore._factor_dims(dims)
+    qcore._require_equal(da * db, rho.dim, "dims {2} incompatible with joint state of dim {1}",
+                         dims)
     return (
         DensityOperator(qcore._partial_trace(rho.matrix, dims, 0)),
         DensityOperator(qcore._partial_trace(rho.matrix, dims, 1)),
@@ -163,10 +157,7 @@ def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperato
 def transform_basis(rho: DensityOperator, t) -> DensityOperator:
     """Rotate a state by a unitary: ``T rho T+``."""
     t = qcore.require_unitary(t, "basis transform")
-    if t.shape[0] != rho.dim:
-        raise DimensionMismatchError(
-            f"transform dim {t.shape[0]} vs state dim {rho.dim}"
-        )
+    qcore._require_equal(t.shape[0], rho.dim, "transform dim {0} vs state dim {1}")
     return DensityOperator(t @ rho.matrix @ t.conj().T)
 
 
@@ -211,10 +202,8 @@ def run_pipeline(
             raise ProtocolError(
                 f"readout must follow an evolve or transform stage, found after {prev.kind!r}"
             )
-    if rho.dim != measurer.system_dim:
-        raise DimensionMismatchError(
-            f"system state dim {rho.dim} vs coupling system dim {measurer.system_dim}"
-        )
+    qcore._require_equal(rho.dim, measurer.system_dim,
+                         "system state dim {0} vs coupling system dim {1}")
 
     dims = (rho.dim, measurer.dim)
     records: list[StageRecord] = []
@@ -236,11 +225,8 @@ def run_pipeline(
             t = stage.transform
             if t.shape[0] == dims[0]:
                 t = qcore.tensor_product(t, np.eye(dims[1], dtype=complex))
-            elif t.shape[0] != dims[0] * dims[1]:
-                raise DimensionMismatchError(
-                    f"transform dim {t.shape[0]} matches neither the system "
-                    f"({dims[0]}) nor the joint space ({dims[0] * dims[1]})"
-                )
+            qcore._require_equal(t.shape[0], dims[0] * dims[1], "transform dim {0} matches "
+                                 "neither the system ({2}) nor the joint space ({1})", dims[0])
             joint = DensityOperator(t @ joint.matrix @ t.conj().T)
             records.append(StageRecord("transform", clock, joint))
         else:  # readout

@@ -21,17 +21,12 @@ part is itself a distribution and whose interference terms sum to zero.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import policy, qcore
-from .errors import (
-    DimensionMismatchError,
-    NumericContractError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import NumericContractError, ValidationError, ZeroProbabilityError
 from .events import DensityOperator, MultimodeState, _trusted, multimode_probability
 
 
@@ -47,7 +42,7 @@ class CompositeState(DensityOperator):
     dims: tuple[int, int]
 
     def __post_init__(self):
-        da, db = int(self.dims[0]), int(self.dims[1])
+        da, db = qcore._factor_dims(self.dims)
         if da < 1 or db < 1:
             raise ValidationError(f"factor dimensions must be positive, got {self.dims}")
         m, w = qcore.validate_state(self.matrix, "composite state", (da, db))
@@ -177,17 +172,16 @@ class ProspectOperator:
     dims: tuple[int, int]
 
     def __post_init__(self):
-        da, db = self.dims
-        m, _ = qcore.validate_rank_one(self.operator, "prospect operator", (da, db))
+        dims = qcore._factor_dims(self.dims)
+        m, _ = qcore.validate_rank_one(self.operator, "prospect operator", dims)
         object.__setattr__(self, "operator", qcore.freeze(m))
-        object.__setattr__(self, "dims", (int(da), int(db)))
+        object.__setattr__(self, "dims", dims)
 
 
 def _require_fits(n: int, b: MultimodeState, dims: tuple[int, int]):
     """A prospect ``(n, b)`` must index the first factor and span the second."""
     qcore._require_indices((n,), dims[:1], "prospect index {0} out of range for dim {1}")
-    if b.dim != dims[1]:
-        raise DimensionMismatchError(f"multimode state dim {b.dim} vs second factor dim {dims[1]}")
+    qcore._require_equal(b.dim, dims[1], "multimode state dim {0} vs second factor dim {1}")
 
 
 def prospect_operator(prospect: Prospect, dims: tuple[int, int]) -> ProspectOperator:
@@ -197,37 +191,12 @@ def prospect_operator(prospect: Prospect, dims: tuple[int, int]) -> ProspectOper
     one by construction, with ``|B><B|`` from :func:`qcore.rank_one`, so it
     is not decomposed.  The product's size cap and finiteness are checked.
     """
-    da, db = int(dims[0]), int(dims[1])
+    da, db = qcore._factor_dims(dims)
     _require_fits(prospect.n, prospect.b, (da, db))
     pn = np.zeros((da, da), dtype=complex)
     pn[prospect.n, prospect.n] = 1.0
     pb, _ = qcore.rank_one(prospect.b.vector())
     return _trusted(ProspectOperator, qcore.tensor_product(pn, pb), (da, db))
-
-
-class ResolutionResiduals(NamedTuple):
-    """How far a prospect family is from resolving identities.
-
-    ``block`` measures the family sum against ``1_A (x) P_B`` (zero up to
-    rounding by construction); ``identity`` measures it against the full
-    identity and is genuinely large unless the multimode operator is
-    itself the identity.  Reported for inspection, never asserted.
-    """
-
-    block: float
-    identity: float
-
-
-def resolution_residuals(b: MultimodeState, dim_a: int) -> ResolutionResiduals:
-    total = sum(
-        prospect_operator(Prospect(n, b), (dim_a, b.dim)).operator
-        for n in range(dim_a)
-    )
-    block = qcore.tensor_product(np.eye(dim_a, dtype=complex), qcore.rank_one(b.vector())[0])
-    return ResolutionResiduals(
-        float(np.abs(total - block).max()),
-        float(np.abs(total - np.eye(dim_a * b.dim)).max()),
-    )
 
 
 @dataclass(frozen=True)

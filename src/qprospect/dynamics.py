@@ -17,11 +17,7 @@ import numpy as np
 
 from . import policy, qcore
 from .composite import ProspectProbability
-from .errors import (
-    DimensionMismatchError,
-    NumericContractError,
-    ValidationError,
-)
+from .errors import NumericContractError, ValidationError
 from .events import MultimodeState
 
 
@@ -64,10 +60,7 @@ class HamiltonianSpec:
                 raise ValidationError("piece start times must be strictly increasing")
             previous = start
             m = np.array(qcore.require_hermitian(matrix, f"perturbation piece {k}"))
-            if m.shape != h0.shape:
-                raise DimensionMismatchError(
-                    f"piece {k} has shape {m.shape}, expected {h0.shape}"
-                )
+            qcore._require_equal(m.shape, h0.shape, "piece {2} has shape {0}, expected {1}", k)
             cleaned.append((start, qcore.freeze(m)))
         object.__setattr__(self, "pieces", tuple(cleaned))
         object.__setattr__(self, "_decompositions", {})
@@ -140,10 +133,7 @@ def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
 
 def evolve_state(psi: WaveState, h: HamiltonianSpec, t: float) -> WaveState:
     """Propagate a wave state to time ``t``; norm drift is an error."""
-    if psi.dim != h.dim:
-        raise DimensionMismatchError(
-            f"state dim {psi.dim} vs generator dim {h.dim}"
-        )
+    qcore._require_equal(psi.dim, h.dim, "state dim {0} vs generator dim {1}")
     u = propagator(h, psi.time, t)
     return WaveState(u @ psi.coefficients, t)
 
@@ -201,10 +191,7 @@ def occupation_residual(amp: AmplitudeMatrix, final: WaveState) -> float:
     diagnostic of how coherent the start state was; it is reported, never
     asserted.
     """
-    if final.dim != amp.c.shape[0]:
-        raise DimensionMismatchError(
-            f"final state dim {final.dim} vs amplitude rows {amp.c.shape[0]}"
-        )
+    qcore._require_equal(final.dim, amp.c.shape[0], "final state dim {0} vs amplitude rows {1}")
     rows = np.sum(np.abs(amp.c) ** 2, axis=1)
     return float(np.abs(rows - final.occupations()).max())
 
@@ -235,10 +222,7 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
         coeff = qcore.as_complex_vector(b, "multimode coefficients")
         if not np.any(coeff != 0):
             raise ValidationError("multimode weights need a nonzero coefficient")
-    if coeff.size != cols:
-        raise DimensionMismatchError(
-            f"{coeff.size} multimode weights vs {cols} start modes"
-        )
+    qcore._require_equal(coeff.size, cols, "{0} multimode weights vs {1} start modes")
     if multimode and not np.array_equal(b.basis.eigenbasis, np.eye(cols)):
         raise ValidationError("two-time prospects are defined over the mode basis itself")
     row = amp.c[n]

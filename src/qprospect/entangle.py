@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qcore
 from .composite import CompositeState
 from .errors import ValidationError
 
@@ -102,6 +103,5 @@ def bell_state(m: int) -> CompositeState:
     entanglement production in the measurement-basis convention is
     exactly ``log m``.
     """
-    if m < 2:
-        raise ValidationError(f"need at least two modes, got {m}")
+    qcore._require_size(m, 2, "mode count", "need at least two modes, got {0}")
     return CompositeState.from_amplitudes(np.eye(m, dtype=complex) / math.sqrt(m))

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import policy, qcore
-from .errors import DimensionMismatchError, NumericContractError, ValidationError
+from .errors import NumericContractError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +41,8 @@ class Observable:
     def __post_init__(self):
         basis = np.array(qcore.as_complex_matrix(self.eigenbasis, "eigenbasis"))
         values = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        if values.size != basis.shape[0]:
-            raise DimensionMismatchError(
-                f"{values.size} eigenvalues vs eigenbasis of dimension {basis.shape[0]}"
-            )
+        qcore._require_equal(values.size, basis.shape[0],
+                             "{0} eigenvalues vs eigenbasis of dimension {1}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("eigenvalues must be finite")
         gaps = np.abs(values[:, None] - values[None, :])
@@ -74,6 +72,7 @@ class Observable:
     @classmethod
     def standard(cls, dim: int, label: str = "N", eigenvalues=None) -> "Observable":
         """Observable diagonal in the computational basis (values 0..dim-1)."""
+        qcore._require_size(dim, 0, "dim", "dim must be nonnegative, got {0}")
         if eigenvalues is None:
             eigenvalues = np.arange(dim, dtype=float)
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
@@ -86,10 +85,8 @@ def basis_change(obs_a: Observable, obs_b: Observable) -> np.ndarray:
     eigenbasis of ``obs_a``: entry ``[n, alpha]`` is ``<n|alpha>``.  Unitary
     whenever both bases are orthonormal.
     """
-    if obs_a.dim != obs_b.dim:
-        raise DimensionMismatchError(
-            f"observables {obs_a.label!r} and {obs_b.label!r} act on different spaces"
-        )
+    qcore._require_equal(obs_a.dim, obs_b.dim, "observables {2!r} and {3!r} act on different "
+                         "spaces", obs_a.label, obs_b.label)
     return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis
 
 
@@ -165,6 +162,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        qcore._require_size(dim, 0, "dim", "dim must be nonnegative, got {0}")
         return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
@@ -224,10 +222,7 @@ class MultimodeState:
 
     def __post_init__(self):
         b = np.array(qcore.as_complex_vector(self.coefficients, "coefficients"))
-        if b.size != self.basis.dim:
-            raise DimensionMismatchError(
-                f"{b.size} coefficients vs basis of dimension {self.basis.dim}"
-            )
+        qcore._require_equal(b.size, self.basis.dim, "{0} coefficients vs basis of dimension {1}")
         if not np.any(b != 0):
             raise ValidationError("multimode state needs at least one nonzero coefficient")
         object.__setattr__(self, "coefficients", qcore.freeze(b))
@@ -312,10 +307,7 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
     direct expectation within 1e-12, and the total must lie within the
     window ``[0, <B|B>]`` set by the state's squared norm.
     """
-    if rho.dim != state.dim:
-        raise DimensionMismatchError(
-            f"density operator dim {rho.dim} vs multimode state dim {state.dim}"
-        )
+    qcore._require_equal(rho.dim, state.dim, "density operator dim {0} vs multimode state dim {1}")
     e = state.basis.eigenbasis
     m = e.conj().T @ rho.matrix @ e  # <a|rho|b> in the mode basis
     direct, classical, quantum = qcore.mode_split(state.coefficients, m)
@@ -363,10 +355,8 @@ def validate_povm(
         raise ValidationError("empty proposition family")
     dim = members[0].dim
     for k, member in enumerate(members):
-        if member.dim != dim:
-            raise DimensionMismatchError(
-                f"family member {k} has dimension {member.dim}, expected {dim}"
-            )
+        qcore._require_equal(member.dim, dim, "family member {2} has dimension {0}, expected {1}",
+                             k)
     total = sum(member.operator for member in members)
     residual = float(np.abs(total - np.eye(dim)).max())
     passed = residual <= policy.POVM_TOL
@@ -374,10 +364,7 @@ def validate_povm(
     probabilities = None
     total_probability = None
     if rho is not None:
-        if rho.dim != dim:
-            raise DimensionMismatchError(
-                f"density operator dim {rho.dim} vs family dimension {dim}"
-            )
+        qcore._require_equal(rho.dim, dim, "density operator dim {0} vs family dimension {1}")
         raw = [complex(np.trace(rho.matrix @ member.operator)) for member in members]
         probabilities = tuple(qcore.real_probabilities(raw, "member probability").tolist())
         total_probability = float(sum(probabilities))

@@ -15,19 +15,12 @@ import numpy as np
 
 from . import policy, qcore
 from .events import DensityOperator, Observable, _trusted, basis_change, projector_of
-from .errors import (
-    DimensionMismatchError,
-    NumericContractError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import NumericContractError, ValidationError, ZeroProbabilityError
 
 
 def _check_dims(rho: DensityOperator, obs: Observable):
-    if rho.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"density operator dim {rho.dim} vs observable {obs.label!r} dim {obs.dim}"
-        )
+    qcore._require_equal(rho.dim, obs.dim, "density operator dim {0} vs observable {2!r} dim {1}",
+                         obs.label)
 
 
 def born_probability(rho: DensityOperator, obs: Observable, n: int) -> float:
@@ -130,11 +123,8 @@ def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) 
     State-independent and symmetric in its two events; rows and columns of
     the full table each sum to one.
     """
-    if obs_a.dim != obs_b.dim:
-        raise DimensionMismatchError(
-            f"observables {obs_a.label!r} ({obs_a.dim}) and {obs_b.label!r} "
-            f"({obs_b.dim}) act on different spaces"
-        )
+    qcore._require_equal(obs_a.dim, obs_b.dim, "observables {2!r} ({0}) and {3!r} ({1}) act on "
+                         "different spaces", obs_a.label, obs_b.label)
     amp = complex(np.vdot(obs_a.vector(n), obs_b.vector(alpha)))
     return qcore.real_probability(abs(amp) ** 2, "transition probability")
 

@@ -5,6 +5,11 @@ spaces use the row-major convention throughout the package: in
 ``tensor_product(a, b)`` the first factor owns the slow index, so the
 product basis vector ``|n alpha>`` sits at flat position
 ``n * dim_b + alpha``.
+
+Shapes are decided here too.  :func:`_require_equal` is the one check that
+two dimensions agree, and :func:`_factor_dims` the one parse of a
+composite object's factor dimensions: a tuple or list of exactly two
+integers, never coerced.
 """
 
 import numpy as np
@@ -38,13 +43,44 @@ def require_within(measured, bound, message: str, error=ValidationError, **field
         raise exc
 
 
+def _is_int(n) -> bool:
+    """Whether ``n`` is a Python or numpy integer, not a ``bool``."""
+    return isinstance(n, (int, np.integer)) and type(n) is not bool
+
+
 def _require_indices(indices, bounds, message: str):
-    """Raise :class:`ValidationError` unless each index is a Python or numpy
-    integer, not a ``bool``, in ``range`` of its bound.  ``message`` is a
+    """Raise :class:`ValidationError` unless each index is an integer
+    (:func:`_is_int`) in ``range`` of its bound.  ``message`` is a
     :meth:`str.format` template over the indices, then the bounds."""
     for n, bound in zip(indices, bounds):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n < bound:
+        if not (_is_int(n) and 0 <= n < bound):
             raise ValidationError(message.format(*indices, *bounds))
+
+
+def _require_size(n, least: int, what: str, message: str):
+    """Raise :class:`ValidationError` unless ``n`` is an integer (:func:`_is_int`) of
+    at least ``least``; below it, the error is ``message`` filled with ``n``."""
+    if not _is_int(n):
+        raise ValidationError(f"{what} must be an integer, got {n!r}")
+    if n < least:
+        raise ValidationError(message.format(n))
+
+
+def _require_equal(got, want, message: str, *fields):
+    """Raise :class:`DimensionMismatchError` unless ``got == want``.  ``message``
+    is a template over ``got``, ``want``, then ``fields``, filled only when
+    raising; a label from a scenario goes in a field, never into the template.
+    """
+    if got != want:
+        raise DimensionMismatchError(message.format(got, want, *fields))
+
+
+def _factor_dims(dims) -> tuple[int, int]:
+    """``dims`` as two Python ints; a :class:`ValidationError` unless it is a
+    tuple or list of exactly two integers (:func:`_is_int`)."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(map(_is_int, dims))):
+        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
+    return int(dims[0]), int(dims[1])
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -172,13 +208,12 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
 
 def _partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """:func:`partial_trace` of a square finite complex ``a``; checks ``dims`` and ``keep``."""
-    d0, d1 = int(dims[0]), int(dims[1])
+    d0, d1 = _factor_dims(dims)
     if d0 < 1 or d1 < 1 or d0 * d1 != a.shape[0]:
         raise DimensionMismatchError(
             f"dims {dims} incompatible with operator of dimension {a.shape[0]}"
         )
-    if keep not in (0, 1):
-        raise ValidationError(f"keep must be 0 or 1, got {keep!r}")
+    _require_indices((keep,), (2,), "keep must be 0 or 1, got {0!r}")
     four = a.reshape(d0, d1, d0, d1)
     if keep == 0:
         return np.einsum("ijkj->ik", four)
@@ -211,10 +246,9 @@ def propagator_from_eigh(decomposition: tuple[np.ndarray, np.ndarray], t: float)
 
 
 def _require_dims(dim: int, dims: tuple[int, int] | None, what: str = "matrix"):
-    if dims is not None and dim != dims[0] * dims[1]:
-        raise DimensionMismatchError(
-            f"{what} dimension {dim} does not match dims {dims[0]} x {dims[1]}"
-        )
+    if dims is not None:
+        _require_equal(dim, dims[0] * dims[1], "{2} dimension {0} does not match dims {3} x {4}",
+                       what, *dims)
 
 
 def _require_unit_trace(a: np.ndarray, name: str, composite: bool):

@@ -80,7 +80,6 @@ PUBLIC = [
     "prospect_probability",
     "quarter_law",
     "readout",
-    "resolution_residuals",
     "run_pipeline",
     "set_tolerance",
     "spectral_norm",

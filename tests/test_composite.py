@@ -33,7 +33,6 @@ from qprospect import (
     prospect_lattice,
     prospect_operator,
     prospect_probability,
-    resolution_residuals,
 )
 from qprospect import channels, policy, qcore
 
@@ -514,12 +513,6 @@ class TestProspectOperator:
         b = MultimodeState.in_standard_basis(np.array([1.0, 2.0, 2.0]))
         op = prospect_operator(Prospect(1, b), (2, 3)).operator
         assert np.abs(op @ op - 9.0 * op).max() < 1e-10
-
-    def test_resolution_residuals(self):
-        b = MultimodeState.in_standard_basis(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        res = resolution_residuals(b, 3)
-        assert res.block < 1e-12
-        assert res.identity > 0.4  # rank-one multimode operator can't fill dim 2
 
     def test_index_out_of_range(self):
         b = MultimodeState.in_standard_basis(np.ones(2))

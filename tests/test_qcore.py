@@ -1,5 +1,9 @@
 """Linear-algebra primitives: tensor products, partial traces, exponentials."""
 
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +20,7 @@ from qprospect import (
     spectral_norm,
     tensor_product,
 )
+import qprospect
 from qprospect import policy
 from qprospect.qcore import (
     as_amplitude_matrix,
@@ -479,3 +484,178 @@ class TestIndexGuard:
     def test_numpy_integer_is_an_index(self, entry):
         call, dim = _index_entry_points()[entry]
         np.testing.assert_array_equal(call(np.int64(dim - 1)), call(dim - 1))
+
+
+def _dimension_refusals():
+    """Each hand-written dimension check in the package, as ``call, message``;
+    labels holding ``{`` show that a label never becomes part of a template."""
+    from qprospect import (AmplitudeMatrix, CompositeState, DensityOperator,
+                           GeneralizedProposition, HamiltonianSpec, MeasurerSpec,
+                           MultimodeState, Observable, PipelineStage, Prospect, WaveState,
+                           basis_change, born_distribution, evolve_state, luders_transition,
+                           multimode_probability, occupation_residual, pointer_measurer,
+                           prospect_operator, readout, run_pipeline, transform_basis,
+                           two_time_prospect, validate_povm)
+    mixed = DensityOperator.maximally_mixed
+    obs2, obs3 = Observable.standard(2, "{A}"), Observable.standard(3, "B")
+    b2 = MultimodeState.in_standard_basis([1.0, 1.0])
+    prop2 = GeneralizedProposition.from_state(b2)
+    prop3 = GeneralizedProposition.from_state(MultimodeState.in_standard_basis([1.0, 0, 0]))
+    amp = AmplitudeMatrix(np.full((2, 2), 0.5), (0.0, 1.0))
+    psi3 = WaveState([1.0, 0.0, 0.0])
+    compose, evolve, read = (PipelineStage("compose"), PipelineStage("evolve", duration=1.0),
+                             PipelineStage("readout"))
+    return {
+        "Observable": (lambda: Observable([0.0, 1.0, 2.0], np.eye(2)),
+                       "3 eigenvalues vs eigenbasis of dimension 2"),
+        "basis_change": (lambda: basis_change(obs2, obs3),
+                         "observables '{A}' and 'B' act on different spaces"),
+        "MultimodeState": (lambda: MultimodeState([1.0, 1.0, 1.0], obs2),
+                           "3 coefficients vs basis of dimension 2"),
+        "multimode_probability": (lambda: multimode_probability(mixed(3), b2),
+                                  "density operator dim 3 vs multimode state dim 2"),
+        "validate_povm.member": (lambda: validate_povm([prop2, prop3]),
+                                 "family member 1 has dimension 3, expected 2"),
+        "validate_povm.rho": (lambda: validate_povm([prop2], mixed(3)),
+                              "density operator dim 3 vs family dimension 2"),
+        "measure._check_dims": (lambda: born_distribution(mixed(3), obs2),
+                                "density operator dim 3 vs observable '{A}' dim 2"),
+        "luders_transition": (lambda: luders_transition(obs2, 0, obs3, 0),
+                              "observables '{A}' (2) and 'B' (3) act on different spaces"),
+        "composite._require_fits": (lambda: prospect_operator(Prospect(0, b2), (2, 3)),
+                                    "multimode state dim 2 vs second factor dim 3"),
+        "MeasurerSpec.ready": (lambda: MeasurerSpec(2, mixed(3), np.eye(4)),
+                               "measurer ready state has dim 3, expected 2"),
+        "MeasurerSpec.coupling": (lambda: MeasurerSpec(2, mixed(2), np.eye(3)), "coupling "
+                                  "dimension 3 is not a multiple of the measurer dimension 2"),
+        "readout": (lambda: readout(mixed(4), (2, 3)),
+                    "dims (2, 3) incompatible with joint state of dim 4"),
+        "transform_basis": (lambda: transform_basis(mixed(2), np.eye(3)),
+                            "transform dim 3 vs state dim 2"),
+        "run_pipeline.system": (
+            lambda: run_pipeline(mixed(3), pointer_measurer(), [compose, evolve, read]),
+            "system state dim 3 vs coupling system dim 2"),
+        "run_pipeline.transform": (
+            lambda: run_pipeline(mixed(2), pointer_measurer(),
+                                 [compose, PipelineStage("transform", transform=np.eye(3)), read]),
+            "transform dim 3 matches neither the system (2) nor the joint space (4)"),
+        "HamiltonianSpec.piece": (lambda: HamiltonianSpec(np.eye(2), ((0.0, np.eye(3)),)),
+                                  "piece 0 has shape (3, 3), expected (2, 2)"),
+        "evolve_state": (lambda: evolve_state(psi3, HamiltonianSpec(np.eye(2)), 1.0),
+                         "state dim 3 vs generator dim 2"),
+        "occupation_residual": (lambda: occupation_residual(amp, psi3),
+                                "final state dim 3 vs amplitude rows 2"),
+        "two_time_prospect": (lambda: two_time_prospect(amp, 0, [1.0, 1.0, 1.0]),
+                              "3 multimode weights vs 2 start modes"),
+        "qcore._require_dims": (lambda: CompositeState(np.eye(6) / 6.0, (2, 2)),
+                                "matrix dimension 6 does not match dims 2 x 2"),
+        "qcore._partial_trace": (lambda: partial_trace(np.eye(6), (2, 2), 0),
+                                 "dims (2, 2) incompatible with operator of dimension 6"),
+    }
+
+
+def mismatch_raises(source: str) -> list[int]:
+    """Lines of ``raise DimensionMismatchError...`` statements in ``source``."""
+    def names(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and names(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        == "DimensionMismatchError"
+    ]
+
+
+def _factor_dims_entry_points():
+    """The five calls that parse factor dims, each returning an array so that
+    results compare."""
+    from qprospect import (CompositeState, DensityOperator, MultimodeState, Prospect,
+                           ProspectOperator, prospect_operator, readout)
+    rho = DensityOperator.maximally_mixed(4)
+    b = MultimodeState.in_standard_basis([1.0, 1.0])
+    pb = prospect_operator(Prospect(0, b), (2, 2)).operator
+    return {
+        "CompositeState": lambda dims: CompositeState(rho.matrix, dims).reduced(0).matrix,
+        "partial_trace": lambda dims: partial_trace(rho.matrix, dims, 0),
+        "ProspectOperator": lambda dims: ProspectOperator(pb, dims).operator,
+        "prospect_operator": lambda dims: prospect_operator(Prospect(0, b), dims).operator,
+        "readout": lambda dims: readout(rho, dims)[1].matrix,
+    }
+
+
+class TestShapeGuards:
+    """Shapes are decided in qcore: one dimension guard, one parse of factor dims."""
+
+    @pytest.mark.parametrize("entry", sorted(_dimension_refusals()))
+    def test_dimension_refusal_keeps_its_type_and_message(self, entry):
+        call, message = _dimension_refusals()[entry]
+        with pytest.raises(DimensionMismatchError) as info:
+            call()
+        assert type(info.value) is DimensionMismatchError
+        assert str(info.value) == message
+
+    def test_only_qcore_raises_dimension_mismatch(self):
+        sources = pathlib.Path(qprospect.__file__).parent.glob("*.py")
+        found = {path.name: mismatch_raises(path.read_text()) for path in sources}
+        # the three coercers, _partial_trace and the guard itself
+        assert len(found.pop("qcore.py")) == 5
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    def test_detector_finds_every_spelling(self):
+        spellings = ["raise DimensionMismatchError('x')", "raise errors.DimensionMismatchError",
+                     "if a:\n    raise DimensionMismatchError(f'{a}') from None"]
+        assert [mismatch_raises(s) for s in spellings] == [[1], [1], [2]]
+        assert mismatch_raises("raise ValidationError('DimensionMismatchError')\nraise") == []
+
+    @pytest.mark.parametrize("entry", ["CompositeState", "partial_trace", "ProspectOperator",
+                                       "prospect_operator", "readout"])
+    @pytest.mark.parametrize("dims", [(2, 2, 5), (4,), 4, (2.7, 2), (True, 4), ("2", "2")],
+                             ids=repr)
+    def test_malformed_dims_are_refused(self, entry, dims):
+        with pytest.raises(ValidationError, match=r"^dims must be a pair of integers, got "):
+            _factor_dims_entry_points()[entry](dims)
+
+    @pytest.mark.parametrize("entry", ["CompositeState", "partial_trace", "ProspectOperator",
+                                       "prospect_operator", "readout"])
+    def test_a_list_or_numpy_integers_are_dims(self, entry):
+        call = _factor_dims_entry_points()[entry]
+        want = call((2, 2))
+        for dims in ([2, 2], (np.int64(2), 2)):
+            np.testing.assert_array_equal(call(dims), want)
+
+    @pytest.mark.parametrize("keep", [True, 1.0, np.float64(0.0)], ids=repr)
+    def test_keep_is_not_coerced(self, keep):
+        from qprospect import CompositeState
+        state = CompositeState.from_amplitudes([[0.6, 0], [0, 0.8]])
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'keep must be 0 or 1, got {keep!r}')}$"):
+            state.reduced(keep)
+        np.testing.assert_array_equal(state.reduced(np.int64(1)).matrix, state.reduced(1).matrix)
+
+    @pytest.mark.parametrize("call, size, message", [
+        ("bell_state", 3.0, "mode count must be an integer, got 3.0"),
+        ("bell_state", 1, "need at least two modes, got 1"),
+        ("standard", 2.5, "dim must be an integer, got 2.5"),
+        ("standard", -1, "dim must be nonnegative, got -1"),
+        ("standard", True, "dim must be an integer, got True"),
+        ("standard", 0, "eigenbasis is empty"),
+        ("maximally_mixed", 2.5, "dim must be an integer, got 2.5"),
+        ("maximally_mixed", -1, "dim must be nonnegative, got -1"),
+        ("maximally_mixed", 0, "density operator is empty"),
+        ("MeasurerSpec", "2", "measurer dimension must be an integer, got '2'"),
+        ("MeasurerSpec", True, "measurer dimension must be an integer, got True"),
+        ("MeasurerSpec", 0, "measurer dimension must be positive, got 0"),
+    ])
+    def test_sizes_are_integers(self, call, size, message):
+        from qprospect import DensityOperator, MeasurerSpec, Observable, bell_state
+        build = {
+            "bell_state": bell_state,
+            "standard": Observable.standard,
+            "maximally_mixed": DensityOperator.maximally_mixed,
+            "MeasurerSpec": lambda d: MeasurerSpec(d, DensityOperator.maximally_mixed(2),
+                                                   np.eye(4)),
+        }[call]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(size)
+        assert build(np.int64(2)).dim == build(2).dim
+
