@@ -5,7 +5,10 @@ is written in the product of the two measurement eigenbases, the first
 factor owning the slow index.  It is an ordinary statistical operator on
 that product: :class:`CompositeState` is a ``DensityOperator`` that also
 knows its factor dimensions, and can be passed wherever a
-``DensityOperator`` is expected.  Elementary joint events ``A_n (x) B_alpha``
+``DensityOperator`` is expected.  A pure state built from its amplitude
+matrix ``C`` stays factored: the joint table, the blocks, the reductions and
+the prospects are read from ``C``, and the ``D x D`` matrix is built only
+when ``matrix`` is first read.  Elementary joint events ``A_n (x) B_alpha``
 have the diagonal elements as probabilities.  A *prospect* pairs a sharp
 event in the first factor with a multimode event in the second; its
 probability splits into a classical (diagonal) part and an interference
@@ -41,6 +44,10 @@ class CompositeState(DensityOperator):
 
     dims: tuple[int, int]
 
+    # the checked amplitude matrix of a state built by from_amplitudes, whose
+    # matrix is built on its first read; None for every other state
+    _amplitudes = None
+
     def __post_init__(self):
         da, db = qcore._factor_dims(self.dims)
         if da < 1 or db < 1:
@@ -50,11 +57,28 @@ class CompositeState(DensityOperator):
         object.__setattr__(self, "spectrum", qcore.freeze(w))
         object.__setattr__(self, "dims", (da, db))
 
+    def __getattr__(self, name):
+        # reached only for an unset attribute: a pure state's matrix before its first read
+        c = self._amplitudes
+        if name != "matrix" or c is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        v = c.reshape(-1)
+        m = qcore.freeze(np.outer(v, v.conj()))
+        object.__setattr__(self, "matrix", m)
+        return m
+
+    @property
+    def dim(self) -> int:
+        return self.dims[0] * self.dims[1]
+
     def block(self, m: int, n: int) -> np.ndarray:
         """The ``<m .| rho |n .>`` block, a ``db x db`` matrix over the second factor."""
         da, db = self.dims
         qcore._require_indices((m, n), (da, da),
                                "block indices ({0}, {1}) out of range for dim {2}")
+        c = self._amplitudes
+        if c is not None:
+            return qcore.freeze(np.outer(c[m], c[n].conj()))
         return self.matrix[m * db:(m + 1) * db, n * db:(n + 1) * db]
 
     def element(self, m: int, alpha: int, n: int, beta: int) -> complex:
@@ -62,11 +86,41 @@ class CompositeState(DensityOperator):
         da, db = self.dims
         qcore._require_indices((m, alpha, n, beta), (da, db, da, db), "element indices "
                                "({0}, {1}, {2}, {3}) out of range for dims ({4}, {5})")
+        c = self._amplitudes
+        if c is not None:
+            return complex(np.multiply(c[m, alpha], c[n, beta].conj()))
         return complex(self.matrix[m * db + alpha, n * db + beta])
 
     def reduced(self, keep: int) -> DensityOperator:
         """Reduced state of one factor (0 keeps the first, 1 the second)."""
-        return DensityOperator(qcore._partial_trace(self.matrix, self.dims, keep))
+        return DensityOperator(self._reduction(keep))
+
+    # a pure state's reads come from C, bit for bit the dense route's but for
+    # the reductions, a few ulp off its einsum
+    def _diagonal(self) -> np.ndarray:
+        """The diagonal of ``matrix``."""
+        c = self._amplitudes
+        if c is None:
+            return self.matrix.diagonal()
+        v = c.reshape(-1)
+        return v * v.conj()
+
+    def _diagonal_blocks(self, ns) -> np.ndarray:
+        """The blocks ``<n .| rho |n .>`` for each ``n`` in ``ns``, stacked."""
+        c = self._amplitudes
+        if c is None:
+            da, db = self.dims
+            return self.matrix.reshape(da, db, da, db)[ns, :, ns, :]
+        rows = c[ns]
+        return rows[:, :, None] * rows.conj()[:, None, :]
+
+    def _reduction(self, keep: int) -> np.ndarray:
+        """The matrix of :meth:`reduced`: ``C C^dag`` or ``(C^dag C)^T`` of a pure state."""
+        c = self._amplitudes
+        if c is None:
+            return qcore._partial_trace(self.matrix, self.dims, keep)
+        qcore._require_indices((keep,), (2,), "keep must be 0 or 1, got {0!r}")
+        return c @ c.conj().T if keep == 0 else c.T @ c.conj()
 
     @classmethod
     def from_amplitudes(cls, c) -> "CompositeState":
@@ -78,15 +132,17 @@ class CompositeState(DensityOperator):
 
         Checked here, in this order: ``c`` is 2-d and nonempty, its entries
         are finite, its total squared amplitude is 1 within the tolerance,
-        the state dimension ``c.size`` is within ``MAX_DIM`` (before the
-        ``D x D`` matrix is built), and the built matrix has unit trace.
-        Held by construction and not checked: hermiticity and positivity
-        (see :func:`qcore.pure_state`); the spectrum is ``(0, ..., 0, Tr)``.
+        the state dimension ``c.size`` is within ``MAX_DIM``, and the trace
+        of the ``D x D`` matrix, ``sum |c|^2`` bit for bit, is 1.  Held by
+        construction and not checked: hermiticity and positivity (see
+        :func:`qcore.pure_state`); the spectrum is ``(0, ..., 0, Tr)``.
+
+        The state keeps a private copy of ``c`` and builds ``matrix`` on its
+        first read, with no check at that read.
         """
-        c = qcore.as_amplitude_matrix(c, policy.tolerance())
-        return _trusted(
-            cls, *qcore.pure_state(c.reshape(-1), "composite state", c.shape), dims=c.shape
-        )
+        c = np.array(qcore.as_amplitude_matrix(c, policy.tolerance()), order="C")
+        _, w = qcore._pure_spectrum(c.reshape(-1), "composite state", c.shape)
+        return _trusted(cls, spectrum=w, dims=c.shape, _amplitudes=c)
 
     @classmethod
     def product(cls, rho_a: DensityOperator, rho_b: DensityOperator) -> "CompositeState":
@@ -110,7 +166,7 @@ def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
     da, db = state.dims
     qcore._require_indices((n, alpha), (da, db),
                            "event indices ({0}, {1}) out of range for dims ({2}, {3})")
-    raw = state.matrix[n * db + alpha, n * db + alpha]
+    raw = state.element(n, alpha, n, alpha)
     return qcore.real_probability(raw, f"p(A_{n} x B_{alpha})")
 
 
@@ -121,21 +177,21 @@ def joint_table(state: CompositeState) -> np.ndarray:
     :func:`joint_probability`.
     """
     da, db = state.dims
-    return qcore.real_probabilities(
-        state.matrix.diagonal().reshape(da, db), "joint probability"
-    )
+    return qcore.real_probabilities(state._diagonal().reshape(da, db), "joint probability")
 
 
 def marginals(state: CompositeState) -> tuple[np.ndarray, np.ndarray]:
     """Marginal distributions of both factors.
 
     Computed by summing the joint table, then verified against the
-    diagonals of the two partial traces; the routes must agree to 1e-12.
+    diagonals of the two reductions; the routes must agree to 1e-12.  On a
+    pure state the reductions are the matrix products ``C C^dag`` and
+    ``(C^dag C)^T``, a different kernel from the table's entrywise
+    ``|C|^2`` and its sums.
     """
     table = joint_table(state)
     pa, pb = table.sum(axis=1), table.sum(axis=0)
-    ra = qcore._partial_trace(state.matrix, state.dims, 0).diagonal().real
-    rb = qcore._partial_trace(state.matrix, state.dims, 1).diagonal().real
+    ra, rb = (state._reduction(keep).diagonal().real for keep in (0, 1))
     qcore.require_within(np.maximum(np.abs(pa - ra).max(), np.abs(pb - rb).max()), 1e-12,
                          "marginal routes disagree: table sums vs partial traces by "
                          "{measured:.3e}", NumericContractError)
@@ -242,9 +298,8 @@ def _components(state: CompositeState, b: MultimodeState, ns) -> tuple[np.ndarra
     the mode basis of ``b`` and split by :func:`qcore.mode_split`.
     """
     _require_fits(max(ns), b, state.dims)
-    da, db = state.dims
     e = b.basis.eigenbasis
-    blocks = state.matrix.reshape(da, db, da, db)[ns, :, ns, :]
+    blocks = state._diagonal_blocks(ns)
     raw, f, q = qcore.mode_split(b.coefficients, e.conj().T @ blocks @ e)
     window = policy.PROBABILITY_TOL * max(1.0, b.gram())
     broken = np.flatnonzero(~(np.abs(raw.imag) <= window))

@@ -81,7 +81,7 @@ def entanglement_production(state: CompositeState, log_base="natural") -> Entang
     rho_b = state.reduced(1)
 
     norms = (
-        measurement_basis_norm(state.matrix),
+        float(state._diagonal().real.max()),
         measurement_basis_norm(rho_a.matrix),
         measurement_basis_norm(rho_b.matrix),
     )

@@ -201,7 +201,8 @@ def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
     A raw ``m`` is checked in full here: square, nonempty, within the cap
     and finite.  The reductions of a validated state (``CompositeState``,
     ``composite.marginals``, ``channels.readout``) skip that O(D^2) scan,
-    because the state's matrix was checked once, when the state was built.
+    because the state's matrix was checked once, when the state was built;
+    those of a pure ``CompositeState`` are read from its amplitude matrix.
     """
     return _partial_trace(as_complex_matrix(m, "bipartite operator"), dims, keep)
 
@@ -251,8 +252,7 @@ def _require_dims(dim: int, dims: tuple[int, int] | None, what: str = "matrix"):
                        what, *dims)
 
 
-def _require_unit_trace(a: np.ndarray, name: str, composite: bool):
-    tr = a.trace()
+def _require_unit_trace(tr: complex, name: str, composite: bool):
     # a composite state has always reported the trace alone
     detail = "" if composite else " (deviation {measured:.3e} exceeds {bound:.1e})"
     require_within(abs(tr - 1.0), policy.tolerance(), "{name} breaks unit trace: Tr = {tr!r}"
@@ -281,7 +281,7 @@ def validate_state(
     """
     a = np.array(require_hermitian(m, name))
     _require_dims(a.shape[0], dims)
-    _require_unit_trace(a, name, composite=dims is not None)
+    _require_unit_trace(a.trace(), name, composite=dims is not None)
     w = np.linalg.eigvalsh(a) if spectrum is None else spectrum
     low = w.min()
     require_within(-low, policy.tolerance(),
@@ -314,14 +314,26 @@ def pure_state(v, name: str, dims: tuple[int, int] | None = None):
     product, so ``|a_ij - conj(a_ji)|`` stays within a few units in the
     last place of ``|v_i v_j|`` (below 1e-15 for a unit vector), and the
     exact ``|v><v|`` has rank one with eigenvalues ``(0, ..., 0, <v|v>)``.
-    That spectrum, ascending like ``eigvalsh``, is returned by
-    :func:`rank_one` with the trace of the built matrix as its top entry.
+    That spectrum, ascending like ``eigvalsh``, is returned with the trace
+    of the built matrix as its top entry.
+    """
+    v, w = _pure_spectrum(v, name, dims)
+    return np.outer(v, v.conj()), w
+
+
+def _pure_spectrum(v, name: str, dims: tuple[int, int] | None = None):
+    """Every check of :func:`pure_state`, without building ``|v><v|``.
+
+    Returns the checked vector and the spectrum ``(0, ..., 0, Tr)``.  ``Tr``
+    is the sum of ``v * conj(v)``, bit for bit the trace of the built matrix.
     """
     v = as_complex_vector(v, name)
     _require_dims(v.size, dims)
-    a, w = rank_one(v)
-    _require_unit_trace(a, name, composite=dims is not None)
-    return a, w
+    tr = (v * v.conj()).sum()
+    _require_unit_trace(tr, name, composite=dims is not None)
+    w = np.zeros(v.size)
+    w[-1] = tr.real
+    return v, w
 
 
 def validate_rank_one(m, name: str, dims: tuple[int, int] | None = None):

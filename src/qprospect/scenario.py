@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import policy
+from . import policy, qcore
 from .errors import NumericContractError, QProspectError, ScenarioError
 from .events import DensityOperator, MultimodeState, Observable
 
@@ -225,10 +225,7 @@ def _density(section, path: str, kinds=("pure", "density")) -> DensityOperator:
         return _wrap_domain(path, CompositeState.from_amplitudes, _matrix(value, path))
     _fields(value, path, "composite", ("matrix", "dims"))
     m = _matrix(value["matrix"], f"{path}.matrix")
-    dims = value["dims"]
-    _require(isinstance(dims, list) and len(dims) == 2,
-             "dims must be [dim_a, dim_b]", f"{path}.dims")
-    dims = tuple(_int(d, f"{path}.dims[{k}]") for k, d in enumerate(dims))
+    dims = _wrap_domain(f"{path}.dims", qcore._factor_dims, value["dims"])
     return _wrap_domain(path, CompositeState, m, dims)
 
 

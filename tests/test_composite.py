@@ -1,5 +1,7 @@
 """Composite systems: joint events, marginals, prospects, interference."""
 
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -35,6 +37,7 @@ from qprospect import (
     prospect_probability,
 )
 from qprospect import channels, policy, qcore
+from qprospect.events import _trusted
 
 from helpers import (
     random_amplitudes,
@@ -215,7 +218,8 @@ class TestStateMatrixScannedOnce:
 
     @pytest.mark.parametrize("dims", [(2, 2), (8, 8), (16, 16), (32, 32)])
     def test_bit_identical_to_the_public_route(self, dims, rng, monkeypatch):
-        states = [CompositeState.from_amplitudes(random_amplitudes(*dims, rng))]
+        pure = CompositeState.from_amplitudes(random_amplitudes(*dims, rng))
+        states = [pure]
         if dims[0] * dims[1] <= 64:
             states.append(random_composite(*dims, rng))
         kernel, seen = qcore._partial_trace, []
@@ -228,15 +232,164 @@ class TestStateMatrixScannedOnce:
         for state in states:
             public = [qcore.partial_trace(state.matrix, dims, keep) for keep in (0, 1)]
             for keep in (0, 1):
-                assert np.array_equal(state.reduced(keep).matrix, public[keep])
+                got = state.reduced(keep).matrix
+                if state is pure:
+                    # C C^dag and (C^dag C)^T: a matrix product, a few ulp off the einsum
+                    assert np.abs(got - public[keep]).max() <= 1e-15
+                else:
+                    assert np.array_equal(got, public[keep])
             for got, want in zip(channels.readout(state, dims), public):
                 assert np.array_equal(got.matrix, want)
             seen.clear()
             pa, pb = marginals(state)
-            # the cross-check read the very reductions the public route gives
-            assert len(seen) == 2 and all(map(np.array_equal, seen, public))
             table = joint_table(state)
             assert np.array_equal(pa, table.sum(axis=1)) and np.array_equal(pb, table.sum(axis=0))
+            da, db = dims
+            assert np.array_equal(table, qcore.real_probabilities(
+                state.matrix.diagonal().reshape(dims)))
+            for m, n in ((0, 0), (da - 1, 0), (0, da - 1)):
+                assert np.array_equal(state.block(m, n),
+                                      state.matrix[m * db:(m + 1) * db, n * db:(n + 1) * db])
+            if state is pure:
+                assert seen == []  # read from the amplitudes, not by the kernel
+            else:
+                # the cross-check read the very reductions the public route gives
+                assert len(seen) == 2 and all(map(np.array_equal, seen, public))
+
+
+def dense_twin(state):
+    """The state of ``state.matrix`` on the dense route, checked by the constructor
+    up to D = 256; above, trusted with the kept spectrum, because one eigvalsh at
+    D = 4096 takes tens of seconds."""
+    if state.dim <= 256:
+        return CompositeState(state.matrix, state.dims)
+    return _trusted(CompositeState, state.matrix, state.spectrum, dims=state.dims)
+
+
+def close(got, want):
+    """Within 1e-15, relative to values above 1 (an epsilon of a few units)."""
+    return np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+class TestFactoredPureState:
+    """A pure state built from amplitudes reads as the dense state of its own matrix does."""
+
+    @pytest.fixture(params=[(2, 2), (3, 5), (16, 16), (64, 64)], ids=str)
+    def case(self, request):
+        dims = request.param
+        rng = np.random.default_rng(1700 + dims[0] * dims[1])
+        c = random_amplitudes(*dims, rng)
+        b = MultimodeState(random_multimode_coefficients(dims[1], rng),
+                           random_observable(dims[1], rng, "B"))
+        return c, CompositeState.from_amplitudes(c), b
+
+    def test_matrix_is_built_on_first_read(self, case):
+        c, state, _ = case
+        assert "matrix" not in vars(state) and state.dim == c.size
+        v = c.reshape(-1)
+        m = state.matrix
+        assert not m.flags.writeable
+        for rows in np.array_split(np.arange(v.size), 8):  # one D x D matrix at a time
+            assert np.array_equal(m[rows], np.outer(v[rows], v.conj()))
+        assert state.matrix is m  # kept
+        assert state.spectrum[-1] == m.trace().real and not state.spectrum[:-1].any()
+
+    def test_tables_blocks_and_lattices_are_bit_identical(self, case):
+        _, state, b = case
+        dense = dense_twin(state)
+        da, db = state.dims
+        assert np.array_equal(joint_table(state), joint_table(dense))
+        corners = {(0, 0), (da - 1, 0), (0, da - 1), (da - 1, da - 1)}
+        for m, n in corners:
+            assert np.array_equal(state.block(m, n), dense.block(m, n))
+            assert not state.block(m, n).flags.writeable
+            for alpha, beta in {(0, db - 1), (db - 1, 0), (db // 2, db // 2)}:
+                assert state.element(m, alpha, n, beta) == dense.element(m, alpha, n, beta)
+            assert joint_probability(state, m, db - 1) == joint_probability(dense, m, db - 1)
+        for normalize in (False, True):
+            got, want = (prospect_lattice(s, b, normalize) for s in (state, dense))
+            assert [(v.p, v.f, v.q) for v in got] == [(v.p, v.f, v.q) for v in want]
+
+    def test_reductions_agree_within_1e_15(self, case):
+        _, state, b = case
+        dense = dense_twin(state)
+        for keep in (0, 1):
+            assert close(state.reduced(keep).matrix, dense.reduced(keep).matrix)
+        for got, want in zip(marginals(state), marginals(dense)):
+            assert close(got, want)
+        got, want = entanglement_production(state), entanglement_production(dense)
+        assert close(got.norms, want.norms) and close(got.epsilon, want.epsilon)
+        assert close(got.spectral_norms, want.spectral_norms)
+        assert close(got.epsilon_spectral, want.epsilon_spectral)
+        prospect = Prospect(state.dims[0] // 2, b)
+        assert close(conditional_under_uncertainty(state, prospect),
+                     conditional_under_uncertainty(dense, prospect))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (16, 16)])
+    def test_survives_copy_deepcopy_and_pickle(self, dims, rng):
+        c = random_amplitudes(*dims, rng)
+        state = CompositeState.from_amplitudes(c)
+        table, built = joint_table(state), np.array(state.matrix)
+        for original in (CompositeState.from_amplitudes(c), state):  # unbuilt, then built
+            for clone in (copy.copy(original), copy.deepcopy(original),
+                          pickle.loads(pickle.dumps(original))):
+                assert clone.dims == state.dims and clone.dim == state.dim
+                assert np.array_equal(clone.spectrum, state.spectrum)
+                assert np.array_equal(joint_table(clone), table)
+                assert np.array_equal(clone.matrix, built)
+
+    def test_first_matrix_read_is_not_checked(self, monkeypatch, rng):
+        c = random_amplitudes(4, 4, rng) * (1.0 + 5e-13)  # total weight 1 + 1e-12
+        state = CompositeState.from_amplitudes(c)
+        calls = []
+        original = qcore.require_within
+        monkeypatch.setattr(qcore, "require_within",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        with policy.tolerance_scope(1e-14):
+            m = state.matrix
+            assert calls == []
+            with pytest.raises(ValidationError, match="total weight"):
+                CompositeState.from_amplitudes(c)  # the scope refuses a new state
+        assert np.array_equal(m, np.outer(c.reshape(-1), c.reshape(-1).conj()))
+
+    def test_peak_at_max_dim_is_far_below_one_matrix(self, rng):
+        c = random_amplitudes(64, 64, rng)
+        b = MultimodeState(random_multimode_coefficients(64, rng), random_observable(64, rng))
+        tracemalloc.start()
+        try:
+            state = CompositeState.from_amplitudes(c)
+            joint_table(state)
+            state.block(63, 0)
+            state.element(1, 2, 3, 4)
+            prospect_lattice(state, b, normalize=False)
+            prospect_lattice(state, b)
+            state.reduced(0)
+            state.reduced(1)
+            marginals(state)
+            entanglement_production(state)
+            conditional_under_uncertainty(state, Prospect(7, b))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 4096 x 4096 complex matrix is 256 MiB
+        assert peak < 32 * 2**20
+        assert "matrix" not in vars(state)
+
+    @pytest.mark.parametrize("mutation", ["transpose C", "swap keep"])
+    def test_marginal_routes_catch_a_wrong_reduction(self, mutation, rng, monkeypatch):
+        state = CompositeState.from_amplitudes(random_amplitudes(8, 8, rng))
+        marginals(state)  # the true routes agree
+        reduction = CompositeState._reduction
+
+        def mutated(self, keep):
+            if mutation == "swap keep":
+                return reduction(self, 1 - keep)
+            c = self._amplitudes.T
+            return c @ c.conj().T if keep == 0 else c.T @ c.conj()
+
+        monkeypatch.setattr(CompositeState, "_reduction", mutated)
+        with pytest.raises(NumericContractError, match="marginal routes disagree"):
+            marginals(state)
 
 
 class TestJointEvents:

@@ -153,6 +153,16 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="state.composite"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("dims", [[2, 2, 5], [4], [2.0, 2], [True, 2], "22", {"a": 2}])
+    def test_composite_dims_are_parsed_by_the_library_rule(self, dims):
+        doc = minimal_born(state={"composite": {
+            "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], "dims": dims}})
+        with pytest.raises(ScenarioError) as refused:
+            parse_scenario(doc)
+        assert refused.value.path == "state.composite.dims"
+        assert str(refused.value) == (
+            f"state.composite.dims: dims must be a pair of integers, got {dims!r}")
+
     def test_amplitude_state_builds_composite_and_density(self):
         s3 = 1 / math.sqrt(3)
         doc = minimal_born(state={"amplitudes": [[s3, s3], [0, s3]]})
