@@ -1,14 +1,17 @@
 """Multimode wave-function dynamics and two-time amplitude matrices.
 
 States are coefficient vectors over a fixed mode basis; the generator
-is a static part plus a piecewise-constant perturbation, so propagation
-is an ordered product of exact matrix exponentials, one per constant
-segment, and each generator is decomposed once per spec.  Evolving each
-mode separately from a common start time yields the two-time amplitude
-matrix ``c[n, alpha]``: the weight of arriving in mode ``n`` at the
-final time having been in mode ``alpha`` at the start time.  Its squared
-entries are joint two-time probabilities, and multimode combinations of
-its rows carry interference exactly like composite prospects.
+is a static part plus a piecewise-constant perturbation.  Each generator
+is decomposed once per spec.  A state is carried through the constant
+segments one at a time, by the exact exponential of each applied through
+its decomposition, so no propagator matrix is formed; the propagator,
+where one is needed, is the ordered product of the same exponentials.
+Evolving each mode separately from a common start time yields the
+two-time amplitude matrix ``c[n, alpha]``: the weight of arriving in
+mode ``n`` at the final time having been in mode ``alpha`` at the start
+time.  Its squared entries are joint two-time probabilities, and
+multimode combinations of its rows carry interference exactly like
+composite prospects.
 """
 
 from dataclasses import dataclass
@@ -114,8 +117,13 @@ class WaveState:
         return np.abs(self.coefficients) ** 2
 
 
-def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
-    """Ordered product of exact segment propagators from ``t0`` to ``t``."""
+def _propagate(h: HamiltonianSpec, t0: float, t: float, x: np.ndarray | None) -> np.ndarray:
+    """``x``, a vector or a matrix, carried from ``t0`` to ``t`` segment by segment.
+
+    Each segment applies its kept ``(w, v)`` as ``v (phase * conj(x† v))``,
+    which makes no conjugated copy of ``v``.  With ``x`` None the result is
+    the propagator, begun from the first segment's exponential itself.
+    """
     t0, t = float(t0), float(t)
     if not (np.isfinite(t0) and np.isfinite(t)):
         raise ValidationError("propagation times must be finite")
@@ -125,17 +133,28 @@ def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
         raise ValidationError("time must be finite")
     cuts = [start for start, _ in h.pieces if t0 < start < t]
     edges = [t0, *cuts, t]
-    u = np.eye(h.dim, dtype=complex)
     for a, b in zip(edges, edges[1:]):
-        u = qcore.propagator_from_eigh(h._decomposition(a), b - a) @ u
-    return u
+        w, v = h._decomposition(a)
+        if x is None:
+            x = qcore.propagator_from_eigh((w, v), b - a)
+        else:
+            x = v @ (np.exp(-1j * w * (b - a)) * (x.conj().T @ v).conj()).T
+    return x
+
+
+def propagator(h: HamiltonianSpec, t0: float, t: float) -> np.ndarray:
+    """Ordered product of exact segment propagators from ``t0`` to ``t``, O(d^3) per segment."""
+    return _propagate(h, t0, t, None)
 
 
 def evolve_state(psi: WaveState, h: HamiltonianSpec, t: float) -> WaveState:
-    """Propagate a wave state to time ``t``; norm drift is an error."""
+    """Propagate a wave state to time ``t``; norm drift is an error.
+
+    The coefficients are carried through the segments in O(d^2) each, and
+    no ``d x d`` matrix is formed.
+    """
     qcore._require_equal(psi.dim, h.dim, "state dim {0} vs generator dim {1}")
-    u = propagator(h, psi.time, t)
-    return WaveState(u @ psi.coefficients, t)
+    return WaveState(_propagate(h, psi.time, t, psi.coefficients), t)
 
 
 @dataclass(frozen=True, eq=False)

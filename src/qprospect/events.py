@@ -133,7 +133,9 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        """``Tr rho^2``, read as ``sum |rho_ij|^2`` of the Hermitian matrix in O(d^2)."""
+        m = self.matrix
+        return float(np.vdot(m, m).real)
 
     @classmethod
     def from_pure(cls, vector) -> "DensityOperator":
@@ -365,7 +367,7 @@ def validate_povm(
     total_probability = None
     if rho is not None:
         qcore._require_equal(rho.dim, dim, "density operator dim {0} vs family dimension {1}")
-        raw = [complex(np.trace(rho.matrix @ member.operator)) for member in members]
+        raw = [complex(np.einsum("ij,ji->", rho.matrix, member.operator)) for member in members]
         probabilities = tuple(qcore.real_probabilities(raw, "member probability").tolist())
         total_probability = float(sum(probabilities))
     return PovmReport(residual, passed, probabilities, total_probability)

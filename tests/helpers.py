@@ -1,8 +1,10 @@
-"""Shared random constructors for the test suite.
+"""Shared random constructors and measuring helpers for the test suite.
 
 The unitary, observable and amplitude constructors are the self-test's
 own; only the rank-limited density and its composite are kept here.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -54,6 +56,16 @@ def overflowing_cases(seed, build, hermitian=False, count=300):
                 a[lower] = a.T[lower].conj()
                 a[np.diag_indices(a.shape[0])] = a.diagonal().real
         yield a
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def returns_or_refuses(check, *args):

@@ -26,6 +26,8 @@ from qprospect import (
     two_time_prospect,
 )
 
+from helpers import traced_peak
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -61,6 +63,20 @@ def random_drive(d, rng):
         return scale * (a + a.conj().T) / 2.0
 
     return hermitian(), tuple((0.1 * (k + 1), hermitian(0.5)) for k in range(10))
+
+
+def skewed_spec():
+    """h0 and one piece each 0.9 tol from Hermitian, so their sum is refused at first use."""
+    skew = np.array([[0.0, 0.9 * policy.tolerance()], [0.0, 0.0]])
+    return HamiltonianSpec(skew, pieces=((0.5, skew),))
+
+
+def spec_with_doubled_eigenvectors():
+    """A spec whose kept decomposition is planted non-unitary, so an evolved norm drifts."""
+    h = HamiltonianSpec(SX)
+    w, v = np.linalg.eigh(SX)
+    h._decompositions[0] = (w, 2.0 * v)
+    return h
 
 
 def random_wave(d, rng):
@@ -116,9 +132,7 @@ class TestKeptDecompositions:
         assert np.array_equal(amp.c, amplitude_matrix(psi, HamiltonianSpec(*parts), 0.25, 1.3).c)
 
     def test_refused_generator_is_refused_again(self):
-        # h0 and the piece each pass, 0.9 tol from Hermitian; their sum is 1.8 tol off
-        skew = np.array([[0.0, 0.9 * policy.tolerance()], [0.0, 0.0]])
-        h = HamiltonianSpec(skew, pieces=((0.5, skew),))
+        h = skewed_spec()
         psi = WaveState(np.array([1.0, 0.0]))
         messages = []
         for _ in range(2):
@@ -242,6 +256,53 @@ class TestEvolveState:
         h = HamiltonianSpec(np.zeros((3, 3)))
         with pytest.raises(ValidationError):
             evolve_state(WaveState(np.array([1.0, 0.0])), h, 1.0)
+
+    @pytest.mark.parametrize("where", ["start", "cut", "inside", "after"])
+    def test_matches_the_propagator_at_d128(self, where, rng):
+        h = HamiltonianSpec(*random_drive(128, rng))
+        c0 = random_wave(128, rng).coefficients
+        psi = WaveState(c0, 0.35)
+        t = {"start": 0.35, "cut": h.pieces[5][0], "inside": 0.83, "after": 1.3}[where]
+        got = evolve_state(psi, h, t)
+        assert got.time == t
+        assert np.abs(got.coefficients - propagator(h, 0.35, t) @ c0).max() < 1e-13
+
+    def test_peak_is_below_one_matrix_at_d256(self, rng):
+        h, psi = HamiltonianSpec(*random_drive(256, rng)), random_wave(256, rng)
+        evolve_state(psi, h, 1.3)  # decomposes every generator
+        # one 256 x 256 complex matrix is 1 MiB
+        assert traced_peak(lambda: evolve_state(psi, h, 1.3)) < 256 * 256 * 16
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: evolve_state(WaveState([1.0, 0.0]), HamiltonianSpec(np.zeros((3, 3))), 1.0),
+         DimensionMismatchError, r"state dim 2 vs generator dim 3"),
+        (lambda: evolve_state(WaveState([1.0, 0.0]), HamiltonianSpec(SX), np.inf),
+         ValidationError, r"propagation times must be finite"),
+        (lambda: evolve_state(WaveState([1.0, 0.0]), HamiltonianSpec(SX), np.nan),
+         ValidationError, r"propagation times must be finite"),
+        (lambda: evolve_state(WaveState([1.0, 0.0], 1.0), HamiltonianSpec(SX), 0.5),
+         ValidationError, r"backward propagation from 1\.0 to 0\.5 is not supported"),
+        (lambda: evolve_state(WaveState([1.0, 0.0], -1e308), HamiltonianSpec(SX), 1e308),
+         ValidationError, r"time must be finite"),
+        (lambda: evolve_state(WaveState([1.0, 0.0]), skewed_spec(), 1.0),
+         ValidationError, r"generator is not Hermitian: max deviation 1\.800e-10 exceeds 1\.0e-10"),
+        (lambda: evolve_state(WaveState([1.0, 0.0]), spec_with_doubled_eigenvectors(), 1.0),
+         ValidationError, r"coefficient norm [34]\.\d+ drifts from 1 beyond 1e-08"),
+        (lambda: propagator(HamiltonianSpec(SX), 0.0, np.inf),
+         ValidationError, r"propagation times must be finite"),
+        (lambda: propagator(HamiltonianSpec(SX), 1.0, 0.5),
+         ValidationError, r"backward propagation from 1\.0 to 0\.5 is not supported"),
+        (lambda: propagator(HamiltonianSpec(SX), -1e308, 1e308),
+         ValidationError, r"time must be finite"),
+        (lambda: propagator(skewed_spec(), 0.0, 1.0),
+         ValidationError, r"generator is not Hermitian: max deviation 1\.800e-10 exceeds 1\.0e-10"),
+    ], ids=["dims", "infinite-t", "nan-t", "backward", "span-overflows", "not-hermitian",
+            "norm-drift", "propagator-infinite-t", "propagator-backward",
+            "propagator-span-overflows", "propagator-not-hermitian"])
+    def test_refusals_keep_type_and_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$") as refused:
+            call()
+        assert type(refused.value) is error
 
 
 class TestAmplitudeMatrix:

@@ -199,6 +199,13 @@ class TestDensityOperator:
         assert np.abs(rho.matrix - np.eye(4) / 4.0).max() == 0.0
         assert abs(rho.purity() - 0.25) < 1e-14
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("rank", [1, 2, None], ids=["pure", "rank2", "full"])
+    def test_purity_matches_the_matrix_square(self, dim, rank, rng):
+        rho = random_density(dim, rng, min(rank or dim, dim))
+        want = np.trace(rho.matrix @ rho.matrix).real
+        assert abs(rho.purity() - want) < 1e-15
+
     def test_matrix_is_read_only(self):
         rho = DensityOperator.maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -396,6 +403,15 @@ class TestPovm:
         assert report.probabilities is not None
         assert abs(report.total_probability - 1.0) < 1e-10
         assert all(p >= -1e-12 for p in report.probabilities)
+
+    def test_probabilities_match_the_matmul_trace_at_d64(self, rng):
+        u = random_unitary(64, rng)
+        members = [GeneralizedProposition.from_state(MultimodeState.in_standard_basis(u[:, k]))
+                   for k in range(64)]
+        rho = random_density(64, rng)
+        report = validate_povm(members, rho)
+        want = [np.trace(rho.matrix @ member.operator).real for member in members]
+        assert np.abs(np.subtract(report.probabilities, want)).max() < 1e-14
 
     def test_member_probabilities_stay_in_the_window(self):
         # passes the state checks at the default tolerance, but its first

@@ -1,6 +1,5 @@
 """Prisoner-dilemma prospects: quarter law, broken symmetry, cohort sampling."""
 
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -20,6 +19,8 @@ from qprospect import (
     quarter_law,
 )
 from qprospect.game import CohortReport, _piecewise_linear_moments, _positive_mass
+
+from helpers import traced_peak
 
 # joint-action statistics of the canonical disjunction-effect experiment:
 # cooperation is rare whatever the partner does
@@ -411,11 +412,7 @@ class TestCohortKernel:
         n = 1_000_000
         spec = GameSpec(DISJUNCTION_TABLE)
         dist = cohort_densities()[1 if tabulated else 0]
-        tracemalloc.start()
-        try:
-            monte_carlo_cohort(spec, dist, n, symmetry, favored, seed=9, fixed_q=fixed_q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: monte_carlo_cohort(spec, dist, n, symmetry, favored, seed=9, fixed_q=fixed_q))
         # one fresh array per step held about eight at once
         assert peak <= 4 * 8 * n
