@@ -57,8 +57,7 @@ class MeasurerSpec:
         coupling = np.array(qcore.require_hermitian(self.coupling, "coupling"))
         qcore._require_equal(coupling.shape[0] % self.dim, 0, "coupling dimension {2} is not a "
                              "multiple of the measurer dimension {3}", coupling.shape[0], self.dim)
-        object.__setattr__(self, "coupling", qcore.freeze(coupling))
-        object.__setattr__(self, "_coupling_eigh", None)
+        qcore._set_fields(self, coupling=coupling, _coupling_eigh=None)
 
     @property
     def system_dim(self) -> int:
@@ -68,7 +67,7 @@ class MeasurerSpec:
         """The kept ``eigh`` of the coupling, found on first use."""
         if self._coupling_eigh is None:
             kept = tuple(map(qcore.freeze, np.linalg.eigh(self.coupling)))
-            object.__setattr__(self, "_coupling_eigh", kept)
+            qcore._set_fields(self, _coupling_eigh=kept)
         return self._coupling_eigh
 
 
@@ -91,7 +90,7 @@ class PipelineStage:
             if self.transform is None:
                 raise ValidationError("transform stage needs a matrix")
             t = np.array(qcore.require_unitary(self.transform, "basis transform"))
-            object.__setattr__(self, "transform", qcore.freeze(t))
+            qcore._set_fields(self, transform=t)
         elif self.transform is not None:
             raise ValidationError(f"{self.kind} stages carry no transform")
 

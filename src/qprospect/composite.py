@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import policy, qcore
-from .errors import NumericContractError, ValidationError, ZeroProbabilityError
+from .errors import NumericContractError, ValidationError
 from .events import DensityOperator, MultimodeState, _trusted, multimode_probability
 
 
@@ -53,9 +53,7 @@ class CompositeState(DensityOperator):
         if da < 1 or db < 1:
             raise ValidationError(f"factor dimensions must be positive, got {self.dims}")
         m, w = qcore.validate_state(self.matrix, "composite state", (da, db))
-        object.__setattr__(self, "matrix", qcore.freeze(m))
-        object.__setattr__(self, "spectrum", qcore.freeze(w))
-        object.__setattr__(self, "dims", (da, db))
+        qcore._set_fields(self, matrix=m, spectrum=w, dims=(da, db))
 
     def __getattr__(self, name):
         # reached only for an unset attribute: a pure state's matrix before its first read
@@ -63,9 +61,7 @@ class CompositeState(DensityOperator):
         if name != "matrix" or c is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         v = c.reshape(-1)
-        m = qcore.freeze(np.outer(v, v.conj()))
-        object.__setattr__(self, "matrix", m)
-        return m
+        return qcore._set_fields(self, matrix=np.outer(v, v.conj())).matrix
 
     @property
     def dim(self) -> int:
@@ -202,10 +198,8 @@ def bayes_conditional(state: CompositeState, n: int, alpha: int) -> float:
     """Conditional probability of ``A_n`` given the sharp event ``B_alpha``."""
     joint = joint_probability(state, n, alpha)
     pb = marginals(state)[1][alpha]
-    if pb <= policy.ZERO_EVENT_TOL:
-        raise ZeroProbabilityError(
-            f"cannot condition on B_{alpha}: probability {pb!r} is numerically zero"
-        )
+    qcore.require_event(pb, "cannot condition on B_{alpha}: probability {p!r} is numerically "
+                        "zero", alpha=alpha)
     return qcore.real_probability(joint / pb, "conditional probability")
 
 
@@ -230,8 +224,7 @@ class ProspectOperator:
     def __post_init__(self):
         dims = qcore._factor_dims(self.dims)
         m, _ = qcore.validate_rank_one(self.operator, "prospect operator", dims)
-        object.__setattr__(self, "operator", qcore.freeze(m))
-        object.__setattr__(self, "dims", dims)
+        qcore._set_fields(self, operator=m, dims=dims)
 
 
 def _require_fits(n: int, b: MultimodeState, dims: tuple[int, int]):
@@ -328,11 +321,9 @@ def prospect_lattice(
             for pn, fn, qn in zip(p, f, q)
         ]
     total_p, total_f = float(p.sum()), float(f.sum())
-    if total_p <= policy.ZERO_EVENT_TOL or total_f <= policy.ZERO_EVENT_TOL:
-        raise ZeroProbabilityError(
-            f"degenerate lattice: total prospect weight {total_p!r} "
-            f"(classical {total_f!r}) is numerically zero"
-        )
+    qcore.require_event(np.minimum(total_p, total_f), "degenerate lattice: total prospect weight "
+                        "{total_p!r} (classical {total_f!r}) is numerically zero",
+                        total_p=total_p, total_f=total_f)
     pn = p / total_p
     fn = f / total_f
     return [
@@ -368,10 +359,7 @@ def conditional_under_uncertainty(state: CompositeState, prospect: Prospect) -> 
     """
     numerator = float(_components(state, prospect.b, [prospect.n])[0][0])
     denominator = multimode_probability(state.reduced(1), prospect.b).p
-    if denominator <= policy.ZERO_EVENT_TOL:
-        raise ZeroProbabilityError(
-            f"cannot condition on multimode event of probability {denominator!r}"
-        )
+    qcore.require_event(denominator, "cannot condition on multimode event of probability {p!r}")
     return qcore.real_probability(numerator / denominator, "conditional probability")
 
 

@@ -48,7 +48,6 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         h0 = np.array(qcore.require_hermitian(self.h0, "static generator"))
-        object.__setattr__(self, "h0", qcore.freeze(h0))
         cleaned = []
         previous = -np.inf
         for k, piece in enumerate(self.pieces):
@@ -65,8 +64,7 @@ class HamiltonianSpec:
             m = np.array(qcore.require_hermitian(matrix, f"perturbation piece {k}"))
             qcore._require_equal(m.shape, h0.shape, "piece {2} has shape {0}, expected {1}", k)
             cleaned.append((start, qcore.freeze(m)))
-        object.__setattr__(self, "pieces", tuple(cleaned))
-        object.__setattr__(self, "_decompositions", {})
+        qcore._set_fields(self, h0=h0, pieces=tuple(cleaned), _decompositions={})
 
     @property
     def dim(self) -> int:
@@ -106,8 +104,7 @@ class WaveState:
                              norm=norm)
         if not np.isfinite(self.time):
             raise ValidationError("time must be finite")
-        object.__setattr__(self, "coefficients", qcore.freeze(c))
-        object.__setattr__(self, "time", float(self.time))
+        qcore._set_fields(self, coefficients=c, time=float(self.time))
 
     @property
     def dim(self) -> int:
@@ -175,8 +172,7 @@ class AmplitudeMatrix:
         t0, t = float(self.times[0]), float(self.times[1])
         if not (np.isfinite(t0) and np.isfinite(t)) or t < t0:
             raise ValidationError(f"invalid time pair {self.times}")
-        object.__setattr__(self, "c", qcore.freeze(np.array(c)))
-        object.__setattr__(self, "times", (t0, t))
+        qcore._set_fields(self, c=np.array(c), times=(t0, t))
 
     @property
     def dims(self) -> tuple[int, int]:

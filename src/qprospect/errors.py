@@ -39,8 +39,8 @@ class ZeroProbabilityError(ValidationError):
 class ScenarioError(ValidationError):
     """A scenario file failed to parse or validate.
 
-    ``path`` holds a dotted location such as ``states.rho.matrix`` so the
-    offending field can be named in diagnostics.
+    ``path`` holds a dotted location such as ``observables.Z.eigenbasis``, so
+    the offending field can be named in diagnostics.
     """
 
     def __init__(self, message: str, path: str = ""):

@@ -45,16 +45,16 @@ class Observable:
                              "{0} eigenvalues vs eigenbasis of dimension {1}")
         if not np.all(np.isfinite(values)):
             raise ValidationError("eigenvalues must be finite")
-        gaps = np.abs(values[:, None] - values[None, :])
-        gaps[np.diag_indices_from(gaps)] = np.inf
-        if gaps.min() <= policy.EIGENVALUE_GAP:
+        # the least gap between sorted neighbours, the least of all pairwise
+        # gaps bit for bit (rounded subtraction is monotone); inf when d = 1
+        gap = np.diff(np.sort(values), prepend=-np.inf).min()
+        if not gap > policy.EIGENVALUE_GAP:
             raise ValidationError(
                 f"observable {self.label!r} is degenerate: eigenvalue gap "
-                f"{gaps.min():.3e} at or below {policy.EIGENVALUE_GAP:.0e}"
+                f"{gap:.3e} at or below {policy.EIGENVALUE_GAP:.0e}"
             )
         qcore.require_unitary(basis, f"eigenbasis of {self.label!r}")
-        object.__setattr__(self, "eigenvalues", qcore.freeze(values))
-        object.__setattr__(self, "eigenbasis", qcore.freeze(basis))
+        qcore._set_fields(self, eigenvalues=values, eigenbasis=basis)
 
     @property
     def dim(self) -> int:
@@ -104,13 +104,7 @@ def _trusted(cls, *values, **fields):
     projectors in :func:`projector_of`).  Values fill the dataclass fields
     in order or by name; arrays are frozen, not copied.
     """
-    obj = object.__new__(cls)
-    named = zip(_field_names(cls), values)
-    for name, value in [*named, *fields.items()]:
-        if isinstance(value, np.ndarray):
-            value = qcore.freeze(value)
-        object.__setattr__(obj, name, value)
-    return obj
+    return qcore._set_fields(object.__new__(cls), **dict(zip(_field_names(cls), values)), **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +119,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m, w = qcore.validate_state(self.matrix, "density operator")
-        object.__setattr__(self, "matrix", qcore.freeze(m))
-        object.__setattr__(self, "spectrum", qcore.freeze(w))
+        qcore._set_fields(self, matrix=m, spectrum=w)
 
     @property
     def dim(self) -> int:
@@ -182,7 +175,7 @@ class Projector:
     def __post_init__(self):
         m = np.array(qcore.require_hermitian(self.matrix, "projector"))
         _require_idempotent(float(np.abs(m @ m - m).max()))
-        object.__setattr__(self, "matrix", qcore.freeze(m))
+        qcore._set_fields(self, matrix=m)
 
     @property
     def dim(self) -> int:
@@ -227,7 +220,7 @@ class MultimodeState:
         qcore._require_equal(b.size, self.basis.dim, "{0} coefficients vs basis of dimension {1}")
         if not np.any(b != 0):
             raise ValidationError("multimode state needs at least one nonzero coefficient")
-        object.__setattr__(self, "coefficients", qcore.freeze(b))
+        qcore._set_fields(self, coefficients=b)
         gram = self.gram()
         if not np.isfinite(gram):
             raise ValidationError(f"multimode state norm <B|B> = {gram} is not finite")
@@ -265,7 +258,7 @@ class GeneralizedProposition:
     def __post_init__(self):
         m, w = qcore.validate_rank_one(self.operator, "generalized proposition")
         _require_weight(w)
-        object.__setattr__(self, "operator", qcore.freeze(m))
+        qcore._set_fields(self, operator=m)
 
     @property
     def dim(self) -> int:
@@ -288,7 +281,7 @@ class GeneralizedProposition:
 
 
 def _require_weight(w: np.ndarray):
-    if w[-1] <= policy.tolerance():
+    if not w[-1] > policy.tolerance():
         raise ValidationError("generalized proposition is (numerically) zero")
 
 
@@ -384,7 +377,7 @@ class PovmFamily:
         qcore.require_within(validate_povm(members).residual, policy.POVM_TOL,
                              "family breaks the resolution of unity: residual {measured:.3e} "
                              "exceeds {bound:.0e}")
-        object.__setattr__(self, "members", members)
+        qcore._set_fields(self, members=members)
 
     @property
     def dim(self) -> int:

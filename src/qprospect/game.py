@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy, qcore
-from .errors import SizeLimitError, ValidationError, ZeroProbabilityError
+from .errors import SizeLimitError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +52,12 @@ class GameSpec:
                              "joint table has negative entry {low!r}", low=low)
         qcore.require_within(abs(total - 1.0), 1e-12, "joint table must sum to 1, got {total!r}",
                              total=total)
-        object.__setattr__(self, "joint", qcore.freeze(np.clip(table, 0.0, 1.0)))
+        qcore._set_fields(self, joint=np.clip(table, 0.0, 1.0))
         if self.payoffs is not None:
-            x1, x2, x3, x4 = (float(x) for x in self.payoffs)
+            try:
+                x1, x2, x3, x4 = (float(x) for x in self.payoffs)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"payoffs must be 4 numbers, got {self.payoffs!r}") from None
             if not all(np.isfinite(x) for x in (x1, x2, x3, x4)):
                 raise ValidationError("payoffs must be finite")
             if not (x3 > x1 > x4 > x2):
@@ -63,7 +66,7 @@ class GameSpec:
                     "temptation > reward > punishment > sucker: "
                     f"{(x1, x2, x3, x4)}"
                 )
-            object.__setattr__(self, "payoffs", (x1, x2, x3, x4))
+            qcore._set_fields(self, payoffs=(x1, x2, x3, x4))
 
 
 def classical_prospects(spec: GameSpec) -> tuple[float, float]:
@@ -122,8 +125,7 @@ class InterferenceDistribution:
         qcore.require_within(abs(mass - 1.0), 1e-10,
                              "density is not normalized: integral = {mass!r}", mass=mass)
         qcore.require_within(abs(mean), 1e-10, "density has nonzero mean: {mean!r}", mean=mean)
-        object.__setattr__(self, "grid", qcore.freeze(grid))
-        object.__setattr__(self, "density", qcore.freeze(density))
+        qcore._set_fields(self, grid=grid, density=density)
 
     def pdf(self, q):
         """Density value(s) at ``q``; zero outside the support."""
@@ -209,8 +211,7 @@ def _clamp_and_renormalize(p1: np.ndarray, p2: np.ndarray, total: np.ndarray) ->
     np.clip(p1, 0.0, 1.0, out=p1)
     np.clip(p2, 0.0, 1.0, out=p2)
     np.add(p1, p2, out=total)
-    if np.any(total <= policy.ZERO_EVENT_TOL):
-        raise ZeroProbabilityError("both prospect probabilities clamp to zero")
+    qcore.require_event(total.min(), "both prospect probabilities clamp to zero")
     np.divide(p1, total, out=p1)
     np.divide(p2, total, out=p2)
 
@@ -280,8 +281,7 @@ def _sample_magnitudes(dist: InterferenceDistribution, n: int, rng) -> np.ndarra
     quarter-law value rather than the (larger) conditional mean.
     """
     mass = _positive_mass(dist)
-    if mass <= policy.ZERO_EVENT_TOL:
-        raise ValidationError("density has no mass on the positive half-line")
+    qcore.require_event(mass, "density has no mass on the positive half-line", ValidationError)
     if dist.kind == "uniform":
         draws = rng.random(n)
     else:
@@ -325,8 +325,8 @@ def monte_carlo_cohort(
     The report aggregates the sampled interference and the cohort-mean
     prospect probabilities.  Fixed seed means reproducible output.
     """
-    if n_pairs < 1:
-        raise ValidationError(f"need at least one pair, got {n_pairs}")
+    qcore._require_size(n_pairs, 1, "n_pairs", "need at least one pair, got {0}")
+    qcore._require_size(seed, 0, "seed", "seed must be nonnegative, got {0}")
     if n_pairs > policy.MAX_PAIRS:
         raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
     if symmetry not in ("broken", "intact"):

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import policy, qcore
+from . import qcore
 from .events import DensityOperator, Observable, _trusted, basis_change, projector_of
-from .errors import NumericContractError, ValidationError, ZeroProbabilityError
+from .errors import NumericContractError, ValidationError
 
 
 def _check_dims(rho: DensityOperator, obs: Observable):
@@ -91,10 +91,8 @@ def _reduce(rho: DensityOperator, obs: Observable, n: int):
     :meth:`DensityOperator.from_pure`, with no projector and no decomposition.
     """
     p = born_probability(rho, obs, n)
-    if p <= policy.ZERO_EVENT_TOL:
-        raise ZeroProbabilityError(
-            f"cannot reduce on {obs.label}_{n}: probability {p!r} is numerically zero"
-        )
+    qcore.require_event(p, "cannot reduce on {label}_{n}: probability {p!r} is numerically zero",
+                        label=obs.label, n=n)
     return p, _trusted(DensityOperator, *qcore.pure_state(obs.vector(n), "density operator"))
 
 

@@ -31,7 +31,7 @@ NORM_TOL = 1e-8
 EIGENVALUE_GAP = 1e-12
 
 # Division guard: events with probability at or below this cannot be
-# conditioned on or reduced to.
+# conditioned on or reduced to; qcore.require_event is the one guard.
 ZERO_EVENT_TOL = 1e-12
 
 # Hard cap on the dimension of any operator this package will build.

@@ -9,7 +9,9 @@ product basis vector ``|n alpha>`` sits at flat position
 Shapes are decided here too.  :func:`_require_equal` is the one check that
 two dimensions agree, and :func:`_factor_dims` the one parse of a
 composite object's factor dimensions: a tuple or list of exactly two
-integers, never coerced.
+integers, never coerced.  Two more rules have their one home here:
+:func:`require_event` is the null-event guard, and :func:`_set_fields` the
+one setter of a frozen instance's fields.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import (
     NumericContractError,
     SizeLimitError,
     ValidationError,
+    ZeroProbabilityError,
 )
 
 
@@ -27,6 +30,13 @@ def freeze(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it."""
     a.setflags(write=False)
     return a
+
+
+def _set_fields(obj, **fields):
+    """Set fields of a frozen dataclass instance and return it; arrays are frozen, not copied."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, freeze(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def require_within(measured, bound, message: str, error=ValidationError, **fields):
@@ -41,6 +51,17 @@ def require_within(measured, bound, message: str, error=ValidationError, **field
         exc = error(message.format(measured=measured, bound=bound, **fields))
         exc.measured, exc.bound = measured, bound
         raise exc
+
+
+def require_event(p, message: str, error=ZeroProbabilityError, **fields):
+    """Raise ``error`` unless ``p > policy.ZERO_EVENT_TOL``: a null event, or a NaN, is refused.
+
+    Conditioning, reduction and normalization are defined only on events of
+    nonzero probability.  ``message`` is a :meth:`str.format` template over
+    ``p`` and ``fields``, filled only when raising.
+    """
+    if not p > policy.ZERO_EVENT_TOL:
+        raise error(message.format(p=p, **fields))
 
 
 def _is_int(n) -> bool:

@@ -1,5 +1,7 @@
 """Event model: observables, states, projectors, multimode propositions, POVMs."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,31 @@ class TestObservable:
     def test_degenerate_eigenvalues_rejected(self):
         with pytest.raises(ValidationError):
             Observable(np.array([1.0, 1.0 + 1e-14]), np.eye(2), "A")
+
+    @pytest.mark.parametrize("values, gap", [
+        ([3.0, 1.0, 1.0 + 1e-14], "9.992e-15"),
+        ([2.0, 0.5, 2.0], "0.000e+00"),
+        ([0.0, 1e-12, 5.0], "1.000e-12"),
+    ])
+    def test_degenerate_message_names_the_least_gap(self, values, gap):
+        with pytest.raises(ValidationError) as info:
+            Observable(np.array(values), np.eye(3), "A")
+        assert str(info.value) == (f"observable 'A' is degenerate: eigenvalue gap {gap} at or "
+                                   "below 1e-12")
+
+    def test_least_gap_matches_every_pairwise_gap(self, rng):
+        # the message reports the least of all |a_i - a_j|, found from sorted neighbours
+        for _ in range(200):
+            values = rng.normal(size=int(rng.integers(2, 40))) * 10.0 ** rng.integers(-3, 3)
+            i, j = rng.choice(values.size, 2, replace=False)
+            values[j] = values[i] + rng.choice([0.0, 1e-13, -4e-13, 5e-16])
+            gaps = np.abs(values[:, None] - values[None, :])
+            gaps[np.diag_indices_from(gaps)] = np.inf
+            with pytest.raises(ValidationError, match=re.escape(f"gap {gaps.min():.3e} at")):
+                Observable(values, np.eye(values.size), "A")
+
+    def test_one_outcome_has_no_gap(self):
+        assert Observable(np.array([7.0]), np.eye(1)).dim == 1
 
     def test_nonunitary_basis_rejected(self):
         with pytest.raises(ValidationError):

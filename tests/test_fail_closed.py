@@ -1,8 +1,12 @@
 """Every tolerance comparison in the package refuses a NaN.
 
-``nan > bound`` is false, so ``if defect > bound: raise`` lets a NaN defect
-through.  A check that raises must hold its comparison under a negation
-(``if not lo <= x <= hi: raise``) or go through :func:`qcore.require_within`.
+Every ordering comparison with a NaN is false, so ``if defect > bound: raise``
+lets a NaN defect through, and so does ``if p <= bound: raise``.  A check that
+raises must hold its comparison under a negation (``if not lo <= x <= hi:
+raise``) or go through :func:`qcore.require_within` or
+:func:`qcore.require_event`.  The last hand-written invariants have one home
+in :mod:`qcore` too: ``object.__setattr__`` is called only by its setter, and
+``ZERO_EVENT_TOL`` is read only there and in :mod:`policy`.
 """
 
 import ast
@@ -14,12 +18,13 @@ SOURCES = sorted(pathlib.Path(qprospect.__file__).parent.glob("*.py"))
 
 
 def _is_bound(node) -> bool:
-    """A float constant, a ``policy.*_TOL``, ``policy.tolerance()`` or a name
-    containing ``tol``, ``bound`` or ``window``, anywhere in ``node``."""
+    """A float constant, a ``policy.*_TOL`` or ``*_GAP``, ``policy.tolerance()`` or
+    a name containing ``tol``, ``bound`` or ``window``, anywhere in ``node``."""
     for n in ast.walk(node):
         if isinstance(n, ast.Constant) and isinstance(n.value, float):
             return True
-        if isinstance(n, ast.Attribute) and (n.attr.endswith("_TOL") or n.attr == "tolerance"):
+        if isinstance(n, ast.Attribute) and (n.attr.endswith(("_TOL", "_GAP"))
+                                             or n.attr == "tolerance"):
             return True
         if isinstance(n, ast.Name) and any(w in n.id.lower() for w in ("tol", "bound", "window")):
             return True
@@ -27,13 +32,13 @@ def _is_bound(node) -> bool:
 
 
 def _fail_open(node, negated=False) -> bool:
-    """Whether ``node`` holds a strict comparison with a bound, not negated,
+    """Whether ``node`` holds an ordering comparison with a bound, not negated,
     which a NaN makes false."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Not, ast.Invert)):
         return _fail_open(node.operand, not negated)
     if isinstance(node, ast.Compare) and not negated:
         operands = [node.left, *node.comparators]
-        if any(isinstance(op, (ast.Gt, ast.Lt))
+        if any(isinstance(op, (ast.Gt, ast.Lt, ast.GtE, ast.LtE))
                and (_is_bound(operands[k]) or _is_bound(operands[k + 1]))
                for k, op in enumerate(node.ops)):
             return True
@@ -64,16 +69,65 @@ def test_guard_tells_fail_open_from_fail_closed():
         "if p < -window or p > gram + window: raise E",
         "if x > 1e-12 * scale:\n    if y: raise E",
         "if np.any(np.abs(x) > bound): raise E",
+        "if p <= policy.ZERO_EVENT_TOL: raise E",
+        "if gaps.min() <= policy.EIGENVALUE_GAP: raise E",
+        "if w[-1] <= policy.tolerance(): raise E",
+        "if x >= bound: raise E",
     ]
     fail_closed = [
         "if not defect <= policy.tolerance(): raise E",
         "if not -window <= p <= 1.0 + window: raise E",
         "if not (np.isfinite(b) and b > 1.0): raise E",
         "if np.any(~(np.abs(x) <= bound)): raise E",
-        "if p <= policy.ZERO_EVENT_TOL: raise E",
+        "if not gap > policy.EIGENVALUE_GAP: raise E",
+        "if start <= previous: raise E",
         "if n > 0: raise E",
         "if defect > policy.tolerance(): warn()",
         "x = y > tol",
     ]
     assert [fail_open_checks(s) for s in fail_open] == [[1]] * len(fail_open)
     assert [fail_open_checks(s) for s in fail_closed] == [[]] * len(fail_closed)
+
+
+def single_path_breaches(source: str, module: str) -> list[str]:
+    """Where ``source`` sets a frozen field other than through ``qcore._set_fields``,
+    or reads ``ZERO_EVENT_TOL`` outside :mod:`qcore` and :mod:`policy`."""
+    breaches = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"
+                and (module, function) != ("qcore", "_set_fields")):
+            breaches.append(f"object.__setattr__ in {function} at line {node.lineno}")
+        name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+        name = name and getattr(node, name)
+        if name == "ZERO_EVENT_TOL" and module not in ("qcore", "policy"):
+            breaches.append(f"ZERO_EVENT_TOL at line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return breaches
+
+
+def test_one_setter_and_one_null_event_guard():
+    found = {path.stem: single_path_breaches(path.read_text(), path.stem) for path in SOURCES}
+    assert {name: where for name, where in found.items() if where} == {}
+    assert (SOURCES[0].parent / "qcore.py").read_text().count("object.__setattr__(") == 1
+
+
+def test_single_path_guard_finds_each_breach():
+    setter = "def __post_init__(self):\n    object.__setattr__(self, 'x', 1)"
+    assert single_path_breaches(setter, "events") == [
+        "object.__setattr__ in __post_init__ at line 2"]
+    assert single_path_breaches(setter, "qcore") != []
+    assert single_path_breaches(setter.replace("__post_init__", "_set_fields"), "events") != []
+    assert single_path_breaches(setter.replace("__post_init__", "_set_fields"), "qcore") == []
+    read = ("if p <= policy.ZERO_EVENT_TOL: raise E\n"
+            "from .policy import ZERO_EVENT_TOL as t\n"
+            "f(ZERO_EVENT_TOL)")
+    assert single_path_breaches(read, "game") == [
+        f"ZERO_EVENT_TOL at line {n}" for n in (1, 2, 3)]
+    assert single_path_breaches(read, "qcore") == single_path_breaches(read, "policy") == []

@@ -45,6 +45,19 @@ class TestGameSpec:
         with pytest.raises(ValidationError):
             GameSpec(DISJUNCTION_TABLE, payoffs=(3.0, 1.0, 5.0, 0.0))
 
+    @pytest.mark.parametrize("payoffs, message", [
+        ((1, 2, 3), "payoffs must be 4 numbers, got (1, 2, 3)"),
+        ((1, 2, 3, 4, 5), "payoffs must be 4 numbers, got (1, 2, 3, 4, 5)"),
+        (5, "payoffs must be 4 numbers, got 5"),
+        (("a", 0, 5, 1), "payoffs must be 4 numbers, got ('a', 0, 5, 1)"),
+        ((10**400, 0, 5, 1), f"payoffs must be 4 numbers, got ({10**400}, 0, 5, 1)"),
+    ], ids=["three", "five", "scalar", "text", "overflow"])
+    def test_malformed_payoffs_are_a_validation_error(self, payoffs, message):
+        with pytest.raises(ValidationError) as info:
+            GameSpec(DISJUNCTION_TABLE, payoffs=payoffs)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
     def test_table_shape_and_mass(self):
         with pytest.raises(ValidationError):
             GameSpec(np.ones((2, 3)) / 6.0)
@@ -291,6 +304,22 @@ class TestMonteCarloCohort:
         with pytest.raises(ValidationError,
                            match="^favored must be 'cooperate' or 'defect', got 'sideways'$"):
             monte_carlo_cohort(spec, dist, 10, favored="sideways")
+
+    @pytest.mark.parametrize("n_pairs, seed, message", [
+        (1.5, 0, "n_pairs must be an integer, got 1.5"),
+        (True, 0, "n_pairs must be an integer, got True"),
+        (10, -1, "seed must be nonnegative, got -1"),
+        (10, 1.0, "seed must be an integer, got 1.0"),
+        (10, True, "seed must be an integer, got True"),
+    ])
+    def test_sizes_and_seed_are_typed(self, n_pairs, seed, message):
+        spec, dist = GameSpec(DISJUNCTION_TABLE), InterferenceDistribution.uniform()
+        with pytest.raises(ValidationError) as info:
+            monte_carlo_cohort(spec, dist, n_pairs, seed=seed)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+        numpy_ints = monte_carlo_cohort(spec, dist, np.int64(10), seed=np.uint64(3))
+        assert numpy_ints == monte_carlo_cohort(spec, dist, 10, seed=3)
 
     def test_degenerate_inputs_keep_their_messages(self):
         # no zero-mean density lives on one half-line, so these are built

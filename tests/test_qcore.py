@@ -15,6 +15,7 @@ from qprospect import (
     NumericContractError,
     SizeLimitError,
     ValidationError,
+    ZeroProbabilityError,
     matrix_exponential,
     partial_trace,
     spectral_norm,
@@ -33,6 +34,7 @@ from qprospect.qcore import (
     real_probabilities,
     real_probability,
     require_hermitian,
+    require_event,
     require_unitary,
     require_within,
     validate_rank_one,
@@ -441,6 +443,84 @@ class TestRequireWithin:
             require_within(2.0, 1.0, "{label} is off by {measured}", NumericContractError,
                            label="{x}")
         assert (info.value.measured, info.value.bound) == (2.0, 1.0)
+
+
+class TestRequireEvent:
+    def test_refuses_nan_and_the_tolerance_itself(self):
+        tol = policy.ZERO_EVENT_TOL
+        require_event(np.nextafter(tol, 1.0), "{undefined}")
+        for p in (np.nan, tol, 0.0, -1.0):
+            with pytest.raises(ZeroProbabilityError, match=r"^\{x\} has p = "):
+                require_event(p, "{label} has p = {p!r}", label="{x}")
+
+    def test_error_type_is_the_callers(self):
+        with pytest.raises(ValidationError) as info:
+            require_event(float("nan"), "no mass", ValidationError)
+        assert type(info.value) is ValidationError
+
+
+def _null_event_sites(monkeypatch, nan: bool):
+    """The six null-event guards, as ``name: (call, error, message)``.
+
+    Each is reached with a probability of 0 from real inputs, or, with
+    ``nan``, with the probability it checks forced to NaN.
+    """
+    from qprospect import (CompositeState, DensityOperator, InterferenceDistribution,
+                           MultimodeState, Observable, Prospect, bayes_conditional,
+                           conditional_under_uncertainty, composite, game, luders_reduce,
+                           measure, prospect_lattice)
+    from qprospect.events import MultimodeProbability
+    state = CompositeState.product(DensityOperator.maximally_mixed(2),
+                                   DensityOperator(np.diag([1.0, 0.0])))
+    dead = MultimodeState.in_standard_basis([0.0, 1.0])
+    rho = DensityOperator(np.diag([1.0, 0.0]))
+    p = float("nan") if nan else 0.0
+    if nan:
+        monkeypatch.setattr(composite, "marginals", lambda s: (None, np.full(2, np.nan)))
+        monkeypatch.setattr(composite, "_components",
+                            lambda s, b, ns: (np.full(len(ns), np.nan), np.ones(len(ns)),
+                                              np.zeros(len(ns))))
+        monkeypatch.setattr(composite, "multimode_probability",
+                            lambda r, b: MultimodeProbability(np.nan, np.nan, 0.0))
+        monkeypatch.setattr(measure, "born_probability", lambda r, obs, n: np.nan)
+    monkeypatch.setattr(game, "_positive_mass", lambda dist: p)
+    lattice = "nan (classical 2.0)" if nan else "0.0 (classical 0.0)"
+    return {
+        "bayes_conditional": (lambda: bayes_conditional(state, 0, 1), ZeroProbabilityError,
+                              f"cannot condition on B_1: probability np.float64({p}) is "
+                              "numerically zero"),
+        "prospect_lattice": (lambda: prospect_lattice(state, dead), ZeroProbabilityError,
+                             f"degenerate lattice: total prospect weight {lattice} is "
+                             "numerically zero"),
+        "conditional_under_uncertainty": (
+            lambda: conditional_under_uncertainty(state, Prospect(0, dead)),
+            ZeroProbabilityError, f"cannot condition on multimode event of probability {p}"),
+        "luders_reduce": (lambda: luders_reduce(rho, Observable.standard(2, "N"), 1),
+                          ZeroProbabilityError,
+                          f"cannot reduce on N_1: probability {p} is numerically zero"),
+        "_clamp_and_renormalize": (
+            lambda: game._clamp_and_renormalize(np.full(3, p), np.zeros(3), np.empty(3)),
+            ZeroProbabilityError, "both prospect probabilities clamp to zero"),
+        "_sample_magnitudes": (
+            lambda: game._sample_magnitudes(InterferenceDistribution.uniform(), 3,
+                                            np.random.default_rng(0)),
+            ValidationError, "density has no mass on the positive half-line"),
+    }
+
+
+class TestNullEventSites:
+    """Every guard on a null event goes through ``qcore.require_event``."""
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["zero", "nan"])
+    @pytest.mark.parametrize("site", [
+        "bayes_conditional", "prospect_lattice", "conditional_under_uncertainty",
+        "luders_reduce", "_clamp_and_renormalize", "_sample_magnitudes"])
+    def test_refusal_keeps_its_type_and_message(self, monkeypatch, site, nan):
+        call, error, message = _null_event_sites(monkeypatch, nan)[site]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def _index_entry_points():
