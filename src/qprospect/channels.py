@@ -82,9 +82,11 @@ class PipelineStage:
     def __post_init__(self):
         if self.kind not in ("compose", "evolve", "readout", "transform"):
             raise ValidationError(f"unknown stage kind {self.kind!r}")
-        if not np.isfinite(self.duration) or self.duration < 0:
-            raise ValidationError(f"stage duration must be finite and >= 0")
-        if self.kind != "evolve" and self.duration != 0.0:
+        message = "stage duration must be finite and >= 0"
+        duration = qcore._require_real(self.duration, "stage duration", message)
+        if duration < 0:
+            raise ValidationError(message)
+        if self.kind != "evolve" and duration != 0.0:
             raise ValidationError(f"{self.kind} stages carry no duration")
         if self.kind == "transform":
             if self.transform is None:
@@ -93,6 +95,7 @@ class PipelineStage:
             qcore._set_fields(self, transform=t)
         elif self.transform is not None:
             raise ValidationError(f"{self.kind} stages carry no transform")
+        qcore._set_fields(self, duration=duration)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +219,7 @@ def run_pipeline(
             joint = compose(rho, measurer)
             records.append(StageRecord("compose", clock, joint))
         elif stage.kind == "evolve":
-            u = qcore.propagator_from_eigh(measurer._decomposition(), float(stage.duration))
+            u = qcore.propagator_from_eigh(measurer._decomposition(), stage.duration)
             joint = _conjugate(joint, u)
             clock += stage.duration
             records.append(StageRecord("evolve", clock, joint))

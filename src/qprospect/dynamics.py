@@ -102,9 +102,8 @@ class WaveState:
         qcore.require_within(abs(norm - 1.0), policy.NORM_TOL,
                              "coefficient norm {norm!r} drifts from 1 beyond {bound:.0e}",
                              norm=norm)
-        if not np.isfinite(self.time):
-            raise ValidationError("time must be finite")
-        qcore._set_fields(self, coefficients=c, time=float(self.time))
+        time = qcore._require_real(self.time, "time", "time must be finite")
+        qcore._set_fields(self, coefficients=c, time=time)
 
     @property
     def dim(self) -> int:
@@ -121,9 +120,7 @@ def _propagate(h: HamiltonianSpec, t0: float, t: float, x: np.ndarray | None) ->
     which makes no conjugated copy of ``v``.  With ``x`` None the result is
     the propagator, begun from the first segment's exponential itself.
     """
-    t0, t = float(t0), float(t)
-    if not (np.isfinite(t0) and np.isfinite(t)):
-        raise ValidationError("propagation times must be finite")
+    t0, t = (qcore._require_real(s, "time", "propagation times must be finite") for s in (t0, t))
     if t < t0:
         raise ValidationError(f"backward propagation from {t0} to {t} is not supported")
     if not np.isfinite(t - t0):
@@ -169,9 +166,12 @@ class AmplitudeMatrix:
 
     def __post_init__(self):
         c = qcore.as_amplitude_matrix(self.c, policy.NORM_TOL)
-        t0, t = float(self.times[0]), float(self.times[1])
-        if not (np.isfinite(t0) and np.isfinite(t)) or t < t0:
-            raise ValidationError(f"invalid time pair {self.times}")
+        message = "invalid time pair {times}"
+        if not (isinstance(self.times, (tuple, list)) and len(self.times) == 2):
+            raise ValidationError(message.format(times=self.times))
+        t0, t = (qcore._require_real(x, "time", message, times=self.times) for x in self.times)
+        if t < t0:
+            raise ValidationError(message.format(times=self.times))
         qcore._set_fields(self, c=np.array(c), times=(t0, t))
 
     @property
@@ -196,7 +196,7 @@ def amplitude_matrix(psi: WaveState, h: HamiltonianSpec, t0: float, t: float) ->
     qcore.require_within(column_defect, 1e-10,
                          "column norms drift from start occupations by {measured:.3e}",
                          NumericContractError)
-    return AmplitudeMatrix(c, (float(t0), float(t)))
+    return AmplitudeMatrix(c, (t0, t))
 
 
 def occupation_residual(amp: AmplitudeMatrix, final: WaveState) -> float:

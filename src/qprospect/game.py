@@ -233,12 +233,14 @@ def broken_symmetry_probabilities(
                          "classical weights must be nonnegative, got {f}", f=f)
     qcore.require_within(abs(f1 + f2 - 1.0), 1e-10,
                          "classical weights must sum to 1, got {total!r}", total=f1 + f2)
-    if not 0.0 <= q_magnitude <= 1.0:
-        raise ValidationError(f"interference magnitude must lie in [0, 1], got {q_magnitude}")
+    message = "interference magnitude must lie in [0, 1], got {x}"
+    q = qcore._require_real(q_magnitude, "interference magnitude", message)
+    if not 0.0 <= q <= 1.0:
+        raise ValidationError(message.format(x=q_magnitude))
     if favored == "cooperate":
-        q1, q2 = q_magnitude, -q_magnitude
+        q1, q2 = q, -q
     elif favored == "defect":
-        q1, q2 = -q_magnitude, q_magnitude
+        q1, q2 = -q, q
     else:
         raise ValidationError(f"favored must be 'cooperate' or 'defect', got {favored!r}")
     s1, s2 = f1 + q1, f2 + q2

@@ -139,12 +139,16 @@ def wigner_distribution(
 
     Computed directly as ``Tr(rho P_alpha P_n P_alpha)``, which factors into
     the transition probability times the probability of the first event.
+    With ``|alpha>`` the eigenvector of ``P_alpha`` the trace is
+    ``<alpha| rho P_alpha P_n |alpha>``, contracted right to left with the
+    built projectors by matrix-vector products: O(d^2), no d x d product.
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
+    a = obs_b.vector(alpha)
     pa = projector_of(obs_b, alpha).matrix
     pn = projector_of(obs_a, n).matrix
-    raw = complex(np.trace(rho.matrix @ pa @ pn @ pa))
+    raw = complex(np.vdot(a, rho.matrix @ (pa @ (pn @ a))))
     return qcore.real_probability(raw, "sequential probability")
 
 
@@ -155,13 +159,16 @@ def kirkwood_form(
 
     Complex in general: the imaginary part vanishes for compatible
     observables and witnesses their incompatibility otherwise.  The full
-    table sums to one over both indices.
+    table sums to one over both indices.  The trace is
+    ``<alpha| rho P_n P_alpha |alpha>``, contracted like
+    :func:`wigner_distribution`'s: O(d^2).
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)
+    a = obs_b.vector(alpha)
     pn = projector_of(obs_a, n).matrix
     pa = projector_of(obs_b, alpha).matrix
-    return complex(np.trace(rho.matrix @ pn @ pa))
+    return complex(np.vdot(a, rho.matrix @ (pn @ (pa @ a))))
 
 
 def wigner_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> np.ndarray:
@@ -202,7 +209,9 @@ def identity_chain_residual(
     ``p(A_n)`` into the sequential terms (diagonal in ``B``) plus the
     off-diagonal cross terms.  The three pieces are computed along
     independent routes; their mismatch is returned and should sit at
-    rounding level for valid inputs.
+    rounding level for valid inputs.  The diagonal takes ``d`` calls of the
+    scalar :func:`wigner_distribution`, O(d^2) each, and the cross terms
+    one sandwich in ``B``: O(d^3) in all.
     """
     _check_dims(rho, obs_a)
     _check_dims(rho, obs_b)

@@ -87,6 +87,21 @@ def _require_size(n, least: int, what: str, message: str):
         raise ValidationError(message.format(n))
 
 
+def _require_real(x, what: str, message: str, **fields) -> float:
+    """``x`` as a finite Python float.  A :class:`ValidationError` unless ``x``
+    is a Python or numpy integer or float, never a ``bool`` or a ``str``; a
+    non-finite ``x`` gets ``message``, a template over ``x`` and ``fields``."""
+    if not (isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool):
+        raise ValidationError(f"{what} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # an int beyond the float range
+        v = np.inf
+    if not np.isfinite(v):
+        raise ValidationError(message.format(x=x, **fields))
+    return v
+
+
 def _require_equal(got, want, message: str, *fields):
     """Raise :class:`DimensionMismatchError` unless ``got == want``.  ``message``
     is a template over ``got``, ``want``, then ``fields``, filled only when
@@ -249,9 +264,7 @@ def matrix_exponential(h, t: float) -> np.ndarray:
     machine precision for the dimensions this package supports.
     """
     a = require_hermitian(h, "generator")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValidationError("time must be finite")
+    t = _require_real(t, "time", "time must be finite")
     return propagator_from_eigh(np.linalg.eigh(a), t)
 
 

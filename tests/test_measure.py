@@ -1,5 +1,7 @@
 """Single- and two-step measurement probabilities and state reduction."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from qprospect import (
 )
 from qprospect import events, measure
 
-from helpers import random_density, random_observable
+from helpers import random_density, random_observable, traced_peak
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 Z = Observable(np.array([1.0, -1.0]), np.eye(2), "Z")
@@ -276,6 +278,15 @@ class TestIdentityChain:
         # p(A_0) splits into the two Wigner terms plus one cross term
         assert identity_chain_residual(PLUS, Z, 0, X) <= 1e-12
 
+    def test_residual_vanishes_at_d256(self):
+        d = 256
+        rng = np.random.default_rng(25600)
+        rho = random_density(d, rng)
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        for n in rng.choice(d, size=3, replace=False):
+            assert identity_chain_residual(rho, a, int(n), b) <= 1e-10
+
 
 # ------------------------------------------- whole tables at realistic d
 
@@ -391,6 +402,67 @@ class TestChainResidualIndependence:
         monkeypatch.setattr(measure, "wigner_distribution",
                             lambda *args: scalar(*args) + 1e-8)
         assert identity_chain_residual(rho, a, 3, b) > 1e-10
+
+
+class TestScalarRoutes:
+    """The scalar routes contract rho with their built projectors, O(d^2) per entry,
+    and read nothing of the table kernels' closed form."""
+
+    @pytest.fixture
+    def case(self, rng):
+        d = 16
+        return (random_density(d, rng), random_observable(d, rng, "A"),
+                random_observable(d, rng, "B"))
+
+    @staticmethod
+    def scalar_values(rho, a, b):
+        return ([wigner_distribution(rho, a, 3, b, alpha) for alpha in range(rho.dim)],
+                [kirkwood_form(rho, a, 3, b, alpha) for alpha in range(rho.dim)],
+                identity_chain_residual(rho, a, 3, b))
+
+    def test_closed_form_mutations_do_not_reach_them(self, case, monkeypatch):
+        rho, a, b = case
+        before = self.scalar_values(rho, a, b)
+        table = wigner_table(rho, a, b)
+        change, diagonal = measure.basis_change, measure._diagonal_in
+        monkeypatch.setattr(measure, "basis_change", lambda *args: change(*args) * (1 + 1e-6))
+        monkeypatch.setattr(measure, "_diagonal_in", lambda *args: diagonal(*args) * (1 + 1e-6))
+        assert self.scalar_values(rho, a, b) == before
+        assert np.abs(wigner_table(rho, a, b) - table).max() > 1e-10  # the mutation bites
+
+    def test_projector_mutation_is_caught_by_the_residual(self, case, monkeypatch):
+        rho, a, b = case
+        table = wigner_table(rho, a, b)
+        exact = measure.projector_of
+        monkeypatch.setattr(measure, "projector_of", lambda obs, n: types.SimpleNamespace(
+            matrix=exact(obs, n).matrix * (1 + 1e-6)))
+        assert identity_chain_residual(rho, a, 3, b) > 1e-10
+        assert np.array_equal(wigner_table(rho, a, b), table)
+
+    def test_matches_the_product_trace_at_d64(self):
+        d = 64
+        rng = np.random.default_rng(6400)
+        rho = random_density(d, rng)
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        for n, alpha in rng.integers(0, d, size=(64, 2)):
+            n, alpha = int(n), int(alpha)
+            pa = projector_of(b, alpha).matrix
+            pn = projector_of(a, n).matrix
+            m = rho.matrix
+            assert abs(wigner_distribution(rho, a, n, b, alpha)
+                       - np.trace(m @ pa @ pn @ pa).real) <= 1e-14
+            assert abs(kirkwood_form(rho, a, n, b, alpha) - np.trace(m @ pn @ pa)) <= 1e-14
+
+    def test_peak_is_below_three_matrices_at_d256(self):
+        d = 256
+        rng = np.random.default_rng(25601)
+        rho = random_density(d, rng)
+        a = random_observable(d, rng, "A")
+        b = random_observable(d, rng, "B")
+        matrix = d * d * np.dtype(complex).itemsize
+        assert traced_peak(lambda: wigner_distribution(rho, a, 5, b, 7)) < 3 * matrix
+        assert traced_peak(lambda: kirkwood_form(rho, a, 5, b, 7)) < 3 * matrix
 
 
 class TestNoPerEntryProjectors:

@@ -739,3 +739,68 @@ class TestShapeGuards:
             build(size)
         assert build(np.int64(2)).dim == build(2).dim
 
+
+def _real_scalar_sites():
+    """Each library call that reads a real scalar, as ``name: call`` with
+    that scalar as the call's one argument."""
+    from qprospect import (AmplitudeMatrix, HamiltonianSpec, PipelineStage, WaveState,
+                           broken_symmetry_probabilities, evolve_state)
+    c = np.full((2, 2), 0.5)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return {
+        "PipelineStage.duration": lambda x: PipelineStage("evolve", duration=x).duration,
+        "WaveState.time": lambda x: WaveState([1.0, 0.0], time=x).time,
+        "AmplitudeMatrix.times": lambda x: AmplitudeMatrix(c, x).times,
+        "broken_symmetry_probabilities": lambda x: (
+            broken_symmetry_probabilities((0.5, 0.5), x).q_applied[0]),
+        "evolve_state": lambda x: evolve_state(WaveState([1.0, 0.0]), HamiltonianSpec(sx), x).time,
+        "matrix_exponential": lambda x: matrix_exponential(sx, x)[0, 1],
+    }
+
+
+class TestRealScalars:
+    """A real scalar is a Python or numpy number, never a bool or a str; every
+    refusal is a ValidationError, never a numpy or indexing error."""
+
+    @pytest.mark.parametrize("site, x, message", [
+        ("PipelineStage.duration", "1", "stage duration must be a real number, got '1'"),
+        ("PipelineStage.duration", True, "stage duration must be a real number, got True"),
+        ("PipelineStage.duration", 1j, "stage duration must be a real number, got 1j"),
+        ("PipelineStage.duration", np.nan, "stage duration must be finite and >= 0"),
+        ("PipelineStage.duration", 10 ** 400, "stage duration must be finite and >= 0"),
+        ("PipelineStage.duration", -1, "stage duration must be finite and >= 0"),
+        ("WaveState.time", "0", "time must be a real number, got '0'"),
+        ("WaveState.time", np.array(0.0), "time must be a real number, got array(0.)"),
+        ("WaveState.time", np.inf, "time must be finite"),
+        ("AmplitudeMatrix.times", (0.0,), "invalid time pair (0.0,)"),
+        ("AmplitudeMatrix.times", 1.0, "invalid time pair 1.0"),
+        ("AmplitudeMatrix.times", (0.0, "1"), "time must be a real number, got '1'"),
+        ("AmplitudeMatrix.times", (0.0, np.nan), "invalid time pair (0.0, nan)"),
+        ("AmplitudeMatrix.times", (1.0, 0.0), "invalid time pair (1.0, 0.0)"),
+        ("broken_symmetry_probabilities", "0.1",
+         "interference magnitude must be a real number, got '0.1'"),
+        ("broken_symmetry_probabilities", False,
+         "interference magnitude must be a real number, got False"),
+        ("broken_symmetry_probabilities", np.nan,
+         "interference magnitude must lie in [0, 1], got nan"),
+        ("broken_symmetry_probabilities", 2, "interference magnitude must lie in [0, 1], got 2"),
+        ("evolve_state", "1", "time must be a real number, got '1'"),
+        ("evolve_state", np.nan, "propagation times must be finite"),
+        ("matrix_exponential", True, "time must be a real number, got True"),
+        ("matrix_exponential", np.inf, "time must be finite"),
+    ], ids=lambda v: "10**400" if type(v) is int and v > 10 ** 300 else None)
+    def test_refusal_is_a_validation_error(self, site, x, message):
+        with pytest.raises(ValidationError) as info:
+            _real_scalar_sites()[site](x)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("site", sorted(_real_scalar_sites()))
+    def test_numpy_numbers_are_accepted(self, site):
+        call = _real_scalar_sites()[site]
+        if site == "AmplitudeMatrix.times":
+            assert call((np.int64(0), np.float32(1.0))) == call([0, 1]) == (0.0, 1.0)
+            return
+        want = call(1.0)
+        for x in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+            assert call(x) == want
