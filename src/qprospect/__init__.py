@@ -21,10 +21,10 @@ import importlib
 
 _EXPORTS = {
     "composite": (
-        "ClassicalLimitReport", "CompositeState", "Prospect", "ProspectOperator",
-        "ProspectProbability", "bayes_conditional", "classical_limit_check",
-        "conditional_under_uncertainty", "joint_probability", "joint_table",
-        "marginals", "prospect_lattice", "prospect_operator", "prospect_probability",
+        "CompositeState", "Prospect", "ProspectOperator", "ProspectProbability",
+        "bayes_conditional", "conditional_under_uncertainty", "joint_probability",
+        "joint_table", "marginals", "prospect_lattice", "prospect_operator",
+        "prospect_probability",
     ),
     "channels": (
         "MeasurerSpec", "PipelineStage", "PipelineTrace", "basis_change", "compose",

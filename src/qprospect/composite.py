@@ -24,7 +24,6 @@ part is itself a distribution and whose interference terms sum to zero.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -123,18 +122,10 @@ class CompositeState(DensityOperator):
         """Pure composite state from an amplitude matrix ``c[n, alpha]``.
 
         The flattened amplitudes are the coefficients of the state in the
-        ``|n alpha>`` basis, so the density matrix elements are
-        ``c[m, a] * conj(c[n, b])``.
-
-        Checked here, in this order: ``c`` is 2-d and nonempty, its entries
-        are finite, its total squared amplitude is 1 within the tolerance,
-        the state dimension ``c.size`` is within ``MAX_DIM``, and the trace
-        of the ``D x D`` matrix, ``sum |c|^2`` bit for bit, is 1.  Held by
-        construction and not checked: hermiticity and positivity (see
-        :func:`qcore.pure_state`); the spectrum is ``(0, ..., 0, Tr)``.
-
-        The state keeps a private copy of ``c`` and builds ``matrix`` on its
-        first read, with no check at that read.
+        ``|n alpha>`` basis.  ``c`` must be 2-d, nonempty and finite, with
+        ``sum |c|^2`` 1 within the tolerance; every other check is
+        :func:`qcore.pure_state`'s.  The state keeps a private copy of ``c``
+        and builds ``matrix`` on its first read, with no check at that read.
         """
         c = np.array(qcore.as_amplitude_matrix(c, policy.tolerance()), order="C")
         _, w = qcore._pure_spectrum(c.reshape(-1), "composite state", c.shape)
@@ -263,9 +254,9 @@ class ProspectProbability:
     normalized: bool = False
 
     def __post_init__(self):
-        for name, value in (("p", self.p), ("f", self.f), ("q", self.q)):
-            if not np.isfinite(value):
-                raise ValidationError(f"prospect probability field {name} is not finite")
+        for name in ("p", "f", "q"):
+            qcore._require_real(getattr(self, name), f"prospect probability field {name}",
+                                "{what} is not finite")
         scale = max(1.0, abs(self.p), abs(self.f), abs(self.q))
         gap = self.p - (self.f + self.q)
         qcore.require_within(abs(gap), 1e-12 * scale, "prospect split broken: p - (f + q) = "
@@ -362,53 +353,3 @@ def conditional_under_uncertainty(state: CompositeState, prospect: Prospect) -> 
     qcore.require_event(denominator, "cannot condition on multimode event of probability {p!r}")
     return qcore.real_probability(numerator / denominator, "conditional probability")
 
-
-@dataclass(frozen=True)
-class ClassicalLimitReport:
-    """Numbers behind the classical-limit property of a normalized lattice."""
-
-    sum_f: float
-    sum_q: float
-    q_min: float
-    q_max: float
-    values: tuple[ProspectProbability, ...]
-    passed: bool
-
-
-def classical_limit_check(
-    lattice: Sequence[Prospect], state: CompositeState
-) -> ClassicalLimitReport:
-    """Check that a complete prospect lattice behaves classically in the mean.
-
-    The lattice must cover every event index of the first factor exactly
-    once and share a single multimode state.  After normalization the
-    classical parts must form a distribution and the interference terms
-    must cancel: ``|sum q| <= 1e-10``, each ``q`` in [-1, 1], each ``f``
-    in [0, 1].
-    """
-    prospects = list(lattice)
-    da, _ = state.dims
-    if sorted(p.n for p in prospects) != list(range(da)):
-        raise ValidationError(
-            f"incomplete lattice: indices {sorted(p.n for p in prospects)} "
-            f"must cover 0..{da - 1} exactly once"
-        )
-    first = prospects[0].b
-    for p in prospects[1:]:
-        if p.b.dim != first.dim or not np.array_equal(
-            p.b.coefficients, first.coefficients
-        ) or not np.array_equal(p.b.basis.eigenbasis, first.basis.eigenbasis):
-            raise ValidationError("lattice prospects must share one multimode state")
-
-    ordered = tuple(prospect_lattice(state, first, normalize=True))
-    sum_f = float(sum(v.f for v in ordered))
-    sum_q = float(sum(v.q for v in ordered))
-    q_min = min(v.q for v in ordered)
-    q_max = max(v.q for v in ordered)
-    w = policy.PROBABILITY_TOL
-    passed = (
-        abs(sum_q) <= 1e-10
-        and all(-1.0 - w <= v.q <= 1.0 + w for v in ordered)
-        and all(-w <= v.f <= 1.0 + w for v in ordered)
-    )
-    return ClassicalLimitReport(sum_f, sum_q, q_min, q_max, ordered, passed)

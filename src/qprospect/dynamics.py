@@ -50,14 +50,13 @@ class HamiltonianSpec:
         h0 = np.array(qcore.require_hermitian(self.h0, "static generator"))
         cleaned = []
         previous = -np.inf
+        pair = "piece {k} must be a (start, matrix) pair"
         for k, piece in enumerate(self.pieces):
-            try:
-                start, matrix = piece
-                start = float(start)
-            except (TypeError, ValueError):
-                raise ValidationError(f"piece {k} must be a (start, matrix) pair") from None
-            if not np.isfinite(start):
-                raise ValidationError(f"piece {k} has non-finite start time")
+            if not (isinstance(piece, (tuple, list)) and len(piece) == 2):
+                raise ValidationError(pair.format(k=k))
+            start, matrix = piece
+            start = qcore._require_real(start, "start", "piece {k} has non-finite start time",
+                                        refused=pair, k=k)
             if start <= previous:
                 raise ValidationError("piece start times must be strictly increasing")
             previous = start
@@ -167,9 +166,7 @@ class AmplitudeMatrix:
     def __post_init__(self):
         c = qcore.as_amplitude_matrix(self.c, policy.NORM_TOL)
         message = "invalid time pair {times}"
-        if not (isinstance(self.times, (tuple, list)) and len(self.times) == 2):
-            raise ValidationError(message.format(times=self.times))
-        t0, t = (qcore._require_real(x, "time", message, times=self.times) for x in self.times)
+        t0, t = qcore._require_reals(self.times, 2, "time", message, times=self.times)
         if t < t0:
             raise ValidationError(message.format(times=self.times))
         qcore._set_fields(self, c=np.array(c), times=(t0, t))
@@ -230,17 +227,12 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
     """
     rows, cols = amp.dims
     qcore._require_indices((n,), (rows,), "mode index {0} out of range for {1} modes")
-    multimode = isinstance(b, MultimodeState)
-    if multimode:
-        coeff = b.coefficients
-    else:
-        coeff = qcore.as_complex_vector(b, "multimode coefficients")
-        if not np.any(coeff != 0):
-            raise ValidationError("multimode weights need a nonzero coefficient")
-    qcore._require_equal(coeff.size, cols, "{0} multimode weights vs {1} start modes")
-    if multimode and not np.array_equal(b.basis.eigenbasis, np.eye(cols)):
+    if not isinstance(b, MultimodeState):
+        b = MultimodeState.in_standard_basis(b)
+    qcore._require_equal(b.dim, cols, "{0} multimode weights vs {1} start modes")
+    if not np.array_equal(b.basis.eigenbasis, np.eye(cols)):
         raise ValidationError("two-time prospects are defined over the mode basis itself")
     row = amp.c[n]
-    _, f, q = qcore.mode_split(coeff, np.outer(row, row.conj()))
-    p = abs(np.vdot(coeff, row)) ** 2
+    _, f, q = qcore.mode_split(b.coefficients, np.outer(row, row.conj()))
+    p = abs(np.vdot(b.coefficients, row)) ** 2
     return ProspectProbability(float(p), float(f), float(q), normalized=False)

@@ -33,15 +33,13 @@ def measurement_basis_norm(matrix: np.ndarray) -> float:
 
 def _resolve_base(log_base) -> float | None:
     """Normalize a log-base argument; None means natural logarithm."""
-    if log_base in (None, "natural", "e"):
+    if log_base is None or isinstance(log_base, str) and log_base in ("natural", "e"):
         return None
-    try:
-        base = float(log_base)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"log base must be 'natural', 'e' or a number, got {log_base!r}") from None
-    if not (math.isfinite(base) and base > 1.0):
-        raise ValidationError(f"log base must be finite and exceed 1, got {base}")
+    message = "log base must be finite and exceed 1, got {x}"
+    base = qcore._require_real(log_base, "log base", message,
+                               refused="log base must be 'natural', 'e' or a number, got {x!r}")
+    if not base > 1.0:
+        raise ValidationError(message.format(x=base))
     return base
 
 

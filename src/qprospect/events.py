@@ -40,11 +40,11 @@ class Observable:
 
     def __post_init__(self):
         basis = np.array(qcore.as_complex_matrix(self.eigenbasis, "eigenbasis"))
-        values = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        qcore._require_equal(values.size, basis.shape[0],
-                             "{0} eigenvalues vs eigenbasis of dimension {1}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("eigenvalues must be finite")
+        values = np.array(qcore._require_numbers(
+            self.eigenvalues, "eigenvalue array", real=True,
+            shape=lambda v: qcore._require_equal(v.size, basis.shape[0],
+                                                 "{0} eigenvalues vs eigenbasis of dimension {1}"),
+        )).reshape(-1)
         # the least gap between sorted neighbours, the least of all pairwise
         # gaps bit for bit (rounded subtraction is monotone); inf when d = 1
         gap = np.diff(np.sort(values), prepend=-np.inf).min()
@@ -134,14 +134,9 @@ class DensityOperator:
     def from_pure(cls, vector) -> "DensityOperator":
         """Pure state ``|v><v|`` of a unit vector, without a decomposition.
 
-        Checked here: the vector is 1-d, nonempty, finite and within
-        ``MAX_DIM`` (before the outer product is built), its norm is 1
-        within ``NORM_TOL`` and its squared norm within the tolerance (the
-        trace the built matrix will have, checked as ``from_amplitudes``
-        checks its total weight), and the built matrix has unit trace
-        within the tolerance.  Held by construction and not checked:
-        hermiticity and positivity (see :func:`qcore.pure_state`); the
-        spectrum is ``(0, ..., 0, Tr)``.
+        The vector's norm must be 1 within ``NORM_TOL`` and its squared norm,
+        the built trace, within the tolerance; every other check, and why
+        hermiticity and positivity need none, is :func:`qcore.pure_state`'s.
         """
         v = qcore.as_complex_vector(vector, "state vector")
         norm = float(np.linalg.norm(v))
@@ -221,9 +216,8 @@ class MultimodeState:
         if not np.any(b != 0):
             raise ValidationError("multimode state needs at least one nonzero coefficient")
         qcore._set_fields(self, coefficients=b)
-        gram = self.gram()
-        if not np.isfinite(gram):
-            raise ValidationError(f"multimode state norm <B|B> = {gram} is not finite")
+        qcore._require_real(self.gram(), "multimode state norm <B|B>",
+                            "multimode state norm <B|B> = {x} is not finite")
 
     @property
     def dim(self) -> int:

@@ -42,11 +42,9 @@ class GameSpec:
     payoffs: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        table = np.array(self.joint, dtype=float)
+        table = qcore._require_numbers(self.joint, "joint table", real=True)
         if table.shape != (2, 2):
             raise ValidationError(f"joint table must be 2x2, got shape {table.shape}")
-        if not np.all(np.isfinite(table)):
-            raise ValidationError("joint table has non-finite entries")
         low, total = float(table.min()), float(table.sum())
         qcore.require_within(-low, policy.PROBABILITY_TOL,
                              "joint table has negative entry {low!r}", low=low)
@@ -54,12 +52,9 @@ class GameSpec:
                              total=total)
         qcore._set_fields(self, joint=np.clip(table, 0.0, 1.0))
         if self.payoffs is not None:
-            try:
-                x1, x2, x3, x4 = (float(x) for x in self.payoffs)
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError(f"payoffs must be 4 numbers, got {self.payoffs!r}") from None
-            if not all(np.isfinite(x) for x in (x1, x2, x3, x4)):
-                raise ValidationError("payoffs must be finite")
+            message = "payoffs must be 4 numbers, got {payoffs!r}"
+            x1, x2, x3, x4 = qcore._require_reals(self.payoffs, 4, "payoff", message,
+                                                  refused=message, payoffs=self.payoffs)
             if not (x3 > x1 > x4 > x2):
                 raise ValidationError(
                     "payoffs break the dilemma ordering "
@@ -109,12 +104,11 @@ class InterferenceDistribution:
             return
         if self.kind != "tabulated":
             raise ValidationError(f"unknown interference density kind {self.kind!r}")
-        grid = np.array(self.grid, dtype=float).reshape(-1)
-        density = np.array(self.density, dtype=float).reshape(-1)
+        grid, density = (np.array(qcore._require_numbers(a, name, real=True)).reshape(-1)
+                         for a, name in ((self.grid, "tabulated grid"),
+                                         (self.density, "tabulated density")))
         if grid.size < 2 or grid.size != density.size:
             raise ValidationError("tabulated density needs matching grid and values")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(density))):
-            raise ValidationError("tabulated density has non-finite entries")
         if np.any(np.diff(grid) <= 0):
             raise ValidationError("tabulated grid must be strictly increasing")
         if not (-1.0 <= grid[0] and grid[-1] <= 1.0):
@@ -128,8 +122,9 @@ class InterferenceDistribution:
         qcore._set_fields(self, grid=grid, density=density)
 
     def pdf(self, q):
-        """Density value(s) at ``q``; zero outside the support."""
-        q = np.asarray(q, dtype=float)
+        """Density value(s) at ``q``; zero outside the support, ``±inf``
+        included.  A NaN ``q`` is a :class:`ValidationError`."""
+        q = qcore._require_numbers(q, "q", real=True, finite=False)
         if self.kind == "uniform":
             out = np.where((q >= -1.0) & (q <= 1.0), 0.5, 0.0)
         else:
@@ -142,7 +137,7 @@ class InterferenceDistribution:
 
     @classmethod
     def tabulated(cls, grid, density) -> "InterferenceDistribution":
-        return cls("tabulated", np.asarray(grid, dtype=float), np.asarray(density, dtype=float))
+        return cls("tabulated", grid, density)
 
 
 def _half_line(dist: InterferenceDistribution, positive: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +223,12 @@ def broken_symmetry_probabilities(
     its negative; each sum is clamped to [0, 1] and the pair renormalized,
     keeping the decomposition ``p = f + q`` meaningful for interior values.
     """
-    f1, f2 = float(f[0]), float(f[1])
+    f1, f2 = qcore._require_reals(f, 2, "classical weight",
+                                  "classical weights must be two finite numbers, got {f!r}", f=f)
+    if empirical_reference is not None:
+        empirical_reference = qcore._require_reals(
+            empirical_reference, 2, "empirical reference",
+            "empirical reference must be two finite numbers, got {ref!r}", ref=empirical_reference)
     qcore.require_within(-np.minimum(f1, f2), policy.PROBABILITY_TOL,
                          "classical weights must be nonnegative, got {f}", f=f)
     qcore.require_within(abs(f1 + f2 - 1.0), 1e-10,
@@ -270,7 +270,7 @@ class CohortReport:
 def _inverse_cdf(dist: InterferenceDistribution, grid, kinks, n: int, rng) -> np.ndarray:
     """``n`` draws by inverting the trapezoid-rule CDF on ``grid`` and ``kinks``."""
     fine = np.unique(np.concatenate([grid, kinks]))
-    values = np.asarray(dist.pdf(fine), dtype=float)
+    values = dist.pdf(fine)
     cum = np.concatenate([[0.0], np.cumsum((values[:-1] + values[1:]) * np.diff(fine) / 2.0)])
     return np.interp(rng.random(n), cum / cum[-1], fine)
 

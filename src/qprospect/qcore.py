@@ -9,9 +9,10 @@ product basis vector ``|n alpha>`` sits at flat position
 Shapes are decided here too.  :func:`_require_equal` is the one check that
 two dimensions agree, and :func:`_factor_dims` the one parse of a
 composite object's factor dimensions: a tuple or list of exactly two
-integers, never coerced.  Two more rules have their one home here:
-:func:`require_event` is the null-event guard, and :func:`_set_fields` the
-one setter of a frozen instance's fields.
+integers, never coerced.  So are a caller's numbers: :func:`_require_numbers`
+reads every array and :func:`_require_real` every real scalar.  Two more
+rules have their one home here: :func:`require_event` is the null-event
+guard, and :func:`_set_fields` the one setter of a frozen instance's fields.
 """
 
 import numpy as np
@@ -87,19 +88,55 @@ def _require_size(n, least: int, what: str, message: str):
         raise ValidationError(message.format(n))
 
 
-def _require_real(x, what: str, message: str, **fields) -> float:
+def _require_real(x, what: str, message: str, *,
+                  refused: str = "{what} must be a real number, got {x!r}", **fields) -> float:
     """``x`` as a finite Python float.  A :class:`ValidationError` unless ``x``
-    is a Python or numpy integer or float, never a ``bool`` or a ``str``; a
-    non-finite ``x`` gets ``message``, a template over ``x`` and ``fields``."""
+    is a Python or numpy integer or float, never a ``bool`` or a ``str``: a
+    refused type gets ``refused``, a non-finite ``x`` gets ``message``; both
+    are templates over ``what``, ``x`` and ``fields``."""
     if not (isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool):
-        raise ValidationError(f"{what} must be a real number, got {x!r}")
+        raise ValidationError(refused.format(what=what, x=x, **fields))
     try:
         v = float(x)
     except OverflowError:  # an int beyond the float range
         v = np.inf
     if not np.isfinite(v):
-        raise ValidationError(message.format(x=x, **fields))
+        raise ValidationError(message.format(what=what, x=x, **fields))
     return v
+
+
+def _require_reals(xs, n: int, what: str, message: str, **fields) -> tuple[float, ...]:
+    """``xs``, a tuple, list or 1-d array of ``n`` numbers, each read by
+    :func:`_require_real`; any other ``xs`` gets ``message`` too."""
+    sequence = isinstance(xs, (tuple, list)) or isinstance(xs, np.ndarray) and xs.ndim == 1
+    if not (sequence and len(xs) == n):
+        raise ValidationError(message.format(what=what, x=xs, **fields))
+    return tuple(_require_real(x, what, message, **fields) for x in xs)
+
+
+def _require_numbers(a, name: str, real: bool = False, shape=None,
+                     finite: bool = True) -> np.ndarray:
+    """``a`` as an ndarray of finite complex numbers (float when ``real``), uncopied if it is one.
+
+    A :class:`ValidationError` unless ``a`` is a rectangular array of integers
+    or floats, or of complex numbers unless ``real``: never of ``bool``, ``str``
+    or objects.  ``shape(a)``, when given, runs before the finiteness pass, so
+    a caller's shape rules, and their error types, come first.  With
+    ``finite=False`` an infinite entry passes and only NaN is refused.
+    """
+    try:
+        a = np.asarray(a)
+    except ValueError:  # a ragged sequence
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        kind = "real numbers" if real else "numbers"
+        raise ValidationError(f"{name} must hold {kind}, got dtype {a.dtype}")
+    a = a.astype(float if real else complex, copy=False)
+    if shape is not None:
+        shape(a)
+    if not (np.isfinite(a) if finite else ~np.isnan(a)).all():
+        raise ValidationError(f"{name} has {'non-finite' if finite else 'NaN'} entries")
+    return a
 
 
 def _require_equal(got, want, message: str, *fields):
@@ -120,39 +157,35 @@ def _factor_dims(dims) -> tuple[int, int]:
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square complex ndarray; raise on anything else."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ValidationError(f"{name} is empty")
-    if a.shape[0] > policy.MAX_DIM:
-        raise SizeLimitError(
-            f"{name} has dimension {a.shape[0]}, above the cap {policy.MAX_DIM}"
-        )
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return a
+    """``m`` read by :func:`_require_numbers` as a square, nonempty matrix within the cap."""
+    def square(a):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+        if a.shape[0] == 0:
+            raise ValidationError(f"{name} is empty")
+        if a.shape[0] > policy.MAX_DIM:
+            raise SizeLimitError(
+                f"{name} has dimension {a.shape[0]}, above the cap {policy.MAX_DIM}"
+            )
+    return _require_numbers(m, name, shape=square)
 
 
 def as_complex_vector(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1 or a.size == 0:
-        raise DimensionMismatchError(f"{name} must be a nonempty 1-d array")
-    if a.size > policy.MAX_DIM:
-        raise SizeLimitError(f"{name} has size {a.size}, above the cap {policy.MAX_DIM}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValidationError(f"{name} has non-finite entries")
-    return a
+    """``v`` read by :func:`_require_numbers` as a nonempty 1-d array within the cap."""
+    def flat(a):
+        if a.ndim != 1 or a.size == 0:
+            raise DimensionMismatchError(f"{name} must be a nonempty 1-d array")
+        if a.size > policy.MAX_DIM:
+            raise SizeLimitError(f"{name} has size {a.size}, above the cap {policy.MAX_DIM}")
+    return _require_numbers(v, name, shape=flat)
 
 
 def as_amplitude_matrix(c, tol: float) -> np.ndarray:
-    """Coerce to a nonempty finite 2-d complex array whose ``sum |c|^2`` is 1 within ``tol``."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-        raise DimensionMismatchError(f"amplitude matrix must be 2-d, got shape {c.shape}")
-    if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
-        raise ValidationError("amplitude matrix has non-finite entries")
+    """``c`` read by :func:`_require_numbers`: nonempty, 2-d, ``sum |c|^2`` 1 within ``tol``."""
+    def nonempty(a):
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+            raise DimensionMismatchError(f"amplitude matrix must be 2-d, got shape {a.shape}")
+    c = _require_numbers(c, "amplitude matrix", shape=nonempty)
     total = float(np.sum(np.abs(c) ** 2))
     require_within(abs(total - 1.0), tol,
                    "amplitude matrix breaks unit total weight: sum |c|^2 = {total!r}", total=total)

@@ -85,20 +85,23 @@ def _fields(section, path: str, what: str, required=(), optional=()) -> dict:
     return section
 
 
-def _scalar(value, path: str) -> complex:
-    """A JSON number, or an ``[re, im]`` pair."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _scalar(value, path: str, *at: int) -> complex:
+    """A JSON number, or an ``[re, im]`` pair.  ``at`` indexes an entry of the
+    array at ``path``; the entry's path is built only when it is refused."""
     try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if _is_number(value):
             return complex(value)
-        if (
-            isinstance(value, list)
-            and len(value) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-        ):
+        if (isinstance(value, list) and len(value) == 2
+                and _is_number(value[0]) and _is_number(value[1])):
             return complex(value[0], value[1])
+        message = f"expected a number or [re, im] pair, got {value!r}"
     except OverflowError:
-        raise ScenarioError("integer too large for a float", path) from None
-    raise ScenarioError(f"expected a number or [re, im] pair, got {value!r}", path)
+        message = "integer too large for a float"
+    raise ScenarioError(message, path + "".join(f"[{k}]" for k in at))
 
 
 def _real(value, path: str) -> float:
@@ -139,7 +142,7 @@ def _name(value, path: str) -> str:
 
 def _log_base(value, path: str):
     if value not in ("natural", "e"):
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+        _require(_is_number(value),
                  f"log base must be \"natural\", \"e\" or a number, got {value!r}", path)
         _require(_real(value, path) > 1.0, f"log base must exceed 1, got {value!r}", path)
     return value
@@ -172,7 +175,7 @@ _DIRECTIVES = {
 
 def _vector(value, path: str) -> np.ndarray:
     _require(isinstance(value, list) and value, "expected a non-empty list", path)
-    out = np.array([_scalar(x, f"{path}[{k}]") for k, x in enumerate(value)])
+    out = np.array([_scalar(x, path, k) for k, x in enumerate(value)])
     _require(bool(np.isfinite(out).all()), "vector has non-finite entries", path)
     return out
 
@@ -188,7 +191,7 @@ def _matrix(value, path: str) -> np.ndarray:
             width = len(row)
         _require(len(row) == width, f"ragged matrix: row {i} has {len(row)} entries, "
                  f"expected {width}", f"{path}[{i}]")
-        rows.append([_scalar(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+        rows.append([_scalar(x, path, i, j) for j, x in enumerate(row)])
     out = np.array(rows)
     _require(bool(np.isfinite(out).all()), "matrix has non-finite entries", path)
     return out

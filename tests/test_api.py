@@ -9,7 +9,6 @@ import qprospect
 
 PUBLIC = [
     "AmplitudeMatrix",
-    "ClassicalLimitReport",
     "CohortReport",
     "CompositeState",
     "DensityOperator",
@@ -48,7 +47,6 @@ PUBLIC = [
     "born_distribution",
     "born_probability",
     "broken_symmetry_probabilities",
-    "classical_limit_check",
     "classical_prospects",
     "compose",
     "conditional_under_uncertainty",

@@ -24,7 +24,6 @@ from qprospect import (
     bayes_conditional,
     bell_state,
     born_distribution,
-    classical_limit_check,
     conditional_under_uncertainty,
     entanglement_production,
     joint_probability,
@@ -698,27 +697,3 @@ class TestProspectOperator:
         op = ProspectOperator(np.outer(v, v.conj()), (2, 3))
         assert op.dims == (2, 3)
         assert not op.operator.flags.writeable
-
-
-class TestClassicalLimit:
-    def test_random_entangled_lattice_passes(self, rng):
-        state = random_composite(3, 3, rng)
-        b = MultimodeState.in_standard_basis(random_multimode_coefficients(3, rng))
-        report = classical_limit_check([Prospect(n, b) for n in range(3)], state)
-        assert report.passed
-        assert abs(report.sum_f - 1.0) < 1e-10
-        assert abs(report.sum_q) < 1e-10
-        assert report.q_min <= 0.0 <= report.q_max
-
-    def test_incomplete_lattice_rejected(self, rng):
-        state = random_composite(3, 3, rng)
-        b = MultimodeState.in_standard_basis(np.ones(3))
-        with pytest.raises(ValidationError):
-            classical_limit_check([Prospect(0, b), Prospect(1, b)], state)
-
-    def test_mixed_multimode_states_rejected(self, rng):
-        state = random_composite(2, 2, rng)
-        b1 = MultimodeState.in_standard_basis(np.ones(2))
-        b2 = MultimodeState.in_standard_basis(np.array([1.0, -1.0]))
-        with pytest.raises(ValidationError):
-            classical_limit_check([Prospect(0, b1), Prospect(1, b2)], state)

@@ -5,8 +5,9 @@ lets a NaN defect through, and so does ``if p <= bound: raise``.  A check that
 raises must hold its comparison under a negation (``if not lo <= x <= hi:
 raise``) or go through :func:`qcore.require_within` or
 :func:`qcore.require_event`.  The last hand-written invariants have one home
-in :mod:`qcore` too: ``object.__setattr__`` is called only by its setter, and
-``ZERO_EVENT_TOL`` is read only there and in :mod:`policy`.
+in :mod:`qcore` too: ``object.__setattr__`` is called only by its setter,
+``ZERO_EVENT_TOL`` is read only there and in :mod:`policy`, and no
+``__post_init__`` reads a caller's number but through :mod:`qcore`'s readers.
 """
 
 import ast
@@ -89,9 +90,29 @@ def test_guard_tells_fail_open_from_fail_closed():
     assert [fail_open_checks(s) for s in fail_closed] == [[]] * len(fail_closed)
 
 
+def _own_number_read(node) -> str | None:
+    """What ``node`` is, if it reads a number by hand: ``float()`` of a value as
+    given (a name, attribute or subscript, not a computed result), a finiteness
+    test, or ``np.array``/``np.asarray`` with a ``dtype``."""
+    if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy", "math")):
+        return f"{node.value.id}.isfinite"
+    if not isinstance(node, ast.Call):
+        return None
+    if (isinstance(node.func, ast.Name) and node.func.id == "float" and node.args
+            and isinstance(node.args[0], (ast.Name, ast.Attribute, ast.Subscript))):
+        return "float()"
+    if (isinstance(node.func, ast.Attribute) and node.func.attr in ("array", "asarray")
+            and any(k.arg == "dtype" for k in node.keywords)):
+        return f"np.{node.func.attr}(dtype=)"
+    return None
+
+
 def single_path_breaches(source: str, module: str) -> list[str]:
     """Where ``source`` sets a frozen field other than through ``qcore._set_fields``,
-    or reads ``ZERO_EVENT_TOL`` outside :mod:`qcore` and :mod:`policy`."""
+    reads ``ZERO_EVENT_TOL`` outside :mod:`qcore` and :mod:`policy`, or reads a
+    number by hand in a ``__post_init__`` (:func:`_own_number_read`) in place of
+    ``qcore._require_numbers`` or ``qcore._require_real``."""
     breaches = []
 
     def visit(node, function):
@@ -105,6 +126,9 @@ def single_path_breaches(source: str, module: str) -> list[str]:
         name = name and getattr(node, name)
         if name == "ZERO_EVENT_TOL" and module not in ("qcore", "policy"):
             breaches.append(f"ZERO_EVENT_TOL at line {node.lineno}")
+        read = function == "__post_init__" and _own_number_read(node)
+        if read:
+            breaches.append(f"{read} in __post_init__ at line {node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -131,3 +155,19 @@ def test_single_path_guard_finds_each_breach():
     assert single_path_breaches(read, "game") == [
         f"ZERO_EVENT_TOL at line {n}" for n in (1, 2, 3)]
     assert single_path_breaches(read, "qcore") == single_path_breaches(read, "policy") == []
+    own_reads = ("def __post_init__(self):\n"
+                 "    x = float(self.x)\n"
+                 "    y = [float(v) for v in self.y]\n"
+                 "    if not np.isfinite(x): raise E\n"
+                 "    check = math.isfinite\n"
+                 "    a = np.array(self.a, dtype=float)\n"
+                 "    b = np.asarray(self.b, dtype=complex)\n"
+                 "    norm = float(np.linalg.norm(a))\n"
+                 "    c = np.array(a)\n"
+                 "    d = qcore._require_numbers(self.d, 'd', real=True)\n")
+    assert single_path_breaches(own_reads, "events") == [
+        "float() in __post_init__ at line 2", "float() in __post_init__ at line 3",
+        "np.isfinite in __post_init__ at line 4", "math.isfinite in __post_init__ at line 5",
+        "np.array(dtype=) in __post_init__ at line 6",
+        "np.asarray(dtype=) in __post_init__ at line 7"]
+    assert single_path_breaches(own_reads.replace("__post_init__", "gram"), "events") == []

@@ -1,8 +1,10 @@
 """Linear-algebra primitives: tensor products, partial traces, exponentials."""
 
 import ast
+import inspect
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from qprospect import (
     tensor_product,
 )
 import qprospect
-from qprospect import policy
+from qprospect import policy, qcore
 from qprospect.qcore import (
     as_amplitude_matrix,
     as_complex_matrix,
@@ -743,11 +745,23 @@ class TestShapeGuards:
 def _real_scalar_sites():
     """Each library call that reads a real scalar, as ``name: call`` with
     that scalar as the call's one argument."""
-    from qprospect import (AmplitudeMatrix, HamiltonianSpec, PipelineStage, WaveState,
-                           broken_symmetry_probabilities, evolve_state)
+    from qprospect import (AmplitudeMatrix, GameSpec, HamiltonianSpec, PipelineStage,
+                           ProspectProbability, WaveState, bell_state,
+                           broken_symmetry_probabilities, entanglement_production, evolve_state)
     c = np.full((2, 2), 0.5)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    joint = np.full((2, 2), 0.25)
     return {
+        "HamiltonianSpec.pieces": lambda x: HamiltonianSpec(sx, ((x, sx),)).pieces[0][0],
+        "GameSpec.payoffs": lambda x: GameSpec(joint, (3, 0, 5, x)).payoffs,
+        "broken_symmetry_probabilities.f": lambda x: (
+            broken_symmetry_probabilities((x, 0), 0.1).p),
+        "broken_symmetry_probabilities.empirical_reference": lambda x: (
+            broken_symmetry_probabilities((0.5, 0.5), 0.1, empirical_reference=(x, 0))
+            .deviations()),
+        "entanglement_production.log_base": lambda x: (
+            entanglement_production(bell_state(2), 2 * x).epsilon),
+        "ProspectProbability": lambda x: ProspectProbability(x, x, 0).p,
         "PipelineStage.duration": lambda x: PipelineStage("evolve", duration=x).duration,
         "WaveState.time": lambda x: WaveState([1.0, 0.0], time=x).time,
         "AmplitudeMatrix.times": lambda x: AmplitudeMatrix(c, x).times,
@@ -788,6 +802,24 @@ class TestRealScalars:
         ("evolve_state", np.nan, "propagation times must be finite"),
         ("matrix_exponential", True, "time must be a real number, got True"),
         ("matrix_exponential", np.inf, "time must be finite"),
+        ("HamiltonianSpec.pieces", True, "piece 0 must be a (start, matrix) pair"),
+        ("HamiltonianSpec.pieces", np.inf, "piece 0 has non-finite start time"),
+        ("GameSpec.payoffs", np.inf, "payoffs must be 4 numbers, got (3, 0, 5, inf)"),
+        ("GameSpec.payoffs", False, "payoffs must be 4 numbers, got (3, 0, 5, False)"),
+        ("broken_symmetry_probabilities.f", "1",
+         "classical weight must be a real number, got '1'"),
+        ("broken_symmetry_probabilities.f", np.nan,
+         "classical weights must be two finite numbers, got (nan, 0)"),
+        ("broken_symmetry_probabilities.empirical_reference", None,
+         "empirical reference must be a real number, got None"),
+        ("broken_symmetry_probabilities.empirical_reference", np.inf,
+         "empirical reference must be two finite numbers, got (inf, 0)"),
+        ("entanglement_production.log_base", np.inf,
+         "log base must be finite and exceed 1, got inf"),
+        ("entanglement_production.log_base", 0.5, "log base must be finite and exceed 1, got 1.0"),
+        ("ProspectProbability", "0.5", "prospect probability field p must be a real number, "
+         "got '0.5'"),
+        ("ProspectProbability", np.nan, "prospect probability field p is not finite"),
     ], ids=lambda v: "10**400" if type(v) is int and v > 10 ** 300 else None)
     def test_refusal_is_a_validation_error(self, site, x, message):
         with pytest.raises(ValidationError) as info:
@@ -804,3 +836,162 @@ class TestRealScalars:
         want = call(1.0)
         for x in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
             assert call(x) == want
+
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+BOOL = np.array([[True, False], [False, False]])
+
+
+def _refused_inputs():
+    """Each input that was once coerced, cut or answered with a numpy error,
+    as ``id: (call, the field its message names)``."""
+    from qprospect import (CompositeState, DensityOperator, GameSpec, HamiltonianSpec,
+                           InterferenceDistribution, MultimodeState, Observable,
+                           ProspectProbability, WaveState, bell_state,
+                           broken_symmetry_probabilities, entanglement_production)
+    joint = np.full((2, 2), 0.25)
+    eye = np.eye(2)
+    return {
+        "from_pure-bool": (lambda: DensityOperator.from_pure([True, False]), "state vector"),
+        "from_pure-str": (lambda: DensityOperator.from_pure(["1", "0"]), "state vector"),
+        "from_pure-ragged": (lambda: DensityOperator.from_pure([[1], [0, 0]]), "state vector"),
+        "density-bool": (lambda: DensityOperator(BOOL), "density operator"),
+        "density-ragged": (lambda: DensityOperator([[1, 0], [0]]), "density operator"),
+        "density-dict": (lambda: DensityOperator({"a": 1}), "density operator"),
+        "eigenvalues-str": (lambda: Observable(["0", "1"], eye), "eigenvalue"),
+        "eigenvalues-bool": (lambda: Observable([True, False], eye), "eigenvalue"),
+        "eigenvalues-complex": (lambda: Observable(np.array([0.0, 1j]), eye), "eigenvalue"),
+        "eigenvalues-ragged": (lambda: Observable([[0], [1, 2]], eye), "eigenvalue"),
+        "eigenbasis-bool": (lambda: Observable([0, 1], np.eye(2, dtype=bool)), "eigenbasis"),
+        "multimode-str": (lambda: MultimodeState.in_standard_basis(["1", "1"]), "coefficients"),
+        "wave-bool": (lambda: WaveState([True, False]), "coefficients"),
+        "amplitudes-bool": (lambda: CompositeState.from_amplitudes(BOOL), "amplitude matrix"),
+        "tensor_product-bool": (lambda: tensor_product(BOOL, eye), "first factor"),
+        "joint-str": (lambda: GameSpec([["0.5", "0"], ["0", "0.5"]]), "joint table"),
+        "joint-bool": (lambda: GameSpec(BOOL), "joint table"),
+        "joint-complex": (lambda: GameSpec(joint + 1e-3j * SX), "joint table"),
+        "joint-ragged": (lambda: GameSpec([[0.5, 0.5], [0]]), "joint table"),
+        "payoffs-str-bool": (lambda: GameSpec(joint, ("3", 0, 5, True)), "payoffs"),
+        "tabulated-str": (lambda: InterferenceDistribution.tabulated(["-1", "1"], ["0.5", "0.5"]),
+                          "tabulated grid"),
+        "tabulated-ragged": (lambda: InterferenceDistribution.tabulated([[-1], [0, 1]],
+                                                                         [0.5, 0.5]),
+                             "tabulated grid"),
+        "pdf-str": (lambda: InterferenceDistribution.uniform().pdf("0.5"), "q"),
+        "pdf-nan": (lambda: InterferenceDistribution.uniform().pdf([0.5, np.nan]), "q"),
+        "piece-str": (lambda: HamiltonianSpec(eye, [("1", SX)]), "piece 0"),
+        "piece-bool": (lambda: HamiltonianSpec(eye, [(True, SX)]), "piece 0"),
+        "f-str": (lambda: broken_symmetry_probabilities(("0.5", "0.5"), 0.1), "classical weight"),
+        "f-bool": (lambda: broken_symmetry_probabilities((True, 0), 0.1), "classical weight"),
+        "empirical-str": (lambda: broken_symmetry_probabilities(
+            (0.5, 0.5), 0.1, empirical_reference=("a", 1)), "empirical reference"),
+        "log_base-str": (lambda: entanglement_production(bell_state(2), "2"), "log base"),
+        "log_base-array": (lambda: entanglement_production(bell_state(2), np.array([2, 3])),
+                           "log base"),
+        "prospect-str": (lambda: ProspectProbability("0.5", 0.5, 0.0), "field p"),
+    }
+
+
+def _accepted_arrays():
+    """Each library call that reads a caller's array, as ``site: (call, dtype)``:
+    ``call(x)`` must equal ``call(np.asarray(x, dtype))`` bit for bit."""
+    from qprospect import (CompositeState, DensityOperator, GameSpec, InterferenceDistribution,
+                           MultimodeState, Observable, WaveState)
+    return {
+        "DensityOperator": (lambda m: DensityOperator(m).matrix, complex),
+        "DensityOperator.from_pure": (lambda v: DensityOperator.from_pure(v).matrix, complex),
+        "Observable.eigenvalues": (lambda v: Observable(v, np.eye(2)).eigenvalues, float),
+        "Observable.eigenbasis": (lambda u: Observable([0, 1], u).eigenbasis, complex),
+        "MultimodeState": (lambda b: MultimodeState.in_standard_basis(b).coefficients, complex),
+        "WaveState": (lambda c: WaveState(c).coefficients, complex),
+        "CompositeState.from_amplitudes": (
+            lambda c: CompositeState.from_amplitudes(c).matrix, complex),
+        "tensor_product": (lambda a: tensor_product(a, np.eye(2)), complex),
+        "GameSpec.joint": (lambda t: GameSpec(t).joint, float),
+        "InterferenceDistribution.grid": (
+            lambda g: InterferenceDistribution.tabulated(g, [0.5, 0.5]).grid, float),
+        "InterferenceDistribution.density": (
+            lambda y: InterferenceDistribution.tabulated([-1, 0, 1], y).density, float),
+        "InterferenceDistribution.pdf": (lambda q: InterferenceDistribution.uniform().pdf(q),
+                                         float),
+    }
+
+
+HALF = np.full(4, 0.5)
+
+
+class TestCallerNumbers:
+    """Every caller's array is read by ``qcore._require_numbers`` and every real
+    scalar by ``qcore._require_real``: a ``bool``, ``str``, object, ragged or
+    (for a real field) complex input is a ValidationError naming its field,
+    never a numpy error, a warning or a silent coercion."""
+
+    @pytest.mark.parametrize("case", sorted(_refused_inputs()))
+    def test_refused_with_the_field_named(self, case):
+        call, field = _refused_inputs()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                call()
+        assert field in str(info.value)
+
+    @pytest.mark.parametrize("site, x", [
+        ("DensityOperator", [[1, 0], [0, 0]]),
+        ("DensityOperator", np.array([[0, 0], [0, 1]], dtype=np.int64)),
+        ("DensityOperator", np.diag([0.5, 0.5]).astype(np.float32)),
+        ("DensityOperator", np.array([[0.5, 0.5j], [-0.5j, 0.5]])),
+        ("DensityOperator.from_pure", [0, 1]),
+        ("DensityOperator.from_pure", np.array([1, 0], dtype=np.int64)),
+        ("DensityOperator.from_pure", HALF.astype(np.float32)),
+        ("DensityOperator.from_pure", np.array([0.6, 0.8j])),
+        ("Observable.eigenvalues", [0, 1]),
+        ("Observable.eigenvalues", np.array([2, -1], dtype=np.int64)),
+        ("Observable.eigenvalues", np.array([0.1, 0.7], dtype=np.float32)),
+        ("Observable.eigenvalues", [np.float64(0.25), np.float64(-3.5)]),
+        ("Observable.eigenbasis", [[0, 1], [1, 0]]),
+        ("Observable.eigenbasis", np.eye(2, dtype=np.int64)),
+        ("Observable.eigenbasis", np.eye(2, dtype=np.float32)),
+        ("Observable.eigenbasis", np.array([[0, 1j], [1j, 0]])),
+        ("MultimodeState", [1, 2]),
+        ("MultimodeState", np.array([3, 0], dtype=np.int64)),
+        ("MultimodeState", np.array([0.1, 0.2], dtype=np.float32)),
+        ("MultimodeState", np.array([1.0, 1j])),
+        ("WaveState", [0, 1]),
+        ("WaveState", HALF.astype(np.float32)),
+        ("WaveState", np.array([0.6j, 0.8])),
+        ("CompositeState.from_amplitudes", [[1, 0], [0, 0]]),
+        ("CompositeState.from_amplitudes", np.eye(2, dtype=np.int64)[:1]),
+        ("CompositeState.from_amplitudes", HALF.reshape(2, 2).astype(np.float32)),
+        ("CompositeState.from_amplitudes", np.array([[0.5, 0.5j], [0.5, -0.5]])),
+        ("tensor_product", np.eye(2, dtype=np.int64)),
+        ("tensor_product", np.array([[1, 2], [3, 4]], dtype=np.float32)),
+        ("GameSpec.joint", [[1, 0], [0, 0]]),
+        ("GameSpec.joint", np.array([[0, 0], [0, 1]], dtype=np.int64)),
+        ("GameSpec.joint", np.full((2, 2), 0.25, dtype=np.float32)),
+        ("InterferenceDistribution.grid", [-1, 1]),
+        ("InterferenceDistribution.grid", np.array([-1, 1], dtype=np.int64)),
+        ("InterferenceDistribution.grid", np.array([-1, 1], dtype=np.float32)),
+        ("InterferenceDistribution.density", [0, 1, 0]),
+        ("InterferenceDistribution.density", np.array([0, 1, 0], dtype=np.float32)),
+        ("InterferenceDistribution.pdf", 0),
+        ("InterferenceDistribution.pdf", np.float64(0.5)),
+        ("InterferenceDistribution.pdf", np.array([0.5, 2.0], dtype=np.float32)),
+        ("InterferenceDistribution.pdf", np.array([-1, 3], dtype=np.int64)),
+        ("InterferenceDistribution.pdf", np.inf),
+        ("InterferenceDistribution.pdf", [-np.inf, 0.3, np.inf]),
+    ])
+    def test_numbers_are_read_as_numpy_casts_them(self, site, x):
+        call, dtype = _accepted_arrays()[site]
+        got, want = call(x), call(np.asarray(x, dtype=dtype))
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert getattr(got, "dtype", None) == getattr(want, "dtype", None)
+
+    @pytest.mark.parametrize("reader", ["as_complex_matrix", "as_complex_vector",
+                                        "as_amplitude_matrix"])
+    def test_array_readers_share_one_check(self, reader):
+        # each keeps only its shape and cap rules; dtype and finiteness are
+        # _require_numbers' alone
+        source = inspect.getsource(getattr(qcore, reader))
+        assert "_require_numbers(" in source
+        assert "isfinite" not in source and "dtype" not in source
