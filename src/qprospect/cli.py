@@ -37,8 +37,8 @@ def _op_born(scenario: Scenario, table: ResultTable, seed: int):
     rho = scenario.need_density()
     obs = scenario.need_observable("observable")
     p = born_distribution(rho, obs)
-    for n, value in enumerate(p):
-        table.add_probability(f"p[{obs.label}={n}]", value, "born_distribution")
+    table.add_probabilities([f"p[{obs.label}={n}]" for n in range(len(p))], p,
+                            "born_distribution")
     table.add("expected_value", expected_value(rho, obs), "expected_value")
     table.add("most_probable", most_probable(rho, obs), "most_probable")
 
@@ -52,8 +52,8 @@ def _op_lueders(scenario: Scenario, table: ResultTable, seed: int):
     table.add("event", f"{outcome.event[0]}={outcome.event[1]}", "apply_measurement")
     table.add_probability("probability", outcome.probability, "apply_measurement")
     post = outcome.post_state
-    for k in range(post.dim):
-        table.add(f"post.diag[{k}]", float(post.matrix[k, k].real), "luders_reduce")
+    table.add_array([f"post.diag[{k}]" for k in range(post.dim)],
+                    post.matrix.diagonal().real, "luders_reduce")
     table.add("post.purity", post.purity(), "luders_reduce")
 
 
@@ -64,23 +64,15 @@ def _op_wigner(scenario: Scenario, table: ResultTable, seed: int):
     second = scenario.need_observable("second")  # measured after it
     # w[n, alpha] = p(first gave alpha, then second gave n)
     w = wigner_table(rho, second, first)
-    for alpha in range(first.dim):
-        for n in range(second.dim):
-            table.add_probability(
-                f"w[{first.label}={alpha};{second.label}={n}]",
-                w[n, alpha], "wigner_distribution",
-            )
-    for alpha in range(first.dim):
-        table.add(
-            f"first_step[{first.label}={alpha}]", float(w[:, alpha].sum()),
-            "wigner_distribution",
-        )
-    for n in range(second.dim):
-        table.add(
-            f"chain_residual[{second.label}={n}]",
-            identity_chain_residual(rho, second, n, first),
-            "identity_chain_residual",
-        )
+    alphas, ns = range(first.dim), range(second.dim)
+    table.add_probabilities(
+        [f"w[{first.label}={alpha};{second.label}={n}]" for alpha in alphas for n in ns],
+        w.T, "wigner_distribution")
+    table.add_array([f"first_step[{first.label}={alpha}]" for alpha in alphas],
+                    [w[:, alpha].sum() for alpha in alphas], "wigner_distribution")
+    table.add_array([f"chain_residual[{second.label}={n}]" for n in ns],
+                    [identity_chain_residual(rho, second, n, first) for n in ns],
+                    "identity_chain_residual")
     table.add("total", float(w.sum()), "wigner_distribution")
 
 
@@ -90,12 +82,9 @@ def _op_kirkwood(scenario: Scenario, table: ResultTable, seed: int):
     obs_a = scenario.need_observable("first")
     obs_b = scenario.need_observable("second")
     k = kirkwood_table(rho, obs_a, obs_b)
-    for n in range(k.shape[0]):
-        for alpha in range(k.shape[1]):
-            table.add(
-                f"k[{obs_a.label}={n};{obs_b.label}={alpha}]",
-                complex(k[n, alpha]), "kirkwood_form",
-            )
+    table.add_array([f"k[{obs_a.label}={n};{obs_b.label}={alpha}]"
+                     for n in range(k.shape[0]) for alpha in range(k.shape[1])],
+                    k, "kirkwood_form")
     table.add("total", complex(k.sum()), "kirkwood_form")
     table.add("max_imag", float(np.abs(k.imag).max()), "kirkwood_form")
 
@@ -105,15 +94,12 @@ def _op_joint(scenario: Scenario, table: ResultTable, seed: int):
     state = scenario.need_composite()
     t = joint_table(state)
     da, db = state.dims
-    for n in range(da):
-        for alpha in range(db):
-            table.add_probability(
-                f"p[n={n};alpha={alpha}]", t[n, alpha], "joint_table")
+    table.add_probabilities(
+        [f"p[n={n};alpha={alpha}]" for n in range(da) for alpha in range(db)], t,
+        "joint_table")
     pa, pb = marginals(state)
-    for n in range(da):
-        table.add_probability(f"marginal_a[{n}]", pa[n], "marginals")
-    for alpha in range(db):
-        table.add_probability(f"marginal_b[{alpha}]", pb[alpha], "marginals")
+    table.add_probabilities([f"marginal_a[{n}]" for n in range(da)], pa, "marginals")
+    table.add_probabilities([f"marginal_b[{alpha}]" for alpha in range(db)], pb, "marginals")
     table.add("total", float(t.sum()), "joint_table")
 
 
@@ -123,13 +109,11 @@ def _op_prospect(scenario: Scenario, table: ResultTable, seed: int):
     b = scenario.need_multimode()
     normalized = scenario.run.get("normalized", True)
     lattice = prospect_lattice(state, b, normalize=normalized)
-    for n, entry in enumerate(lattice):
-        table.add(f"p[{n}]", entry.p, "prospect_lattice")
-        table.add(f"f[{n}]", entry.f, "prospect_lattice")
-        table.add(f"q[{n}]", entry.q, "prospect_lattice")
-    table.add("sum_p", float(sum(e.p for e in lattice)), "prospect_lattice")
-    table.add("sum_f", float(sum(e.f for e in lattice)), "prospect_lattice")
-    table.add("sum_q", float(sum(e.q for e in lattice)), "prospect_lattice")
+    pfq = [(e.p, e.f, e.q) for e in lattice]
+    table.add_array([f"{x}[{n}]" for n in range(len(lattice)) for x in "pfq"], pfq,
+                    "prospect_lattice")
+    table.add_array(["sum_p", "sum_f", "sum_q"], [float(sum(c)) for c in zip(*pfq)],
+                    "prospect_lattice")
     table.add("normalized", normalized, "prospect_lattice")
 
 
@@ -151,17 +135,14 @@ def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
         table.add(f"stage[{k}].kind", record.kind, "run_pipeline")
         table.add(f"stage[{k}].time", record.time, "run_pipeline")
         if record.system is not None:
-            for j in range(record.system.dim):
-                table.add_probability(
-                    f"stage[{k}].system.diag[{j}]",
-                    float(record.system.matrix[j, j].real), "readout")
-    for j in range(trace.rho_a.dim):
-        table.add_probability(
-            f"rho_a.diag[{j}]", float(trace.rho_a.matrix[j, j].real), "run_pipeline")
+            table.add_probabilities(
+                [f"stage[{k}].system.diag[{j}]" for j in range(record.system.dim)],
+                record.system.matrix.diagonal().real, "readout")
+    table.add_probabilities([f"rho_a.diag[{j}]" for j in range(trace.rho_a.dim)],
+                            trace.rho_a.matrix.diagonal().real, "run_pipeline")
     table.add("rho_a.purity", trace.rho_a.purity(), "run_pipeline")
-    for j in range(trace.rho_b.dim):
-        table.add_probability(
-            f"rho_b.diag[{j}]", float(trace.rho_b.matrix[j, j].real), "run_pipeline")
+    table.add_probabilities([f"rho_b.diag[{j}]" for j in range(trace.rho_b.dim)],
+                            trace.rho_b.matrix.diagonal().real, "run_pipeline")
 
 
 def _op_entanglement(scenario: Scenario, table: ResultTable, seed: int):
@@ -170,11 +151,11 @@ def _op_entanglement(scenario: Scenario, table: ResultTable, seed: int):
     log_base = scenario.run.get("log_base", "natural")
     report = entanglement_production(state, log_base)
     table.add("epsilon", report.epsilon, "entanglement_production")
-    for label, value in zip(("joint", "first", "second"), report.norms):
-        table.add(f"norm.{label}", value, "measurement_basis_norm")
+    table.add_array(["norm.joint", "norm.first", "norm.second"], report.norms,
+                    "measurement_basis_norm")
     table.add("epsilon_spectral", report.epsilon_spectral, "entanglement_production")
-    for label, value in zip(("joint", "first", "second"), report.spectral_norms):
-        table.add(f"spectral_norm.{label}", value, "spectral_norm")
+    table.add_array(["spectral_norm.joint", "spectral_norm.first", "spectral_norm.second"],
+                    report.spectral_norms, "spectral_norm")
     table.add("log_base",
               "natural" if report.log_base is None else report.log_base,
               "entanglement_production")
@@ -203,19 +184,16 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
         f, q_magnitude, favored=options["favored"],
         empirical_reference=options.get("empirical"),
     )
-    for k, label in enumerate(("cooperate", "defect")):
-        table.add(f"f[{label}]", result.f[k], "classical_prospects")
-    for k, label in enumerate(("cooperate", "defect")):
-        table.add(f"q[{label}]", result.q_applied[k], "broken_symmetry_probabilities")
-    for k, label in enumerate(("cooperate", "defect")):
-        table.add_probability(
-            f"p[{label}]", result.p[k], "broken_symmetry_probabilities")
+    table.add_array(["f[cooperate]", "f[defect]"], result.f, "classical_prospects")
+    table.add_array(["q[cooperate]", "q[defect]"], result.q_applied,
+                    "broken_symmetry_probabilities")
+    table.add_probabilities(["p[cooperate]", "p[defect]"], result.p,
+                            "broken_symmetry_probabilities")
     table.add("clamped", result.clamped, "broken_symmetry_probabilities")
     deviations = result.deviations()
     if deviations is not None:
-        for k, label in enumerate(("cooperate", "defect")):
-            table.add(f"deviation[{label}]", deviations[k],
-                      "broken_symmetry_probabilities")
+        table.add_array(["deviation[cooperate]", "deviation[defect]"], deviations,
+                        "broken_symmetry_probabilities")
     if "cohort" in options:
         body = options["cohort"]
         dist = scenario.need("interference")
@@ -228,18 +206,15 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
         table.add("cohort.symmetry", report.symmetry, "monte_carlo_cohort")
         table.add("cohort.mean_q", report.mean_q, "monte_carlo_cohort")
         table.add("cohort.q_stderr", report.q_stderr, "monte_carlo_cohort")
-        table.add_probability("cohort.cooperation_fraction",
-                              report.cooperation_fraction, "monte_carlo_cohort")
-        table.add_probability("cohort.defection_fraction",
-                              report.defection_fraction, "monte_carlo_cohort")
+        table.add_probabilities(["cohort.cooperation_fraction", "cohort.defection_fraction"],
+                                [report.cooperation_fraction, report.defection_fraction],
+                                "monte_carlo_cohort")
 
 
 def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
     from .game import quarter_law
-    dist = scenario.need("interference")
-    q_plus, q_minus = quarter_law(dist)
-    table.add("q_plus", q_plus, "quarter_law")
-    table.add("q_minus", q_minus, "quarter_law")
+    table.add_array(["q_plus", "q_minus"], quarter_law(scenario.need("interference")),
+                    "quarter_law")
 
 
 def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
@@ -251,8 +226,8 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
     psi0 = _wrap_domain(f"multimode.{name}", WaveState, start.coefficients, t0)
     final = evolve_state(psi0, h, t)
     occ = np.abs(final.coefficients) ** 2
-    for k, value in enumerate(occ):
-        table.add_probability(f"occupation[{k}]", float(value), "evolve_state")
+    table.add_probabilities([f"occupation[{k}]" for k in range(len(occ))], occ,
+                            "evolve_state")
     amp = amplitude_matrix(psi0, h, t0, t)
     table.add("occupation_residual", occupation_residual(amp, final),
               "occupation_residual")
@@ -260,9 +235,8 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
         n = scenario.directive("index")
         b = scenario.need_multimode()
         entry = two_time_prospect(amp, n, b)
-        table.add(f"prospect.p[{n}]", entry.p, "two_time_prospect")
-        table.add(f"prospect.f[{n}]", entry.f, "two_time_prospect")
-        table.add(f"prospect.q[{n}]", entry.q, "two_time_prospect")
+        table.add_array([f"prospect.{x}[{n}]" for x in "pfq"], [entry.p, entry.f, entry.q],
+                        "two_time_prospect")
 
 
 # every op: its handler and the run directives it reads besides op, format,

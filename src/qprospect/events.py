@@ -211,6 +211,9 @@ class MultimodeState:
     basis: Observable
 
     def __post_init__(self):
+        if not isinstance(self.basis, Observable):
+            raise ValidationError(
+                f"multimode basis must be an Observable, got {type(self.basis).__name__}")
         b = np.array(qcore.as_complex_vector(self.coefficients, "coefficients"))
         qcore._require_equal(b.size, self.basis.dim, "{0} coefficients vs basis of dimension {1}")
         if not np.any(b != 0):

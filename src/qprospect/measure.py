@@ -19,6 +19,8 @@ from .errors import NumericContractError, ValidationError
 
 
 def _check_dims(rho: DensityOperator, obs: Observable):
+    if not isinstance(rho, DensityOperator):
+        raise ValidationError(f"rho must be a DensityOperator, got {type(rho).__name__}")
     qcore._require_equal(rho.dim, obs.dim, "density operator dim {0} vs observable {2!r} dim {1}",
                          obs.label)
 

@@ -12,6 +12,7 @@ each have their own scale and are pinned here by name.
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from numbers import Real
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -58,6 +59,8 @@ def set_tolerance(value: float) -> float:
     Process-wide outside any :func:`tolerance_scope`; inside one, until it exits.
     """
     global _tolerance
+    if isinstance(value, bool) or not isinstance(value, Real):  # a str is not Real
+        raise ValueError(f"tolerance must be a real number, got {value!r}")
     value, previous = float(value), tolerance()
     if not 0.0 < value < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {value}")

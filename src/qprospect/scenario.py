@@ -505,11 +505,7 @@ def format_value(value) -> str:
     """12 significant digits for floats; everything else verbatim."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -517,9 +513,11 @@ class ResultTable:
     """Rows of (label, value, provenance) plus run metadata.
 
     ``provenance`` names the library operation that produced the value, so
-    a table is auditable without re-reading the scenario.  Complex values
-    are split into ``.re``/``.im`` rows at add time; probability rows are
-    window-checked against [0, 1].
+    a table is auditable without re-reading the scenario.  Rows are added an
+    array at a time, one label per entry in row-major order; a complex entry
+    becomes ``.re``/``.im`` rows.  Real rows must be finite, and probability
+    rows within ``policy.PROBABILITY_TOL`` of [0, 1] before they are clamped.
+    The first failing row is named.
     """
 
     title: str
@@ -527,24 +525,34 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
     def add(self, label: str, value, provenance: str):
-        if isinstance(value, (complex, np.complexfloating)):
-            self.add(f"{label}.re", float(value.real), provenance)
-            self.add(f"{label}.im", float(value.imag), provenance)
-            return
-        if isinstance(value, (float, np.floating)):
-            value = float(value)
-            if not np.isfinite(value):
-                raise NumericContractError(f"result row {label!r} is not finite")
-        self.rows.append((label, value, provenance))
+        """One row; a ``str``, ``bool`` or ``int`` value is stored as it is."""
+        self.add_array([label], [value], provenance)
 
     def add_probability(self, label: str, value: float, provenance: str):
-        value = float(value)
-        window = policy.PROBABILITY_TOL
-        if not -window <= value <= 1.0 + window:
+        self.add_probabilities([label], [value], provenance)
+
+    def add_array(self, labels: list[str], values, provenance: str):
+        a = np.asarray(values)
+        if a.dtype.kind == "c":
+            labels = [f"{label}.{part}" for label in labels for part in ("re", "im")]
+            a = np.stack((a.real, a.imag), axis=-1)
+        a = a.ravel()
+        finite = np.isfinite(a) if a.dtype.kind == "f" else True
+        if not np.all(finite):
+            raise NumericContractError(f"result row {labels[np.argmin(finite)]!r} is not finite")
+        self.rows.extend(zip(labels, a.tolist(), [provenance] * len(labels), strict=True))
+
+    def add_probabilities(self, labels: list[str], values, provenance: str):
+        a = np.asarray(values, dtype=float).ravel()
+        w = policy.PROBABILITY_TOL
+        inside = (-w <= a) & (a <= 1.0 + w)
+        if not inside.all():
+            k = int(np.argmin(inside))
             raise NumericContractError(
-                f"result row {label!r} = {value!r} is not a probability"
-            )
-        self.rows.append((label, min(max(value, 0.0), 1.0), provenance))
+                f"result row {labels[k]!r} = {a[k].item()!r} is not a probability")
+        # like min(max(x, 0.0), 1.0) on a float: -0.0 passes unchanged (NaN was refused)
+        self.rows.extend(zip(labels, a.clip(0.0, 1.0).tolist(), [provenance] * len(labels),
+                             strict=True))
 
     # -- renderers -------------------------------------------------------
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -444,24 +445,35 @@ class TestMalformedScenarios:
         assert "--seed: seed must be nonnegative" in capsys.readouterr().err
 
 
+def _produced_and_golden(subcommand, name, fmt, suffix, tmp_path) -> bool:
+    """Whether ``--format fmt`` of a golden scenario writes its golden bytes."""
+    target = tmp_path / f"{name}.{suffix}"
+    code = main([subcommand, "--scenario", data(f"{name}.json"),
+                 "--format", fmt, "--out", str(target)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"{name}.{suffix}"), "rb") as handle:
+        return target.read_bytes() == handle.read()
+
+
+GOLDEN_SCENARIOS = pytest.mark.parametrize("subcommand,name", [
+    ("joint", "bell_joint"),
+    ("entanglement", "bell_entanglement"),
+    ("game", "game_broken"),
+    ("quarter-law", "quarter_law_uniform"),
+    ("prospect", "prospect_witness"),
+    ("pipeline", "pipeline_pointer"),
+])
+
+
 class TestGolden:
-    @pytest.mark.parametrize("subcommand,name", [
-        ("joint", "bell_joint"),
-        ("entanglement", "bell_entanglement"),
-        ("game", "game_broken"),
-        ("quarter-law", "quarter_law_uniform"),
-        ("prospect", "prospect_witness"),
-        ("pipeline", "pipeline_pointer"),
-    ])
+    @GOLDEN_SCENARIOS
     def test_csv_matches_golden(self, subcommand, name, tmp_path):
-        target = tmp_path / f"{name}.csv"
-        code = main([subcommand, "--scenario", data(f"{name}.json"),
-                     "--format", "csv", "--out", str(target)])
-        assert code == 0
-        produced = target.read_bytes()
-        with open(os.path.join(GOLDEN, f"{name}.csv"), "rb") as handle:
-            expected = handle.read()
-        assert produced == expected
+        assert _produced_and_golden(subcommand, name, "csv", "csv", tmp_path)
+
+    @GOLDEN_SCENARIOS
+    @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("table", "txt")])
+    def test_json_and_table_match_golden(self, subcommand, name, fmt, suffix, tmp_path):
+        assert _produced_and_golden(subcommand, name, fmt, suffix, tmp_path)
 
     def test_fixed_seed_output_is_byte_identical(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -476,6 +488,77 @@ class TestGolden:
               "--format", "csv", "--seed", "99"])
         out = capsys.readouterr().out
         assert "meta.seed,99,metadata" in out
+
+
+def _pairs(m):
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+class TestRowsAtScale:
+    """The handlers add each result in one call.  At d = 16, where numpy sums
+    pairwise and the tables are 16 x 16, the rows equal those of the
+    per-entry loop they replaced, bit for bit and in order."""
+
+    @pytest.fixture
+    def scenario(self, rng):
+        d = 16
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = z @ z.conj().T
+        c = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        v = (c / np.linalg.norm(c)).reshape(-1)
+        doc = {"state": {"density": _pairs(rho / np.trace(rho).real)},
+               "observables": {name: {"eigenvalues": list(range(d)),
+                                      "eigenbasis": _pairs(_unitary(rng, d))}
+                               for name in "AB"}}
+        return doc, {"composite": {"matrix": _pairs(np.outer(v, v.conj())), "dims": [4, 4]}}
+
+    @staticmethod
+    def _clamp(x):
+        return min(max(float(x), 0.0), 1.0)
+
+    def test_wigner_and_kirkwood(self, scenario):
+        from qprospect.measure import identity_chain_residual, kirkwood_table, wigner_table
+        doc, _ = scenario
+        docs = {op: json.dumps({**doc, "run": {"op": op, "first": "A", "second": "B"}})
+                for op in ("wigner", "kirkwood")}
+        parsed = parse_scenario(docs["wigner"])
+        rho, a, b = (parsed.need_density(), parsed.need_observable("first"),
+                     parsed.need_observable("second"))
+        w, k = wigner_table(rho, b, a), kirkwood_table(rho, a, b)
+        wigner = [(f"w[A={al};B={n}]", self._clamp(w[n, al]), "wigner_distribution")
+                  for al in range(16) for n in range(16)]
+        wigner += [(f"first_step[A={al}]", float(w[:, al].sum()), "wigner_distribution")
+                   for al in range(16)]
+        wigner += [(f"chain_residual[B={n}]", identity_chain_residual(rho, b, n, a),
+                    "identity_chain_residual") for n in range(16)]
+        wigner.append(("total", float(w.sum()), "wigner_distribution"))
+        kirkwood = []
+        entries = [(f"k[A={n};B={al}]", k[n, al]) for n in range(16) for al in range(16)]
+        for label, z in entries + [("total", k.sum())]:
+            z = complex(z)
+            kirkwood += [(f"{label}.re", z.real, "kirkwood_form"),
+                         (f"{label}.im", z.imag, "kirkwood_form")]
+        kirkwood.append(("max_imag", float(np.abs(k.imag).max()), "kirkwood_form"))
+        assert run(parsed).rows == wigner
+        assert run(parse_scenario(docs["kirkwood"])).rows == kirkwood
+
+    def test_joint(self, scenario):
+        from qprospect.composite import joint_table, marginals
+        _, state = scenario
+        parsed = parse_scenario(json.dumps({"run": {"op": "joint"}, "state": state}))
+        t = joint_table(parsed.need_composite())
+        pa, pb = marginals(parsed.need_composite())
+        want = [(f"p[n={n};alpha={al}]", self._clamp(t[n, al]), "joint_table")
+                for n in range(4) for al in range(4)]
+        want += [(f"marginal_a[{n}]", self._clamp(pa[n]), "marginals") for n in range(4)]
+        want += [(f"marginal_b[{al}]", self._clamp(pb[al]), "marginals") for al in range(4)]
+        want.append(("total", float(t.sum()), "joint_table"))
+        assert run(parsed).rows == want
 
 
 class TestSelftest:

@@ -1,7 +1,11 @@
 """The operator-validation tolerance: process-wide value and scoped overrides."""
 
+import os
+import subprocess
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from qprospect import ValidationError, policy, set_tolerance, tolerance, tolerance_scope
@@ -79,3 +83,29 @@ class TestToleranceScope:
         with pytest.raises(ValueError, match="tolerance must be in"):
             policy.set_tolerance(value)
         assert tolerance() == base
+
+    @pytest.mark.parametrize("value", ["0.5", "x", True, np.True_, None, 0.5j, [0.5]])
+    def test_values_that_are_not_real_numbers_are_refused(self, value):
+        base = tolerance()
+        with pytest.raises(ValueError, match="tolerance must be a real number, got"):
+            with tolerance_scope(value):
+                pass  # pragma: no cover
+        with pytest.raises(ValueError, match="tolerance must be a real number, got"):
+            policy.set_tolerance(value)
+        assert tolerance() == base
+
+    @pytest.mark.parametrize("value", [1e-6, np.float64(1e-6), np.float32(1e-6),
+                                       np.longdouble(1e-6)])
+    def test_python_and_numpy_reals_are_accepted(self, value):
+        with tolerance_scope(value):
+            assert tolerance() == float(value)
+        with tolerance_scope(1e-3):
+            assert set_tolerance(value) == 1e-3
+            assert type(tolerance()) is float
+
+    def test_policy_imports_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(policy.__file__))
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import qprospect.policy; " \
+               "print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True)
+        assert result.stdout == "False\n", result.stderr

@@ -995,3 +995,26 @@ class TestCallerNumbers:
         source = inspect.getsource(getattr(qcore, reader))
         assert "_require_numbers(" in source
         assert "isfinite" not in source and "dtype" not in source
+
+
+class TestDomainArguments:
+    """A domain object of the wrong type is a ValidationError naming the
+    argument, caught by the guard the call already passes through."""
+
+    @pytest.mark.parametrize("case", ["born_distribution", "MultimodeState", "prospect_lattice",
+                                      "conditional_under_uncertainty", "Prospect"])
+    def test_wrong_type_is_refused_by_name(self, case):
+        from qprospect import (MultimodeState, Observable, Prospect, bell_state,
+                               born_distribution, conditional_under_uncertainty,
+                               prospect_lattice)
+        state = bell_state(2)
+        call, argument = {
+            "born_distribution": (lambda: born_distribution("x", Observable.standard(2)), "rho"),
+            "MultimodeState": (lambda: MultimodeState([1, 0], "x"), "multimode basis"),
+            "prospect_lattice": (lambda: prospect_lattice(state, "x"), "multimode state b"),
+            "conditional_under_uncertainty": (
+                lambda: conditional_under_uncertainty(state, Prospect(0, "x")), "prospect b"),
+            "Prospect": (lambda: Prospect(0, "x"), "prospect b"),
+        }[case]
+        with pytest.raises(ValidationError, match=f"^{argument} must be an? [A-Za-z]+, got str$"):
+            call()

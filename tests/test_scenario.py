@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -340,6 +341,15 @@ class TestResultTable:
         assert [r[0] for r in t.rows] == ["z.re", "z.im"]
         assert [r[1] for r in t.rows] == [0.25, 0.25]
 
+    def test_complex_array_rows_split_entry_by_entry(self):
+        t = ResultTable("demo")
+        k = np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]])
+        t.add_array([f"k[{n};{a}]" for n in range(2) for a in range(2)], k, "op")
+        assert [r[:2] for r in t.rows] == [
+            ("k[0;0].re", 1.0), ("k[0;0].im", 2.0), ("k[0;1].re", 3.0), ("k[0;1].im", 4.0),
+            ("k[1;0].re", 5.0), ("k[1;0].im", 6.0), ("k[1;1].re", 7.0), ("k[1;1].im", 8.0)]
+        assert all(type(r[1]) is float for r in t.rows)
+
     def test_probability_window(self):
         t = ResultTable("demo")
         t.add_probability("p", 1.0 + 1e-14, "op")
@@ -348,11 +358,56 @@ class TestResultTable:
             t.add_probability("p", 1.5, "op")
         with pytest.raises(NumericContractError):
             t.add_probability("p", float("nan"), "op")
+        # both forms clamp as min(max(x, 0.0), 1.0) does, the sign of a zero included
+        for x in (-0.0, 0.0, -5e-13, 1 + 5e-13, 0.3, 1.0):
+            t = ResultTable("demo")
+            t.add_probability("p", x, "op")
+            t.add_probabilities(["a", "b"], np.array([0.5, x]), "op")
+            clamped = min(max(x, 0.0), 1.0)
+            for row in (t.rows[0], t.rows[2]):
+                assert type(row[1]) is float
+                assert row[1] == clamped and math.copysign(1, row[1]) == math.copysign(1, clamped)
+
+    @pytest.mark.parametrize("bad", [1.5, -1e-11, 1 + 2e-12, float("nan"), float("inf")])
+    def test_first_value_outside_the_window_is_named(self, bad):
+        t = ResultTable("demo")
+        with pytest.raises(NumericContractError,
+                           match=re.escape(f"result row 'p' = {bad!r} is not a probability")):
+            t.add_probability("p", bad, "op")
+        with pytest.raises(NumericContractError,
+                           match=re.escape(f"result row 'b' = {bad!r} is not a probability")):
+            t.add_probabilities(["a", "b", "c"], [0.5, bad, 2.0], "op")
+        assert t.rows == []
 
     def test_nonfinite_row_rejected(self):
         t = ResultTable("demo")
-        with pytest.raises(NumericContractError, match="not finite"):
+        with pytest.raises(NumericContractError, match="^result row 'x' is not finite$"):
             t.add("x", float("inf"), "op")
+        with pytest.raises(NumericContractError, match="^result row 'b' is not finite$"):
+            t.add_array(["a", "b", "c"], np.array([0.5, np.nan, np.inf]), "op")
+        with pytest.raises(NumericContractError, match=r"^result row 'z\[1\].im' is not finite$"):
+            t.add_array(["z[0]", "z[1]"], np.array([1j, complex(1, np.inf)]), "op")
+        assert t.rows == []
+
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.25), np.float32(0.5), 1 - 2j,
+                                       np.complex128(3j), 7, 2**70, True, "natural", None])
+    def test_scalar_rows_are_one_entry_arrays(self, value):
+        scalar, array = ResultTable("demo"), ResultTable("demo")
+        scalar.add("x", value, "op")
+        array.add_array(["x"], [value], "op")
+        assert scalar.rows == array.rows
+        assert [type(r[1]) for r in scalar.rows] == [type(r[1]) for r in array.rows]
+        if isinstance(value, (str, bool, int)) or value is None:
+            assert scalar.rows == [("x", value, "op")] and type(scalar.rows[0][1]) is type(value)
+        if isinstance(value, float):
+            probability, window = ResultTable("demo"), ResultTable("demo")
+            probability.add_probability("p", value, "op")
+            window.add_probabilities(["p"], np.array([value]), "op")
+            assert probability.rows == window.rows == [("p", float(value), "op")]
+
+    def test_labels_and_entries_must_pair_up(self):
+        with pytest.raises(ValueError):
+            ResultTable("demo").add_array(["a"], [0.5, 0.25], "op")
 
     def test_csv_has_lf_endings_and_metadata_rows(self):
         t = ResultTable("demo")
