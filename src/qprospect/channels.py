@@ -142,7 +142,9 @@ def compose(rho: DensityOperator, measurer: MeasurerSpec) -> DensityOperator:
 
 def evolve(rho: DensityOperator, h, t: float) -> DensityOperator:
     """Unitary evolution of a state under a Hermitian generator for time ``t``."""
-    return _conjugate(rho, qcore.matrix_exponential(h, t))
+    u = qcore.matrix_exponential(h, t)
+    qcore._require_equal(u.shape[0], rho.dim, "generator dim {0} vs state dim {1}")
+    return _conjugate(rho, u)
 
 
 def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperator, DensityOperator]:

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, policy
+from . import __version__, policy, qcore
 from .errors import NumericContractError, ScenarioError, ValidationError
 from .scenario import FORMATS, ResultTable, Scenario, _seed, _wrap_domain, parse_scenario
 
@@ -37,8 +37,7 @@ def _op_born(scenario: Scenario, table: ResultTable, seed: int):
     rho = scenario.need_density()
     obs = scenario.need_observable("observable")
     p = born_distribution(rho, obs)
-    table.add_probabilities([f"p[{obs.label}={n}]" for n in range(len(p))], p,
-                            "born_distribution")
+    table.add_array([f"p[{obs.label}={n}]" for n in range(len(p))], p, "born_distribution")
     table.add("expected_value", expected_value(rho, obs), "expected_value")
     table.add("most_probable", most_probable(rho, obs), "most_probable")
 
@@ -50,7 +49,7 @@ def _op_lueders(scenario: Scenario, table: ResultTable, seed: int):
     n = scenario.directive("index")
     outcome = apply_measurement(rho, obs, n)
     table.add("event", f"{outcome.event[0]}={outcome.event[1]}", "apply_measurement")
-    table.add_probability("probability", outcome.probability, "apply_measurement")
+    table.add("probability", outcome.probability, "apply_measurement")
     post = outcome.post_state
     table.add_array([f"post.diag[{k}]" for k in range(post.dim)],
                     post.matrix.diagonal().real, "luders_reduce")
@@ -65,7 +64,7 @@ def _op_wigner(scenario: Scenario, table: ResultTable, seed: int):
     # w[n, alpha] = p(first gave alpha, then second gave n)
     w = wigner_table(rho, second, first)
     alphas, ns = range(first.dim), range(second.dim)
-    table.add_probabilities(
+    table.add_array(
         [f"w[{first.label}={alpha};{second.label}={n}]" for alpha in alphas for n in ns],
         w.T, "wigner_distribution")
     table.add_array([f"first_step[{first.label}={alpha}]" for alpha in alphas],
@@ -94,12 +93,13 @@ def _op_joint(scenario: Scenario, table: ResultTable, seed: int):
     state = scenario.need_composite()
     t = joint_table(state)
     da, db = state.dims
-    table.add_probabilities(
-        [f"p[n={n};alpha={alpha}]" for n in range(da) for alpha in range(db)], t,
-        "joint_table")
+    table.add_array([f"p[n={n};alpha={alpha}]" for n in range(da) for alpha in range(db)], t,
+                    "joint_table")
     pa, pb = marginals(state)
-    table.add_probabilities([f"marginal_a[{n}]" for n in range(da)], pa, "marginals")
-    table.add_probabilities([f"marginal_b[{alpha}]" for alpha in range(db)], pb, "marginals")
+    table.add_array([f"marginal_a[{n}]" for n in range(da)],
+                    qcore.real_probabilities(pa, "marginal_a"), "marginals")
+    table.add_array([f"marginal_b[{alpha}]" for alpha in range(db)],
+                    qcore.real_probabilities(pb, "marginal_b"), "marginals")
     table.add("total", float(t.sum()), "joint_table")
 
 
@@ -123,7 +123,7 @@ def _op_conditional(scenario: Scenario, table: ResultTable, seed: int):
     b = scenario.need_multimode()
     n = scenario.directive("index")
     value = conditional_under_uncertainty(state, Prospect(n, b))
-    table.add_probability(f"p[n={n} | B]", value, "conditional_under_uncertainty")
+    table.add(f"p[n={n} | B]", value, "conditional_under_uncertainty")
 
 
 def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
@@ -131,18 +131,19 @@ def _op_pipeline(scenario: Scenario, table: ResultTable, seed: int):
     rho = scenario.need_density()
     measurer = scenario.measurer if scenario.measurer is not None else pointer_measurer()
     trace = run_pipeline(rho, measurer, scenario.need("stages"))
+
+    def add_diagonal(name, state, provenance):
+        table.add_array([f"{name}[{j}]" for j in range(state.dim)],
+                        qcore.real_probabilities(state.matrix.diagonal().real, name), provenance)
+
     for k, record in enumerate(trace.records):
         table.add(f"stage[{k}].kind", record.kind, "run_pipeline")
         table.add(f"stage[{k}].time", record.time, "run_pipeline")
         if record.system is not None:
-            table.add_probabilities(
-                [f"stage[{k}].system.diag[{j}]" for j in range(record.system.dim)],
-                record.system.matrix.diagonal().real, "readout")
-    table.add_probabilities([f"rho_a.diag[{j}]" for j in range(trace.rho_a.dim)],
-                            trace.rho_a.matrix.diagonal().real, "run_pipeline")
+            add_diagonal(f"stage[{k}].system.diag", record.system, "readout")
+    add_diagonal("rho_a.diag", trace.rho_a, "run_pipeline")
     table.add("rho_a.purity", trace.rho_a.purity(), "run_pipeline")
-    table.add_probabilities([f"rho_b.diag[{j}]" for j in range(trace.rho_b.dim)],
-                            trace.rho_b.matrix.diagonal().real, "run_pipeline")
+    add_diagonal("rho_b.diag", trace.rho_b, "run_pipeline")
 
 
 def _op_entanglement(scenario: Scenario, table: ResultTable, seed: int):
@@ -187,8 +188,8 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
     table.add_array(["f[cooperate]", "f[defect]"], result.f, "classical_prospects")
     table.add_array(["q[cooperate]", "q[defect]"], result.q_applied,
                     "broken_symmetry_probabilities")
-    table.add_probabilities(["p[cooperate]", "p[defect]"], result.p,
-                            "broken_symmetry_probabilities")
+    table.add_array(["p[cooperate]", "p[defect]"], qcore.real_probabilities(result.p, "p"),
+                    "broken_symmetry_probabilities")
     table.add("clamped", result.clamped, "broken_symmetry_probabilities")
     deviations = result.deviations()
     if deviations is not None:
@@ -206,9 +207,10 @@ def _op_game(scenario: Scenario, table: ResultTable, seed: int):
         table.add("cohort.symmetry", report.symmetry, "monte_carlo_cohort")
         table.add("cohort.mean_q", report.mean_q, "monte_carlo_cohort")
         table.add("cohort.q_stderr", report.q_stderr, "monte_carlo_cohort")
-        table.add_probabilities(["cohort.cooperation_fraction", "cohort.defection_fraction"],
-                                [report.cooperation_fraction, report.defection_fraction],
-                                "monte_carlo_cohort")
+        fractions = [report.cooperation_fraction, report.defection_fraction]
+        table.add_array(["cohort.cooperation_fraction", "cohort.defection_fraction"],
+                        qcore.real_probabilities(fractions, "cohort fraction"),
+                        "monte_carlo_cohort")
 
 
 def _op_quarter_law(scenario: Scenario, table: ResultTable, seed: int):
@@ -225,9 +227,8 @@ def _op_dynamics(scenario: Scenario, table: ResultTable, seed: int):
     name, start = scenario.resolve("start", "multimode")
     psi0 = _wrap_domain(f"multimode.{name}", WaveState, start.coefficients, t0)
     final = evolve_state(psi0, h, t)
-    occ = np.abs(final.coefficients) ** 2
-    table.add_probabilities([f"occupation[{k}]" for k in range(len(occ))], occ,
-                            "evolve_state")
+    occ = qcore.real_probabilities(np.abs(final.coefficients) ** 2, "occupation")
+    table.add_array([f"occupation[{k}]" for k in range(len(occ))], occ, "evolve_state")
     amp = amplitude_matrix(psi0, h, t0, t)
     table.add("occupation_residual", occupation_residual(amp, final),
               "occupation_residual")

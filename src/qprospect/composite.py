@@ -262,6 +262,7 @@ class ProspectProbability:
         for name in ("p", "f", "q"):
             qcore._require_real(getattr(self, name), f"prospect probability field {name}",
                                 "{what} is not finite")
+        qcore._require_bool(self.normalized, "normalized")
         scale = max(1.0, abs(self.p), abs(self.f), abs(self.q))
         gap = self.p - (self.f + self.q)
         qcore.require_within(abs(gap), 1e-12 * scale, "prospect split broken: p - (f + q) = "
@@ -310,6 +311,7 @@ def prospect_lattice(
     their exact difference.  A lattice whose total weight is numerically
     zero cannot be normalized and raises a degenerate-lattice error.
     """
+    normalize = qcore._require_bool(normalize, "normalize")
     p, f, q = _components(state, b, np.arange(state.dims[0]))
     if not normalize:
         return [
@@ -337,7 +339,7 @@ def prospect_probability(
     normalization constants are always lattice-wide, so a normalized single
     prospect equals the corresponding entry of the normalized lattice.
     """
-    if normalize:
+    if qcore._require_bool(normalize, "normalize"):
         _require_fits(prospect.n, prospect.b, state.dims)
         return prospect_lattice(state, prospect.b, normalize=True)[prospect.n]
     p, f, q = _components(state, prospect.b, [prospect.n])

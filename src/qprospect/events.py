@@ -305,18 +305,12 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
     direct, classical, quantum = qcore.mode_split(state.coefficients, m)
     direct, classical, quantum = complex(direct), float(classical), float(quantum)
 
-    window = policy.PROBABILITY_TOL * max(1.0, state.gram())
-    qcore.require_within(abs(direct.imag), window,
-                         "multimode probability has imaginary residue {imag:.3e}",
-                         NumericContractError, imag=direct.imag)
-    p = direct.real
-    if not -window <= p <= state.gram() + window:
-        raise NumericContractError(f"multimode probability {p!r} outside [0, <B|B>] window")
-    gap = p - (classical + quantum)
-    qcore.require_within(abs(gap), window,
+    gram = state.gram()
+    gap = direct.real - (classical + quantum)
+    qcore.require_within(abs(gap), policy.PROBABILITY_TOL * max(1.0, gram),
                          "multimode decomposition broken: p - (classical + quantum) = {gap:.3e}",
                          NumericContractError, gap=gap)
-    p = min(max(p, 0.0), state.gram())
+    p = qcore.real_probability(direct, "multimode probability", gram)
     return MultimodeProbability(p, classical, quantum)
 
 

@@ -329,6 +329,7 @@ def monte_carlo_cohort(
     """
     qcore._require_size(n_pairs, 1, "n_pairs", "need at least one pair, got {0}")
     qcore._require_size(seed, 0, "seed", "seed must be nonnegative, got {0}")
+    fixed_q = qcore._require_bool(fixed_q, "fixed_q")
     if n_pairs > policy.MAX_PAIRS:
         raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
     if symmetry not in ("broken", "intact"):

@@ -139,6 +139,13 @@ def _require_numbers(a, name: str, real: bool = False, shape=None,
     return a
 
 
+def _require_bool(flag, name: str) -> bool:
+    """``flag`` as a Python bool; anything but a Python or numpy bool is a ValidationError."""
+    if not isinstance(flag, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {flag!r}")
+    return bool(flag)
+
+
 def _require_equal(got, want, message: str, *fields):
     """Raise :class:`DimensionMismatchError` unless ``got == want``.  ``message``
     is a template over ``got``, ``want``, then ``fields``, filled only when
@@ -192,14 +199,18 @@ def as_amplitude_matrix(c, tol: float) -> np.ndarray:
     return c
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of ``m`` from its own adjoint."""
-    return float(np.abs(m - m.conj().T).max())
+def hermiticity_defect(m) -> float:
+    """Max-abs deviation of ``m``, read by :func:`as_complex_matrix`, from its own adjoint."""
+    return _hermiticity_defect(as_complex_matrix(m))
+
+
+def _hermiticity_defect(a: np.ndarray) -> float:
+    return float(np.abs(a - a.conj().T).max())
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    require_within(hermiticity_defect(a), policy.tolerance(),
+    require_within(_hermiticity_defect(a), policy.tolerance(),
                    "{name} is not Hermitian: max deviation {measured:.3e} exceeds {bound:.1e}",
                    name=name)
     return a
@@ -213,34 +224,37 @@ def require_unitary(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def real_probabilities(values, name: str = "probability") -> np.ndarray:
-    """Check raw probability-like values entrywise and clamp them to [0, 1].
+def real_probabilities(values, name: str = "probability", scale: float = 1.0) -> np.ndarray:
+    """Check raw probability-like values entrywise and clamp them to [0, scale].
 
-    The imaginary part of every entry must vanish within the probability
-    window and its real part must lie in ``[-w, 1 + w]`` with
-    ``w = policy.PROBABILITY_TOL``.  The first violation raises
-    :class:`NumericContractError` naming the entry's index (``name[n, alpha]``
-    for a table, plain ``name`` for a scalar); a NaN part is a violation.
-    Clamping is only allowed after the window check passes.
+    The one probability window: ``scale`` is 1 for a sharp event, ``<B|B>``
+    for a multimode one.  Every entry's imaginary part must vanish within
+    ``w = policy.PROBABILITY_TOL * max(1, scale)`` and its real part lie in
+    ``[-w, scale + w]``; a NaN part is a violation.  The first violation
+    raises :class:`NumericContractError` naming the entry's index
+    (``name[n, alpha]`` for a table, plain ``name`` for a scalar), with
+    ``measured`` |imaginary part| or the distance outside [0, scale] and
+    ``bound`` ``w``.  Clamping is only allowed after the window check passes.
     """
-    w = policy.PROBABILITY_TOL
+    w = policy.PROBABILITY_TOL * max(1.0, scale)
     a = np.asarray(values, dtype=complex)
-    broken = ~((np.abs(a.imag) <= w) & (-w <= a.real) & (a.real <= 1.0 + w))
+    broken = ~((np.abs(a.imag) <= w) & (-w <= a.real) & (a.real <= scale + w))
     if broken.any():
         at = tuple(int(k) for k in np.argwhere(broken)[0])
         where = f"{name}[{', '.join(map(str, at))}]" if at else name
         require_within(abs(a.imag[at]), w, "{where} has imaginary residue {imag:.3e} beyond "
                        "{bound:.1e}", NumericContractError, where=where, imag=a.imag[at])
-        raise NumericContractError(
-            f"{where} = {float(a.real[at])!r} lies outside [-{w:.0e}, 1 + {w:.0e}]"
-        )
-    # like min(max(x, 0.0), 1.0) on a float: -0.0 passes unchanged (NaN was refused)
-    return a.real.clip(0.0, 1.0)
+        x = float(a.real[at])
+        require_within(max(-x, x - scale), w, "{where} = {x!r} lies outside [-{bound:.0e}, "
+                       "{scale:.12g} + {bound:.0e}]", NumericContractError, where=where, x=x,
+                       scale=scale)
+    # like min(max(x, 0.0), scale) on a float: -0.0 passes unchanged (NaN was refused)
+    return a.real.clip(0.0, scale)
 
 
-def real_probability(value: complex, name: str = "probability") -> float:
+def real_probability(value: complex, name: str = "probability", scale: float = 1.0) -> float:
     """Scalar case of :func:`real_probabilities`."""
-    return float(real_probabilities(value, name))
+    return float(real_probabilities(value, name, scale))
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -515,9 +515,9 @@ class ResultTable:
     ``provenance`` names the library operation that produced the value, so
     a table is auditable without re-reading the scenario.  Rows are added an
     array at a time, one label per entry in row-major order; a complex entry
-    becomes ``.re``/``.im`` rows.  Real rows must be finite, and probability
-    rows within ``policy.PROBABILITY_TOL`` of [0, 1] before they are clamped.
-    The first failing row is named.
+    becomes ``.re``/``.im`` rows.  Values are written as given: real rows must
+    be finite, and the first failing row is named.  A probability arrives
+    windowed and clamped by :func:`qcore.real_probabilities`.
     """
 
     title: str
@@ -527,9 +527,6 @@ class ResultTable:
     def add(self, label: str, value, provenance: str):
         """One row; a ``str``, ``bool`` or ``int`` value is stored as it is."""
         self.add_array([label], [value], provenance)
-
-    def add_probability(self, label: str, value: float, provenance: str):
-        self.add_probabilities([label], [value], provenance)
 
     def add_array(self, labels: list[str], values, provenance: str):
         a = np.asarray(values)
@@ -541,18 +538,6 @@ class ResultTable:
         if not np.all(finite):
             raise NumericContractError(f"result row {labels[np.argmin(finite)]!r} is not finite")
         self.rows.extend(zip(labels, a.tolist(), [provenance] * len(labels), strict=True))
-
-    def add_probabilities(self, labels: list[str], values, provenance: str):
-        a = np.asarray(values, dtype=float).ravel()
-        w = policy.PROBABILITY_TOL
-        inside = (-w <= a) & (a <= 1.0 + w)
-        if not inside.all():
-            k = int(np.argmin(inside))
-            raise NumericContractError(
-                f"result row {labels[k]!r} = {a[k].item()!r} is not a probability")
-        # like min(max(x, 0.0), 1.0) on a float: -0.0 passes unchanged (NaN was refused)
-        self.rows.extend(zip(labels, a.clip(0.0, 1.0).tolist(), [provenance] * len(labels),
-                             strict=True))
 
     # -- renderers -------------------------------------------------------
 

@@ -193,6 +193,20 @@ class TestExitCodes:
         assert code == 3
         assert "numeric contract" in capsys.readouterr().err
 
+    def test_handler_windowed_row_is_named_by_its_label(self, tmp_path, capsys):
+        # a start state inside the WaveState norm window leaves an occupation
+        # above 1 + PROBABILITY_TOL, which the dynamics handler's window refuses
+        with open(data("dynamics_rabi.json")) as handle:
+            doc = json.load(handle)
+        doc["multimode"]["ground"] = [1.000000005, 0]
+        doc["times"]["t"] = doc["times"]["t0"]
+        path = tmp_path / "overfull.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dynamics", "--scenario", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric contract violated: occupation[0] = 1.0000000099999995 lies outside "
+            "[-1e-12, 1 + 1e-12]"]
+
     def test_tolerance_override_is_restored(self, tmp_path):
         before = policy.tolerance()
         doc = {

@@ -6,8 +6,9 @@ raises must hold its comparison under a negation (``if not lo <= x <= hi:
 raise``) or go through :func:`qcore.require_within` or
 :func:`qcore.require_event`.  The last hand-written invariants have one home
 in :mod:`qcore` too: ``object.__setattr__`` is called only by its setter,
-``ZERO_EVENT_TOL`` is read only there and in :mod:`policy`, and no
-``__post_init__`` reads a caller's number but through :mod:`qcore`'s readers.
+``ZERO_EVENT_TOL`` is read only there and in :mod:`policy`, no
+``__post_init__`` reads a caller's number but through :mod:`qcore`'s readers,
+and every flag a caller passes is read by ``qcore._require_bool``.
 """
 
 import ast
@@ -108,11 +109,32 @@ def _own_number_read(node) -> str | None:
     return None
 
 
+def _unread_flags(node) -> list[tuple[str, int]]:
+    """The ``bool`` parameters of a public function, or the ``bool`` fields of a
+    class with a ``__post_init__``, that the function or ``__post_init__`` never passes
+    to ``_require_bool``."""
+    reader = None
+    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        reader, flags = node, [(a.arg, a) for a in node.args.args + node.args.kwonlyargs]
+    elif isinstance(node, ast.ClassDef):
+        reader = next((f for f in node.body if isinstance(f, ast.FunctionDef)
+                       and f.name == "__post_init__"), None)
+        flags = [(f"self.{f.target.id}", f) for f in node.body
+                 if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    if reader is None:
+        return []
+    read = {ast.unparse(n.args[0]) for n in ast.walk(reader) if isinstance(n, ast.Call) and n.args
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) == "_require_bool"}
+    return [(name, f.lineno) for name, f in flags if name not in read
+            and isinstance(f.annotation, ast.Name) and f.annotation.id == "bool"]
+
+
 def single_path_breaches(source: str, module: str) -> list[str]:
     """Where ``source`` sets a frozen field other than through ``qcore._set_fields``,
-    reads ``ZERO_EVENT_TOL`` outside :mod:`qcore` and :mod:`policy`, or reads a
+    reads ``ZERO_EVENT_TOL`` outside :mod:`qcore` and :mod:`policy`, reads a
     number by hand in a ``__post_init__`` (:func:`_own_number_read`) in place of
-    ``qcore._require_numbers`` or ``qcore._require_real``."""
+    ``qcore._require_numbers`` or ``qcore._require_real``, or leaves a flag
+    unread by ``qcore._require_bool`` (:func:`_unread_flags`)."""
     breaches = []
 
     def visit(node, function):
@@ -129,6 +151,7 @@ def single_path_breaches(source: str, module: str) -> list[str]:
         read = function == "__post_init__" and _own_number_read(node)
         if read:
             breaches.append(f"{read} in __post_init__ at line {node.lineno}")
+        breaches.extend(f"unread flag {flag} at line {line}" for flag, line in _unread_flags(node))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -171,3 +194,16 @@ def test_single_path_guard_finds_each_breach():
         "np.array(dtype=) in __post_init__ at line 6",
         "np.asarray(dtype=) in __post_init__ at line 7"]
     assert single_path_breaches(own_reads.replace("__post_init__", "gram"), "events") == []
+    flags = ("def lattice(state, normalize: bool = True, *, strict: bool, n: int = 0):\n"
+             "    strict = qcore._require_bool(strict, 'strict')\n"
+             "def _private(normalize: bool): pass\n"
+             "class Entry:\n"
+             "    normalized: bool = False\n"
+             "    checked: bool = False\n"
+             "    p: float = 0.0\n"
+             "    def __post_init__(self):\n"
+             "        _require_bool(self.checked, 'checked')\n"
+             "class Record:\n"
+             "    passed: bool\n")
+    assert single_path_breaches(flags, "composite") == [
+        "unread flag normalize at line 1", "unread flag self.normalized at line 5"]

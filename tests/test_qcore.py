@@ -344,20 +344,43 @@ class TestConversionGuards:
             real_probability(0.5 + 1e-6j, "p")
 
     def test_window_edges_sit_at_the_tolerance(self):
-        w = policy.PROBABILITY_TOL
-        inside = [0.5 + 0.5j * w, -0.5 * w, 1.0 + 0.5 * w]
-        assert np.array_equal(real_probabilities(inside, "p"), [0.5, 0.0, 1.0])
-        for bad in (0.5 + 2j * w, 0.5 - 2j * w, -2 * w, 1.0 + 2 * w):
-            with pytest.raises(NumericContractError):
-                real_probability(bad, "p")
-            with pytest.raises(NumericContractError, match=r"^p\[1\]"):
-                real_probabilities([0.5, bad], "p")
+        for scale in (0.5, 1.0, 40.0):
+            w = policy.PROBABILITY_TOL * max(1.0, scale)
+            inside = [0.5 * scale + 0.5j * w, -0.5 * w, 0.5 * w, scale - 0.5 * w,
+                      scale + 0.5 * w]
+            assert np.array_equal(real_probabilities(inside, "p", scale),
+                                  [0.5 * scale, 0.0, 0.5 * w, scale - 0.5 * w, scale])
+            for bad in (0.5 * scale + 2j * w, 0.5 * scale - 2j * w, -2 * w, scale + 2 * w):
+                with pytest.raises(NumericContractError):
+                    real_probability(bad, "p", scale)
+                with pytest.raises(NumericContractError, match=r"^p\[1\]"):
+                    real_probabilities([0.5 * scale, bad], "p", scale)
 
     def test_scalar_window_messages_name_no_index(self):
-        with pytest.raises(NumericContractError, match=r"^p = 1\.5 lies outside"):
+        with pytest.raises(NumericContractError, match=r"^p = 1\.5 lies outside "
+                           r"\[-1e-12, 1 \+ 1e-12\]$") as info:
             real_probability(1.5, "p")
-        with pytest.raises(NumericContractError, match=r"^p has imaginary residue 1\.000e-06"):
+        assert (info.value.measured, info.value.bound) == (0.5, policy.PROBABILITY_TOL)
+        with pytest.raises(NumericContractError,
+                           match=r"^p has imaginary residue 1\.000e-06") as info:
             real_probability(0.5 + 1e-6j, "p")
+        assert (info.value.measured, info.value.bound) == (1e-6, policy.PROBABILITY_TOL)
+
+    @pytest.mark.parametrize("value, scale, measured, message", [
+        (-3.0, 2.0, 3.0, "p = -3.0 lies outside [-2e-12, 2 + 2e-12]"),
+        (5.0, 2.0, 3.0, "p = 5.0 lies outside [-2e-12, 2 + 2e-12]"),
+        (0.5 + 1e-6j, 40.0, 1e-6, "p has imaginary residue 1.000e-06 beyond 4.0e-11"),
+        (0.5 - 1e-6j, 0.5, 1e-6, "p has imaginary residue -1.000e-06 beyond 1.0e-12"),
+        (np.inf, 1.0, np.inf, "p = inf lies outside [-1e-12, 1 + 1e-12]"),
+    ], ids=["below", "above", "imaginary", "negative-imaginary", "infinite"])
+    def test_refusals_carry_measured_and_bound(self, value, scale, measured, message):
+        with pytest.raises(NumericContractError, match=f"^{re.escape(message)}$") as info:
+            real_probability(value, "p", scale)
+        assert info.value.measured == measured
+        assert info.value.bound == policy.PROBABILITY_TOL * max(1.0, scale)
+        with pytest.raises(NumericContractError, match=r"^p = nan lies outside") as info:
+            real_probability(float("nan"), "p", scale)
+        assert np.isnan(info.value.measured)
 
     def test_scalar_clamp_keeps_float_semantics(self):
         for x in (-0.0, 0.0, 0.25, 1.0, -1e-13, 1.0 + 1e-13):
@@ -578,6 +601,7 @@ def _dimension_refusals():
                            multimode_probability, occupation_residual, pointer_measurer,
                            prospect_operator, readout, run_pipeline, transform_basis,
                            two_time_prospect, validate_povm)
+    from qprospect import channels
     mixed = DensityOperator.maximally_mixed
     obs2, obs3 = Observable.standard(2, "{A}"), Observable.standard(3, "B")
     b2 = MultimodeState.in_standard_basis([1.0, 1.0])
@@ -614,6 +638,12 @@ def _dimension_refusals():
                     "dims (2, 3) incompatible with joint state of dim 4"),
         "transform_basis": (lambda: transform_basis(mixed(2), np.eye(3)),
                             "transform dim 3 vs state dim 2"),
+        "evolve.small_generator": (
+            lambda: channels.evolve(CompositeState.from_amplitudes(np.diag([0.6, 0.8])),
+                                    np.eye(2), 0.5),
+            "generator dim 2 vs state dim 4"),
+        "evolve.large_generator": (lambda: channels.evolve(mixed(2), np.eye(4), 0.5),
+                                   "generator dim 4 vs state dim 2"),
         "run_pipeline.system": (
             lambda: run_pipeline(mixed(3), pointer_measurer(), [compose, evolve, read]),
             "system state dim 3 vs coupling system dim 2"),
@@ -1018,3 +1048,53 @@ class TestDomainArguments:
         }[case]
         with pytest.raises(ValidationError, match=f"^{argument} must be an? [A-Za-z]+, got str$"):
             call()
+
+
+class TestFlags:
+    """Every library flag is read by ``qcore._require_bool``: a Python or numpy
+    bool, never a truthy stand-in."""
+
+    @pytest.mark.parametrize("case, flag, value", [
+        ("prospect_lattice", "normalize", "no"),
+        ("prospect_lattice", "normalize", np.array([0, 0])),
+        ("prospect_probability", "normalize", []),
+        ("monte_carlo_cohort", "fixed_q", "no"),
+        ("ProspectProbability", "normalized", ""),
+        ("ProspectProbability", "normalized", 1),
+    ], ids=["lattice-str", "lattice-array", "probability-list", "cohort-str",
+            "ProspectProbability-str", "ProspectProbability-int"])
+    def test_non_bool_flag_is_refused_by_name(self, case, flag, value):
+        from qprospect import (GameSpec, InterferenceDistribution, MultimodeState, Prospect,
+                               ProspectProbability, bell_state, monte_carlo_cohort,
+                               prospect_lattice, prospect_probability)
+        state, b = bell_state(2), MultimodeState.in_standard_basis([1.0, 1.0])
+        spec = GameSpec(np.array([[0.05, 0.05], [0.45, 0.45]]))
+        call = {
+            "prospect_lattice": lambda: prospect_lattice(state, b, normalize=value),
+            "prospect_probability": lambda: prospect_probability(state, Prospect(0, b),
+                                                                 normalize=value),
+            "monte_carlo_cohort": lambda: monte_carlo_cohort(
+                spec, InterferenceDistribution.uniform(), 10, fixed_q=value),
+            "ProspectProbability": lambda: ProspectProbability(1.5, 1.5, 0.0, normalized=value),
+        }[case]
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'{flag} must be a bool, got {value!r}')}$"):
+            call()
+
+    def test_numpy_bool_is_a_flag(self):
+        from qprospect import MultimodeState, bell_state, prospect_lattice
+        state, b = bell_state(2), MultimodeState.in_standard_basis([1.0, 2.0])
+        for flag in (False, True):
+            assert prospect_lattice(state, b, np.bool_(flag)) == prospect_lattice(state, b, flag)
+
+
+class TestHermiticityDefect:
+    def test_argument_is_read_as_a_matrix(self):
+        assert hermiticity_defect([[1, 2j], [-2j, 3]]) == 0.0
+        assert hermiticity_defect([[0, 1], [0, 0]]) == 1.0
+        with pytest.raises(DimensionMismatchError, match=r"^matrix must be square"):
+            hermiticity_defect(np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match=r"^matrix is empty$"):
+            hermiticity_defect(np.zeros((0, 0)))
+        with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
+            hermiticity_defect([[np.nan, 0], [0, 1]])

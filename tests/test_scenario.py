@@ -4,7 +4,6 @@ import glob
 import json
 import math
 import os
-import re
 
 import numpy as np
 import pytest
@@ -350,35 +349,6 @@ class TestResultTable:
             ("k[1;0].re", 5.0), ("k[1;0].im", 6.0), ("k[1;1].re", 7.0), ("k[1;1].im", 8.0)]
         assert all(type(r[1]) is float for r in t.rows)
 
-    def test_probability_window(self):
-        t = ResultTable("demo")
-        t.add_probability("p", 1.0 + 1e-14, "op")
-        assert t.rows[0][1] == 1.0
-        with pytest.raises(NumericContractError, match="not a probability"):
-            t.add_probability("p", 1.5, "op")
-        with pytest.raises(NumericContractError):
-            t.add_probability("p", float("nan"), "op")
-        # both forms clamp as min(max(x, 0.0), 1.0) does, the sign of a zero included
-        for x in (-0.0, 0.0, -5e-13, 1 + 5e-13, 0.3, 1.0):
-            t = ResultTable("demo")
-            t.add_probability("p", x, "op")
-            t.add_probabilities(["a", "b"], np.array([0.5, x]), "op")
-            clamped = min(max(x, 0.0), 1.0)
-            for row in (t.rows[0], t.rows[2]):
-                assert type(row[1]) is float
-                assert row[1] == clamped and math.copysign(1, row[1]) == math.copysign(1, clamped)
-
-    @pytest.mark.parametrize("bad", [1.5, -1e-11, 1 + 2e-12, float("nan"), float("inf")])
-    def test_first_value_outside_the_window_is_named(self, bad):
-        t = ResultTable("demo")
-        with pytest.raises(NumericContractError,
-                           match=re.escape(f"result row 'p' = {bad!r} is not a probability")):
-            t.add_probability("p", bad, "op")
-        with pytest.raises(NumericContractError,
-                           match=re.escape(f"result row 'b' = {bad!r} is not a probability")):
-            t.add_probabilities(["a", "b", "c"], [0.5, bad, 2.0], "op")
-        assert t.rows == []
-
     def test_nonfinite_row_rejected(self):
         t = ResultTable("demo")
         with pytest.raises(NumericContractError, match="^result row 'x' is not finite$"):
@@ -399,11 +369,6 @@ class TestResultTable:
         assert [type(r[1]) for r in scalar.rows] == [type(r[1]) for r in array.rows]
         if isinstance(value, (str, bool, int)) or value is None:
             assert scalar.rows == [("x", value, "op")] and type(scalar.rows[0][1]) is type(value)
-        if isinstance(value, float):
-            probability, window = ResultTable("demo"), ResultTable("demo")
-            probability.add_probability("p", value, "op")
-            window.add_probabilities(["p"], np.array([value]), "op")
-            assert probability.rows == window.rows == [("p", float(value), "op")]
 
     def test_labels_and_entries_must_pair_up(self):
         with pytest.raises(ValueError):
