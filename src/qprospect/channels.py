@@ -13,15 +13,19 @@ Reading out replaces the joint state by the product of its reductions,
 which is exactly the decoherence step of a nonselective measurement.
 
 Every state a stage builds gets every ``DensityOperator`` check, but
-only the transform stage and the readout reductions decompose their
-matrix for positivity.  A product of two validated states (compose, and
-the joint re-composed at each readout) reads it from the sorted products
-of their kept spectra (:func:`qcore.product_state`).  An evolved state
-``U rho U+`` reads it from the spectrum of ``rho``: ``U`` comes from
-``eigh`` and is unitary to machine precision, so the eigenvalues move by
-a small multiple of ``eps * dim``.  A transform ``T`` is checked unitary
-only entrywise within the tolerance, which may move the eigenvalues of
-``T rho T+`` by ``dim`` times the tolerance, so that state is decomposed.
+only the readout reductions decompose their matrix for positivity, and
+the transform stage is factored, not decomposed.  A product of two
+validated states (compose, and the joint re-composed at each readout)
+reads positivity from the sorted products of their kept spectra
+(:func:`qcore.product_state`).  An evolved state ``U rho U+`` reads it
+from the spectrum of ``rho``: ``U`` comes from ``eigh`` and is unitary to
+machine precision, so the eigenvalues move by a small multiple of
+``eps * dim``.  A transform ``T`` is checked unitary only entrywise within
+the tolerance, which may move the eigenvalues of ``T rho T+`` by ``dim``
+times the tolerance, so that state is proved positive by one Cholesky
+factorization (:func:`qcore.validate_state`), and its spectrum is found
+only if a later stage reads it.  A readout's reductions are decomposed
+when built, because the product that follows reads their spectra.
 A ``MeasurerSpec`` decomposes its coupling once, at the first evolve
 stage of the first pipeline it runs, and keeps the ``eigh``.
 """
@@ -33,7 +37,8 @@ import numpy as np
 
 from . import qcore
 from .errors import ProtocolError, ValidationError
-from .events import DensityOperator, _trusted, basis_change  # noqa: F401 - public here too
+from .events import DensityOperator, _reduced_state, _trusted
+from .events import basis_change  # noqa: F401 - public here too
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +158,8 @@ def readout(rho: DensityOperator, dims: tuple[int, int]) -> tuple[DensityOperato
     qcore._require_equal(da * db, rho.dim, "dims {2} incompatible with joint state of dim {1}",
                          dims)
     return (
-        DensityOperator(qcore._partial_trace(rho.matrix, dims, 0)),
-        DensityOperator(qcore._partial_trace(rho.matrix, dims, 1)),
+        _reduced_state(qcore._partial_trace(rho.matrix, dims, 0)),
+        _reduced_state(qcore._partial_trace(rho.matrix, dims, 1)),
     )
 
 
@@ -189,8 +194,10 @@ def run_pipeline(
     decomposed once per ``MeasurerSpec``, at the first evolve stage of the
     first pipeline it runs; each propagator uses the phase formula of
     :func:`qcore.matrix_exponential`.  Each state checks positivity as the
-    module docstring describes.  ``PipelineStage`` checked ``T`` unitary,
-    and ``T (x) 1`` has exactly its defect, so it is not checked again.
+    module docstring describes: the transform stage is factored, not
+    decomposed, and only the readout reductions run ``eigvalsh``.
+    ``PipelineStage`` checked ``T`` unitary, and ``T (x) 1`` has exactly
+    its defect, so it is not checked again.
     """
     stages = list(stages)
     if not stages:

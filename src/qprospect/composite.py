@@ -29,7 +29,7 @@ import numpy as np
 
 from . import policy, qcore
 from .errors import NumericContractError, ValidationError
-from .events import DensityOperator, MultimodeState, _trusted, multimode_probability
+from .events import DensityOperator, MultimodeState, _reduced_state, _trusted, multimode_probability
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +52,14 @@ class CompositeState(DensityOperator):
         if da < 1 or db < 1:
             raise ValidationError(f"factor dimensions must be positive, got {self.dims}")
         m, w = qcore.validate_state(self.matrix, "composite state", (da, db))
-        qcore._set_fields(self, matrix=m, spectrum=w, dims=(da, db))
+        qcore._set_fields(self, matrix=m, dims=(da, db), **({} if w is None else {"spectrum": w}))
 
     def __getattr__(self, name):
-        # reached only for an unset attribute: a pure state's matrix before its first read
+        # reached only for an unset attribute: a pure state's matrix before its first
+        # read here, every other name (a dense state's spectrum) in the parent
         c = self._amplitudes
         if name != "matrix" or c is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            return super().__getattr__(name)
         v = c.reshape(-1)
         return qcore._set_fields(self, matrix=np.outer(v, v.conj())).matrix
 
@@ -88,7 +89,7 @@ class CompositeState(DensityOperator):
 
     def reduced(self, keep: int) -> DensityOperator:
         """Reduced state of one factor (0 keeps the first, 1 the second)."""
-        return DensityOperator(self._reduction(keep))
+        return _reduced_state(self._reduction(keep))
 
     # a pure state's reads come from C, bit for bit the dense route's but for
     # the reductions, a few ulp off its einsum
@@ -135,9 +136,9 @@ class CompositeState(DensityOperator):
     def product(cls, rho_a: DensityOperator, rho_b: DensityOperator) -> "CompositeState":
         """Uncorrelated composite state of two factors.
 
-        Runs every check of the constructor except the decomposition: the
-        spectrum is the sorted product of the factors' kept spectra (see
-        :func:`qcore.product_state`).
+        Runs every check of the constructor, but reads positivity from the
+        sorted product of the factors' kept spectra (see
+        :func:`qcore.product_state`), which the state keeps.
         """
         dims = (rho_a.dim, rho_b.dim)
         return _trusted(

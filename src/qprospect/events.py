@@ -101,17 +101,34 @@ def _trusted(cls, *values, **fields):
     The one way past ``__post_init__``, for states and operators whose
     spectrum is known in closed form (:mod:`qcore` ``pure_state``,
     ``product_state``, ``rank_one``; ``channels.evolve``; eigenvector
-    projectors in :func:`projector_of`).  Values fill the dataclass fields
-    in order or by name; arrays are frozen, not copied.
+    projectors in :func:`projector_of`) or found on the spot
+    (:func:`_reduced_state`).  Values fill the dataclass fields in order or
+    by name; arrays are frozen, not copied.  A state's ``spectrum`` is
+    always given: a ``None`` would hide it from the first read that finds it.
     """
     return qcore._set_fields(object.__new__(cls), **dict(zip(_field_names(cls), values)), **fields)
+
+
+def _reduced_state(r: np.ndarray) -> "DensityOperator":
+    """``DensityOperator(r)`` for a reduction ``r`` of a validated state, spectrum found now.
+
+    Every check runs, but positivity is read from an ``eigvalsh`` made here:
+    the spectrum of a reduction is always read next (a readout's product,
+    ``entanglement_production``), and at a factor's dimension one
+    ``eigvalsh`` costs less than a factorization followed by it.
+    """
+    return _trusted(DensityOperator, *qcore.validate_state(
+        r, "density operator", spectrum=np.linalg.eigvalsh(r)))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Statistical operator: Hermitian, unit trace, positive-semidefinite.
 
-    ``spectrum`` holds the ascending eigenvalues found while validating.
+    ``spectrum`` holds the ascending eigenvalues.  A state whose positivity
+    was proved without them (:func:`qcore.validate_state`) finds them by
+    ``eigvalsh`` on the first read and keeps them; a state built with them
+    known in closed form, or by the check itself, has them from the start.
     """
 
     matrix: np.ndarray
@@ -119,7 +136,13 @@ class DensityOperator:
 
     def __post_init__(self):
         m, w = qcore.validate_state(self.matrix, "density operator")
-        qcore._set_fields(self, matrix=m, spectrum=w)
+        qcore._set_fields(self, matrix=m, **({} if w is None else {"spectrum": w}))
+
+    def __getattr__(self, name):
+        # reached only for an unset attribute: the spectrum before its first read
+        if name != "spectrum":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return qcore._set_fields(self, spectrum=np.linalg.eigvalsh(self.matrix)).spectrum
 
     @property
     def dim(self) -> int:

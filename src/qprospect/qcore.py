@@ -343,7 +343,7 @@ def _require_unit_trace(tr: complex, name: str, composite: bool):
 def validate_state(
     m, name: str, dims: tuple[int, int] | None = None, *, spectrum: np.ndarray | None = None
 ):
-    """Check a statistical operator once; return it with its spectrum.
+    """Check a statistical operator once; return it with its spectrum, if found.
 
     The checks run in this order: square, finite and within the dimension
     cap; Hermitian; of dimension ``dims[0] * dims[1]`` when the factor
@@ -351,24 +351,70 @@ def validate_state(
     positive-semidefinite (lowest eigenvalue at or above minus the
     tolerance).
 
-    Returns ``(matrix, spectrum)``: a private copy of the input and its
-    ascending eigenvalues, computed once by the positivity check and kept
-    so that no caller decomposes the same matrix again.
+    Positivity is proved by one Cholesky factorization where that proof is
+    sound (:func:`_cholesky_accepts`); every state it does not accept is
+    judged by ``eigvalsh``, whose lowest eigenvalue the refusal names.
+
+    Returns ``(matrix, spectrum)``: a private copy of the input, and its
+    ascending eigenvalues when ``eigvalsh`` ran, or ``None`` when the
+    factorization accepted.  A ``DensityOperator`` finds a ``None``
+    spectrum on its first read, so no caller decomposes the same matrix
+    twice.
 
     A caller that built ``m`` from validated states may pass its
     ascending ``spectrum`` known in closed form (:func:`product_state`,
-    ``channels.evolve``), bounded far inside the tolerance; positivity is
-    then read from it and no ``eigvalsh`` runs.
+    ``channels.evolve``), bounded far inside the tolerance, or one it
+    computed and reads next; positivity is then read from it and no
+    factorization runs.
     """
     a = np.array(require_hermitian(m, name))
     _require_dims(a.shape[0], dims)
     _require_unit_trace(a.trace(), name, composite=dims is not None)
-    w = np.linalg.eigvalsh(a) if spectrum is None else spectrum
-    low = w.min()
-    require_within(-low, policy.tolerance(),
-                   "{name} not positive-semidefinite: lowest eigenvalue {low:.3e}",
+    tol = policy.tolerance()
+    if spectrum is None:
+        if _cholesky_accepts(a, tol):
+            return a, None
+        spectrum = np.linalg.eigvalsh(a)
+    low = spectrum.min()
+    require_within(-low, tol, "{name} not positive-semidefinite: lowest eigenvalue {low:.3e}",
                    name=name, low=low)
-    return a, w
+    return a, spectrum
+
+
+def _cholesky_accepts(a: np.ndarray, tol: float) -> bool:
+    """Whether one Cholesky factorization proves ``lambda_min(a) > -tol``.
+
+    ``a`` is finite, Hermitian and of trace 1 within ``tol``; ``A = a +
+    (tol / 2) 1`` is factored.  ``cholesky`` reads the lower triangle, as
+    ``eigvalsh`` does, so both judge the same matrix.
+
+    A factorization of ``A`` that runs to completion gives ``R* R = A + dA``
+    with ``||dA||_2 <= g tr(A) / (1 - g)``, ``g = gamma_(d+2)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3 with
+    ``|| |R*| |R| ||_2 <= tr(R* R)``; one more ``u`` for the rounded shift)
+    and ``tr(A) <= 1 + tol + d tol / 2``.  As ``R* R`` is positive-
+    semidefinite, ``lambda_min(a) >= -tol / 2 - ||dA||_2``.  The
+    factorization is tried only when four times that bound (room for
+    complex arithmetic) is below ``tol / 2``, so an accept means
+    ``lambda_min(a) > -5 tol / 8``, which the backward-stable ``eigvalsh``
+    accepts too.  At the default tolerance this holds up to ``MAX_DIM``
+    with a margin of about 27; a scoped tolerance below about 4e-12
+    (2e-13 at d = 256) goes straight to ``eigvalsh``.
+
+    A factor that is not finite proves nothing: OpenBLAS ``potrf`` can
+    finish on the NaN pivot of an overflowing entry without reporting it.
+    """
+    d = a.shape[0]
+    nu = (d + 2) * 2.0 ** -53  # u = 2^-53, the unit roundoff of float64
+    g = nu / (1.0 - nu)
+    if not 4.0 * g * (1.0 + tol * (1.0 + d / 2.0)) / (1.0 - g) < tol / 2.0:
+        return False
+    shifted = a.copy()
+    shifted.flat[::d + 1] += tol / 2.0
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def rank_one(v: np.ndarray):

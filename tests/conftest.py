@@ -10,3 +10,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def decomposed_sizes(monkeypatch):
+    """Sizes of the ``eigh``, ``eigvalsh`` and ``cholesky`` calls the test makes, by name."""
+    sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
+    for name, log in sizes.items():
+        def counting(a, *args, _original=getattr(np.linalg, name), _log=log, **kwargs):
+            _log.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return sizes

@@ -288,25 +288,22 @@ def six_stage_pipeline(ds, dm, rng):
 class TestKeptSpectra:
     """Product and evolved joint states keep a closed-form spectrum."""
 
-    @pytest.fixture
-    def decomposed_sizes(self, monkeypatch):
-        sizes = {"eigh": [], "eigvalsh": []}
-        for name, log in sizes.items():
-            def counting(a, *args, _original=getattr(np.linalg, name), _log=log, **kwargs):
-                _log.append(np.shape(a)[-1])
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
-        return sizes
-
     def test_coupling_and_transformed_state_are_decomposed_once(self, decomposed_sizes, rng):
         rho, measurer, stages = six_stage_pipeline(16, 16, rng)
-        decomposed_sizes["eigvalsh"].clear()  # the validated inputs
+        assert decomposed_sizes["cholesky"] == [16, 16]  # the validated inputs
+        for sizes in decomposed_sizes.values():
+            sizes.clear()
         run_pipeline(rho, measurer, stages)
         assert decomposed_sizes["eigh"] == [256]
-        # the transform stage, and the two reductions of each readout
-        assert decomposed_sizes["eigvalsh"].count(256) == 1
-        assert sorted(decomposed_sizes["eigvalsh"]) == [16, 16, 16, 16, 256]
+        # the transform stage is factored, not decomposed; the two reductions
+        # of each readout are decomposed, and so are the inputs, on the first
+        # read of their spectra (compose)
+        assert decomposed_sizes["cholesky"] == [256]
+        assert decomposed_sizes["eigvalsh"] == [16, 16, 16, 16, 16, 16]
+        for sizes in decomposed_sizes.values():
+            sizes.clear()
+        run_pipeline(rho, measurer, stages)  # the coupling and the inputs' spectra are kept
+        assert decomposed_sizes == {"eigh": [], "eigvalsh": [16, 16, 16, 16], "cholesky": [256]}
 
     def test_second_pipeline_decomposes_nothing(self, decomposed_sizes, rng):
         rho, measurer, stages = six_stage_pipeline(4, 3, rng)
@@ -342,18 +339,24 @@ class TestKeptSpectra:
 
     def test_product_keeps_the_product_spectrum(self, decomposed_sizes, rng):
         rho_a, rho_b = random_density(8, rng), random_density(16, rng)
-        decomposed_sizes["eigvalsh"].clear()
+        assert decomposed_sizes["cholesky"] == [8, 16] and decomposed_sizes["eigvalsh"] == []
         for state in (CompositeState.product(rho_a, rho_b), compose(rho_a, MeasurerSpec(
                 16, rho_b, np.zeros((128, 128))))):
             assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
-        assert decomposed_sizes["eigvalsh"] == [128, 128]  # the two checks above
+        # the factors' spectra on their first read, kept for the second
+        # product; then the two checks above.  No product is factored.
+        assert decomposed_sizes["eigvalsh"] == [8, 16, 128, 128]
+        assert decomposed_sizes["cholesky"] == [8, 16]
 
     def test_evolve_keeps_the_spectrum(self, decomposed_sizes, rng):
         rho = random_density(32, rng)
         h = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        decomposed_sizes["eigvalsh"].clear()
+        assert decomposed_sizes["cholesky"] == [32]
         state = evolve(rho, (h + h.conj().T) / 2.0, 0.9)
-        assert decomposed_sizes["eigvalsh"] == []
+        # rho's spectrum on its first read; the evolved state is neither
+        # decomposed nor factored
+        assert decomposed_sizes["eigvalsh"] == [32]
+        assert decomposed_sizes["cholesky"] == [32]
         assert np.abs(state.spectrum - np.linalg.eigvalsh(state.matrix)).max() < 1e-12
 
     def test_known_spectrum_still_gates_positivity(self):

@@ -138,37 +138,30 @@ class TestCompositeState:
         assert not hasattr(rho, "dims")
 
 
-@pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    sizes = []
-    original = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-1])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return sizes
-
-
 class TestEachStateValidatedOnce:
     """A state is decomposed once when built from outside, never when pure."""
 
-    def test_pure_states_are_not_decomposed(self, eigvalsh_sizes, rng):
+    def test_pure_states_are_not_decomposed(self, decomposed_sizes, rng):
         states = [CompositeState.from_amplitudes(random_amplitudes(32, 32, rng)), bell_state(32)]
-        assert eigvalsh_sizes == []
+        assert decomposed_sizes["eigvalsh"] == []
         for state in states:
             entanglement_production(state)
         # only the two 32 x 32 reductions of each state are validated
-        assert eigvalsh_sizes == [32, 32, 32, 32]
+        assert decomposed_sizes["eigvalsh"] == [32, 32, 32, 32]
 
-    def test_external_state_is_decomposed_once(self, eigvalsh_sizes, rng):
+    def test_external_state_is_decomposed_once(self, decomposed_sizes, rng):
         a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
         m = a @ a.conj().T
         state = CompositeState(m / np.trace(m), (16, 16))
+        # factored, not decomposed
+        assert decomposed_sizes == {"eigh": [], "eigvalsh": [], "cholesky": [256]}
         entanglement_production(state)
-        assert eigvalsh_sizes.count(256) == 1
-        assert eigvalsh_sizes == [256, 16, 16]
+        entanglement_production(state)
+        # the 256 x 256 spectrum on its first read, then kept; each reduction
+        # is decomposed when built, and never factored
+        assert decomposed_sizes["eigvalsh"].count(256) == 1
+        assert decomposed_sizes == {"eigh": [], "eigvalsh": [16, 16, 256, 16, 16],
+                                    "cholesky": [256]}
 
     def test_stored_spectra_match_eigvalsh(self, rng):
         pure = CompositeState.from_amplitudes(random_amplitudes(8, 16, rng))
@@ -681,12 +674,12 @@ class TestProspectOperator:
         with pytest.raises(error, match="^" + re.escape(message)):
             ProspectOperator(matrix, dims)
 
-    def test_only_operators_from_outside_are_decomposed(self, eigvalsh_sizes, rng):
+    def test_only_operators_from_outside_are_decomposed(self, decomposed_sizes, rng):
         b = MultimodeState(random_multimode_coefficients(8, rng), random_observable(8, rng))
         built = prospect_operator(Prospect(2, b), (4, 8))
-        assert eigvalsh_sizes == []
+        assert decomposed_sizes["eigvalsh"] == []
         ProspectOperator(built.operator, built.dims)
-        assert eigvalsh_sizes == [32]
+        assert decomposed_sizes["eigvalsh"] == [32]
         # the closed form P_n (x) |B><B| passes the skipped checks
         w = np.linalg.eigvalsh(built.operator)
         assert np.abs(w[:-1]).max() <= 1e-12 and abs(w[-1] - b.gram()) <= 1e-12 * b.gram()

@@ -1,5 +1,7 @@
 """Event model: observables, states, projectors, multimode propositions, POVMs."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprospect import (
+    CompositeState,
     DensityOperator,
     GeneralizedProposition,
     MultimodeState,
@@ -273,6 +276,46 @@ class TestDensityOperator:
                 DensityOperator.from_pure(np.array([refused, 0.0]))
         finally:
             policy.set_tolerance(previous)
+
+
+class TestLazySpectrum:
+    """A state proved positive by a factorization finds its spectrum on first read."""
+
+    def test_spectrum_is_found_once_on_first_read(self, decomposed_sizes, rng):
+        rho = DensityOperator(random_density(256, rng).matrix)
+        assert decomposed_sizes["eigvalsh"] == [] and "spectrum" not in vars(rho)
+        w = rho.spectrum
+        assert decomposed_sizes["eigvalsh"] == [256]
+        assert rho.spectrum is w and not w.flags.writeable
+        assert decomposed_sizes["eigvalsh"] == [256]
+        # bit for bit the eager value: the same call on the same frozen array
+        assert np.array_equal(w, np.linalg.eigvalsh(rho.matrix))
+
+    def test_survives_copy_deepcopy_and_pickle(self, rng):
+        m = random_density(12, rng).matrix
+        for read in (False, True):  # before, then after the first read of the spectrum
+            for original in (DensityOperator(m), CompositeState(m, (3, 4))):
+                want = np.linalg.eigvalsh(original.matrix)
+                if read:
+                    assert np.array_equal(original.spectrum, want)
+                for clone in (copy.copy(original), copy.deepcopy(original),
+                              pickle.loads(pickle.dumps(original))):
+                    assert type(clone) is type(original)
+                    assert ("spectrum" in vars(clone)) == read
+                    assert np.array_equal(clone.matrix, original.matrix)
+                    assert np.array_equal(clone.spectrum, want)
+                    if isinstance(original, CompositeState):
+                        assert clone.dims == (3, 4) and clone.dim == 12
+
+    @pytest.mark.parametrize("cls", [DensityOperator, CompositeState])
+    def test_half_built_instance_raises_attribute_error(self, cls):
+        # as copy and pickle see an instance before its fields are restored:
+        # every read is an AttributeError, none recurses
+        bare = object.__new__(cls)
+        for name in ("spectrum", "matrix", "dims", "other"):
+            with pytest.raises(AttributeError, match=repr(name) if name != "spectrum"
+                               else "'matrix'"):
+                getattr(bare, name)
 
 
 class TestMultimodeState:

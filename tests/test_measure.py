@@ -40,7 +40,7 @@ PLUS = DensityOperator(np.ones((2, 2)) / 2.0)
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Names of the eigensolver calls and validated Projector builds, in order."""
+    """Names of the eigensolver and Cholesky calls and validated Projector builds, in order."""
     calls = []
 
     def counting(name, original):
@@ -49,7 +49,7 @@ def calls(monkeypatch):
             return original(*args, **kwargs)
         return count
 
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(events.Projector, "__post_init__",
                         counting("Projector", events.Projector.__post_init__))
@@ -163,9 +163,9 @@ class TestLudersReduction:
         out = apply_measurement(rho, obs, 5)
         assert calls == []
         v = obs.vector(5)
-        DensityOperator(out.post_state.matrix)
+        DensityOperator(out.post_state.matrix).spectrum
         events.Projector(np.outer(v, v.conj()))
-        assert calls == ["eigvalsh", "Projector"]  # the counters do count
+        assert calls == ["cholesky", "eigvalsh", "Projector"]  # the counters do count
         assert out.probability == born_probability(rho, obs, 5)
         assert np.array_equal(out.post_state.matrix, np.outer(v, v.conj()))
         # the closed-form spectrum is the one the skipped check would find

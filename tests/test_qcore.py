@@ -200,7 +200,11 @@ class TestStateValidator:
         rho = random_density(6, rng).matrix
         m, w = validate_state(rho, "state")
         assert m is not rho and np.array_equal(m, rho)
-        assert np.array_equal(w, np.linalg.eigvalsh(rho))
+        assert w is None  # proved positive by the factorization, not decomposed
+        kept = np.linalg.eigvalsh(rho)
+        assert validate_state(rho, "state", spectrum=kept)[1] is kept
+        with policy.tolerance_scope(1e-15):  # too tight for the factorization's proof
+            assert np.array_equal(validate_state(rho, "state")[1], np.linalg.eigvalsh(rho))
 
     @pytest.mark.parametrize("matrix,dims,error,message", [
         (np.zeros((2, 3)), None, DimensionMismatchError, "state must be square"),
@@ -243,6 +247,75 @@ class TestStateValidator:
         assert freeze(a) is a
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def planted_state(d, low, rng):
+    """A Hermitian unit-trace matrix with lowest eigenvalue ``low``, the rest positive."""
+    w = rng.uniform(0.5, 1.5, size=d)
+    w[0] = 0.0
+    w *= (1.0 - low) / w.sum()
+    w[0] = low
+    u = random_unitary(d, rng)
+    a = (u * w) @ u.conj().T
+    return (a + a.conj().T) / 2.0
+
+
+def positivity_decision(a):
+    """``validate_state``'s accept (True), or the positivity refusal it raised."""
+    try:
+        validate_state(a, "rho")
+    except ValidationError as exc:
+        assert "not positive-semidefinite" in str(exc)
+        return exc
+    return True
+
+
+class TestPositivityByFactorization:
+    """A Cholesky factorization accepts and ``eigvalsh`` judges the rest; it decides as eigvalsh."""
+
+    @pytest.mark.parametrize("tol", [None, 1e-6, 1e-14], ids=["default", "1e-6", "1e-14"])
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
+    def test_decisions_match_eigvalsh(self, d, tol, decomposed_sizes, rng):
+        with policy.tolerance_scope(policy.tolerance() if tol is None else tol):
+            t = policy.tolerance()
+            for k in (0.4, 0.6, 1.5, 2.0):
+                a = planted_state(d, -k * t, rng)
+                low = np.linalg.eigvalsh(a).min()  # the reference: eigvalsh alone
+                for sizes in decomposed_sizes.values():
+                    sizes.clear()
+                got = positivity_decision(a)
+                assert (got is True) == (-low <= t)
+                if got is not True:
+                    # the refusal of eigvalsh alone, word for word and field for field
+                    assert str(got) == f"rho not positive-semidefinite: lowest eigenvalue {low:.3e}"
+                    assert got.measured == -low and got.bound == t
+                if tol != 1e-14:  # the rounding of the planting is far inside t
+                    assert (got is True) == (k < 1.0)
+                    # -0.4 t is accepted by the factorization alone; the others
+                    # fail it and are judged by eigvalsh
+                    assert decomposed_sizes["cholesky"] == [d]
+                    assert decomposed_sizes["eigvalsh"] == ([] if k == 0.4 else [d])
+
+    def test_tiny_tolerance_skips_the_factorization_at_large_d(self, decomposed_sizes, rng):
+        a = random_density(256, rng).matrix
+        decomposed_sizes["cholesky"].clear()
+        with policy.tolerance_scope(1e-13):
+            assert validate_state(a, "rho")[1] is not None
+        assert decomposed_sizes == {"eigh": [], "eigvalsh": [256], "cholesky": []}
+
+    def test_nan_factor_is_refused(self):
+        # Hermitian, unit trace and finite, with lowest eigenvalue about
+        # -3.39e299; on some LAPACK builds potrf finishes on the NaN pivot
+        # that the overflow makes and raises nothing, so only a finite
+        # factor counts as a proof
+        a = np.eye(16, dtype=complex) / 16.0
+        a[4, 12] = -9.4e195 - 3.39e299j
+        a[12, 4] = a[4, 12].conjugate()
+        low = np.linalg.eigvalsh(a).min()
+        assert low < -3e299
+        with pytest.raises(ValidationError, match=r"rho not positive-semidefinite: lowest "
+                                                  r"eigenvalue -3\.39\de\+299$"):
+            validate_state(a, "rho")
 
 
 def split_by_loops(coeff, m):
