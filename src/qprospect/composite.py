@@ -204,9 +204,7 @@ class Prospect:
 
     def __post_init__(self):
         qcore._require_indices((self.n,), (np.inf,), "prospect index must be nonnegative, got {0}")
-        if not isinstance(self.b, MultimodeState):
-            raise ValidationError(
-                f"prospect b must be a MultimodeState, got {type(self.b).__name__}")
+        qcore._require_instance(self.b, MultimodeState, "prospect b")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +222,7 @@ class ProspectOperator:
 
 def _require_fits(n: int, b: MultimodeState, dims: tuple[int, int]):
     """A prospect ``(n, b)`` must index the first factor and span the second."""
-    if not isinstance(b, MultimodeState):
-        raise ValidationError(f"multimode state b must be a MultimodeState, got {type(b).__name__}")
+    qcore._require_instance(b, MultimodeState, "multimode state b")
     qcore._require_indices((n,), dims[:1], "prospect index {0} out of range for dim {1}")
     qcore._require_equal(b.dim, dims[1], "multimode state dim {0} vs second factor dim {1}")
 

@@ -146,6 +146,12 @@ def _require_bool(flag, name: str) -> bool:
     return bool(flag)
 
 
+def _require_instance(value, cls: type, name: str):
+    """Raise :class:`ValidationError` unless ``value`` is a ``cls``; the message names its type."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_equal(got, want, message: str, *fields):
     """Raise :class:`DimensionMismatchError` unless ``got == want``.  ``message``
     is a template over ``got``, ``want``, then ``fields``, filled only when
@@ -320,11 +326,13 @@ def propagator_from_eigh(decomposition: tuple[np.ndarray, np.ndarray], t: float)
 
     The phase formula of :func:`matrix_exponential`, for a caller that
     evolves under one generator for several times and decomposes it once.
-    ``v`` is unitary to machine precision, and so is the result.
+    ``v`` is unitary to machine precision, and so is the result.  A
+    stacked decomposition (``eigh`` of a ``(k, b, b)`` stack of generators)
+    gives the ``(k, b, b)`` stack of their propagators.
     """
     w, v = decomposition
     phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _require_dims(dim: int, dims: tuple[int, int] | None, what: str = "matrix"):

@@ -14,11 +14,16 @@ def rng():
 
 @pytest.fixture
 def decomposed_sizes(monkeypatch):
-    """Sizes of the ``eigh``, ``eigvalsh`` and ``cholesky`` calls the test makes, by name."""
+    """Sizes of the ``eigh``, ``eigvalsh`` and ``cholesky`` calls the test makes, by name.
+
+    One matrix, also a stack of one, is logged by its dimension; a stack
+    of several by its shape.
+    """
     sizes = {"eigh": [], "eigvalsh": [], "cholesky": []}
     for name, log in sizes.items():
         def counting(a, *args, _original=getattr(np.linalg, name), _log=log, **kwargs):
-            _log.append(np.shape(a)[-1])
+            shape = np.shape(a)
+            _log.append(shape[-1] if np.prod(shape[:-2], dtype=int) == 1 else shape)
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)

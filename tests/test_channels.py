@@ -1,5 +1,7 @@
 """Staged measurement pipelines and the qubit pointer model."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -110,6 +112,37 @@ class TestMeasurerSpec:
     def test_ready_state_dimension_checked(self):
         with pytest.raises(ValidationError):
             MeasurerSpec(3, DensityOperator.maximally_mixed(2), np.eye(6))
+
+
+def _type_refusals():
+    """Each domain-type guard in ``channels``, as ``call, message``."""
+    rho, measurer = PLUS, pointer_measurer()
+    stages = stage_list("compose", "evolve", "readout", duration=0.3)
+    flat = [[1.0, 0.0], [0.0, 0.0]]
+    return {
+        "MeasurerSpec.initial_state": (lambda: MeasurerSpec(2, "x", np.eye(4)),
+                                       "measurer ready state must be a DensityOperator, got str"),
+        "run_pipeline.rho": (lambda: run_pipeline("x", measurer, stages),
+                             "rho must be a DensityOperator, got str"),
+        "run_pipeline.measurer": (lambda: run_pipeline(rho, "x", stages),
+                                  "measurer must be a MeasurerSpec, got str"),
+        "run_pipeline.stage": (lambda: run_pipeline(rho, measurer, ["compose"]),
+                               "stages[0] must be a PipelineStage, got str"),
+        "compose.rho": (lambda: compose("x", measurer), "rho must be a DensityOperator, got str"),
+        "compose.measurer": (lambda: compose(rho, "x"), "measurer must be a MeasurerSpec, got str"),
+        "readout": (lambda: readout("x", (2, 2)), "rho must be a DensityOperator, got str"),
+        "evolve": (lambda: evolve(flat, np.eye(2), 1.0), "rho must be a DensityOperator, got list"),
+        "transform_basis": (lambda: transform_basis(flat, np.eye(2)),
+                            "rho must be a DensityOperator, got list"),
+    }
+
+
+class TestDomainTypes:
+    @pytest.mark.parametrize("site", sorted(_type_refusals()))
+    def test_wrong_type_is_refused_by_name(self, site):
+        call, message = _type_refusals()[site]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestPipelineProtocol:
@@ -276,13 +309,39 @@ def six_stage_pipeline(ds, dm, rng):
     """The canonical chain with a random input, ready state, coupling and meter rotation."""
     h = rng.normal(size=(ds * dm, ds * dm)) + 1j * rng.normal(size=(ds * dm, ds * dm))
     measurer = MeasurerSpec(dm, random_density(dm, rng), (h + h.conj().T) / 2.0)
-    stages = [PipelineStage("compose"),
-              PipelineStage("evolve", duration=0.7),
-              PipelineStage("readout"),
-              PipelineStage("evolve", duration=1.1),
-              PipelineStage("transform", transform=np.kron(np.eye(ds), random_unitary(dm, rng))),
-              PipelineStage("readout")]
+    stages = canonical_stages(np.kron(np.eye(ds), random_unitary(dm, rng)))
     return random_density(ds, rng), measurer, stages
+
+
+def canonical_stages(rotation):
+    return [PipelineStage("compose"),
+            PipelineStage("evolve", duration=0.7),
+            PipelineStage("readout"),
+            PipelineStage("evolve", duration=1.1),
+            PipelineStage("transform", transform=rotation),
+            PipelineStage("readout")]
+
+
+def stage_by_stage(rho, measurer, stages):
+    """The joint state after each stage and the system at each readout, by the public stages."""
+    dims = (rho.dim, measurer.dim)
+    joints, systems = [], []
+    for stage in stages:
+        if stage.kind == "compose":
+            joint = compose(rho, measurer)
+        elif stage.kind == "evolve":
+            joint = evolve(joint, measurer.coupling, stage.duration)
+        elif stage.kind == "transform":
+            t = stage.transform
+            if t.shape[0] == rho.dim:
+                t = tensor_product(t, np.eye(measurer.dim, dtype=complex))
+            joint = transform_basis(joint, t)
+        else:
+            system, meter = readout(joint, dims)
+            systems.append(system)
+            joint = DensityOperator(tensor_product(system.matrix, meter.matrix))
+        joints.append(joint)
+    return joints, systems
 
 
 class TestKeptSpectra:
@@ -327,15 +386,20 @@ class TestKeptSpectra:
 
     def test_pipeline_matches_the_stage_by_stage_route(self, rng):
         rho, measurer, stages = six_stage_pipeline(4, 3, rng)
-        trace = run_pipeline(rho, measurer, stages)
-        joint = compose(rho, measurer)
-        joint = evolve(joint, measurer.coupling, 0.7)
-        system, meter = readout(joint, (4, 3))
-        joint = evolve(DensityOperator(tensor_product(system.matrix, meter.matrix)),
-                       measurer.coupling, 1.1)
-        joint = transform_basis(joint, stages[4].transform)
-        assert np.array_equal(trace.records[4].state.matrix, joint.matrix)
-        assert np.array_equal(trace.rho_a.matrix, readout(joint, (4, 3))[0].matrix)
+        dense = PipelineStage("transform", transform=random_unitary(12, rng))
+        # the dense coupling is one block, so records 0-3 are the public
+        # route's bit for bit; the meter rotation kron(1, U) is applied per
+        # block, where transform_basis multiplies densely, so records 4-5
+        # agree to rounding; a dense joint-space rotation is one block too
+        for transform, bound in ((stages[4], 1e-15), (dense, 0.0)):
+            chain = stages[:4] + [transform, stages[5]]
+            trace = run_pipeline(rho, measurer, chain)
+            joints, systems = stage_by_stage(rho, measurer, chain)
+            for record, joint in zip(trace.records[:4], joints[:4]):
+                assert np.array_equal(record.state.matrix, joint.matrix)
+            for got, want in zip([r.state for r in trace.records[4:]] + [trace.rho_a],
+                                 joints[4:] + systems[-1:], strict=True):
+                assert np.abs(got.matrix - want.matrix).max() <= bound  # 0.0: bit for bit
 
     def test_product_keeps_the_product_spectrum(self, decomposed_sizes, rng):
         rho_a, rho_b = random_density(8, rng), random_density(16, rng)
@@ -372,6 +436,84 @@ class TestKeptSpectra:
                     build()
         finally:
             policy.set_tolerance(previous)
+
+
+def block_diagonal_pipeline(ds, dm, rng):
+    """The canonical chain, its coupling and meter rotation block-diagonal in the system basis."""
+    blocks = [rng.normal(size=(dm, dm)) + 1j * rng.normal(size=(dm, dm)) for _ in range(ds)]
+    coupling = scipy.linalg.block_diag(*[(b + b.conj().T) / (2.0 * np.sqrt(dm)) for b in blocks])
+    rotation = scipy.linalg.block_diag(*[random_unitary(dm, rng) for _ in range(ds)])
+    measurer = MeasurerSpec(dm, random_density(dm, rng), coupling)
+    return random_density(ds, rng), measurer, canonical_stages(rotation)
+
+
+def dense_reference(rho, measurer, stages):
+    """``(joint, system, meter)`` after each stage, by dense products and ``scipy.linalg.expm``."""
+    ds, dm = rho.dim, measurer.dim
+    out = []
+    for stage in stages:
+        system = meter = None
+        if stage.kind == "compose":
+            joint = np.kron(rho.matrix, measurer.initial_state.matrix)
+        elif stage.kind == "evolve":
+            u = scipy.linalg.expm(-1j * stage.duration * measurer.coupling)
+            joint = u @ joint @ u.conj().T
+        elif stage.kind == "transform":
+            joint = stage.transform @ joint @ stage.transform.conj().T
+        else:
+            four = joint.reshape(ds, dm, ds, dm)
+            system, meter = np.einsum("ijkj->ik", four), np.einsum("ijil->jl", four)
+            joint = np.kron(system, meter)
+        out.append((joint, system, meter))
+    return out
+
+
+class TestBlockRoute:
+    """A coupling or rotation block-diagonal in the system basis is applied per block."""
+
+    @pytest.mark.parametrize("ds, dm", [(4, 3), (16, 16)])
+    def test_records_match_the_dense_reference(self, ds, dm, rng):
+        rho, measurer, stages = block_diagonal_pipeline(ds, dm, rng)
+        trace = run_pipeline(rho, measurer, stages)
+        assert measurer._decomposition()[1].shape == (ds, dm, dm)
+        for record, (joint, system, meter) in zip(trace.records, dense_reference(
+                rho, measurer, stages), strict=True):
+            assert np.abs(record.state.matrix - joint).max() < 1e-13
+            if system is not None:
+                assert np.abs(record.system.matrix - system).max() < 1e-13
+                assert np.abs(record.meter.matrix - meter).max() < 1e-13
+
+    @pytest.mark.parametrize("ds, dm", [(4, 3), (16, 16)])
+    def test_readouts_keep_the_system_diagonal(self, ds, dm, rng):
+        rho, measurer, stages = block_diagonal_pipeline(ds, dm, rng)
+        trace = run_pipeline(rho, measurer, stages)
+        systems = [r.system for r in trace.records if r.system is not None] + [trace.rho_a]
+        for system in systems:
+            assert np.abs(system.matrix.diagonal() - rho.matrix.diagonal()).max() < 1e-12
+
+    def test_one_entry_off_the_blocks_gives_the_dense_route(self, rng):
+        rho, block_measurer, stages = block_diagonal_pipeline(4, 3, rng)
+        coupling = block_measurer.coupling.copy()
+        coupling[0, 11] = coupling[11, 0] = 1e-300
+        measurer = MeasurerSpec(3, block_measurer.initial_state, coupling)
+        stages[4] = PipelineStage("transform", transform=random_unitary(4, rng))
+        trace = run_pipeline(rho, measurer, stages)
+        assert measurer._decomposition()[1].shape == (1, 12, 12)
+        joints, systems = stage_by_stage(rho, measurer, stages)
+        for record, joint in zip(trace.records, joints, strict=True):
+            assert np.array_equal(record.state.matrix, joint.matrix)
+        readouts = [r.system for r in trace.records if r.system is not None]
+        for got, want in zip(readouts, systems, strict=True):
+            assert np.array_equal(got.matrix, want.matrix)
+
+    def test_block_coupling_is_decomposed_as_one_stack(self, decomposed_sizes, rng):
+        rho, measurer, stages = block_diagonal_pipeline(16, 16, rng)
+        for sizes in decomposed_sizes.values():
+            sizes.clear()
+        run_pipeline(rho, measurer, stages)
+        assert decomposed_sizes["eigh"] == [(16, 16, 16)]
+        # the rotated state is still proved positive, by one factorization
+        assert decomposed_sizes["cholesky"] == [256]
 
 
 class TestCorrelationBridge:
