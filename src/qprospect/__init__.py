@@ -27,8 +27,8 @@ _EXPORTS = {
         "prospect_probability",
     ),
     "channels": (
-        "MeasurerSpec", "PipelineStage", "PipelineTrace", "basis_change", "compose",
-        "evolve", "pointer_measurer", "readout", "run_pipeline", "transform_basis",
+        "MeasurerSpec", "PipelineStage", "PipelineTrace", "compose", "evolve",
+        "pointer_measurer", "readout", "run_pipeline", "transform_basis",
     ),
     "dynamics": (
         "AmplitudeMatrix", "HamiltonianSpec", "WaveState", "amplitude_matrix",
@@ -43,7 +43,7 @@ _EXPORTS = {
     ),
     "events": (
         "DensityOperator", "GeneralizedProposition", "MultimodeState", "Observable",
-        "PovmFamily", "PovmReport", "Projector", "multimode_probability",
+        "PovmFamily", "PovmReport", "Projector", "basis_change", "multimode_probability",
         "projector_of", "validate_povm",
     ),
     "game": (

@@ -44,7 +44,8 @@ import numpy as np
 from . import qcore
 from .errors import ProtocolError, ValidationError
 from .events import DensityOperator, _reduced_state, _trusted
-from .events import basis_change  # noqa: F401 - public here too
+
+STAGE_KINDS = ("compose", "evolve", "readout", "transform")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +96,7 @@ class PipelineStage:
     transform: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("compose", "evolve", "readout", "transform"):
-            raise ValidationError(f"unknown stage kind {self.kind!r}")
+        qcore._require_choice(self.kind, STAGE_KINDS, "stage kind")
         message = "stage duration must be finite and >= 0"
         duration = qcore._require_real(self.duration, "stage duration", message)
         if duration < 0:

@@ -267,9 +267,9 @@ def run(scenario: Scenario, op: str | None = None, seed: int | None = None) -> R
     metadata so results are reproducible from the output alone.
     """
     declared = scenario.run.get("op")
-    known = (*_OPS, "selftest")  # a tuple: an unhashable op is unknown, not a TypeError
+    known = (*_OPS, "selftest")
     for name in (declared, op):
-        if name is not None and name not in known:
+        if name is not None and not (isinstance(name, str) and name in known):
             raise ScenarioError(f"unknown op {name!r} (known: {', '.join(known)})", "run.op")
     if op is None:
         op = declared

@@ -26,6 +26,10 @@ import numpy as np
 from . import policy, qcore
 from .errors import SizeLimitError, ValidationError
 
+FAVORED = ("cooperate", "defect")
+SYMMETRIES = ("broken", "intact")
+INTERFERENCE_KINDS = ("uniform", "tabulated")
+
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
@@ -98,12 +102,10 @@ class InterferenceDistribution:
     density: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "uniform":
+        if qcore._require_choice(self.kind, INTERFERENCE_KINDS, "interference kind") == "uniform":
             if self.grid is not None or self.density is not None:
                 raise ValidationError("uniform density takes no tabulation")
             return
-        if self.kind != "tabulated":
-            raise ValidationError(f"unknown interference density kind {self.kind!r}")
         grid, density = (np.array(qcore._require_numbers(a, name, real=True)).reshape(-1)
                          for a, name in ((self.grid, "tabulated grid"),
                                          (self.density, "tabulated density")))
@@ -237,12 +239,10 @@ def broken_symmetry_probabilities(
     q = qcore._require_real(q_magnitude, "interference magnitude", message)
     if not 0.0 <= q <= 1.0:
         raise ValidationError(message.format(x=q_magnitude))
-    if favored == "cooperate":
+    if qcore._require_choice(favored, FAVORED, "favored") == "cooperate":
         q1, q2 = q, -q
-    elif favored == "defect":
-        q1, q2 = -q, q
     else:
-        raise ValidationError(f"favored must be 'cooperate' or 'defect', got {favored!r}")
+        q1, q2 = -q, q
     s1, s2 = f1 + q1, f2 + q2
     clamped = s1 < 0 or s1 > 1 or s2 < 0 or s2 > 1
     p1, p2 = np.array(s1), np.array(s2)
@@ -308,6 +308,14 @@ def _sample_signed(dist: InterferenceDistribution, n: int, rng) -> np.ndarray:
     return np.copysign(body, signs, out=body)
 
 
+def _require_pairs(n_pairs) -> int:
+    """``n_pairs``, an integer from 1 to ``policy.MAX_PAIRS``."""
+    qcore._require_size(n_pairs, 1, "n_pairs", "need at least one pair, got {0}")
+    if n_pairs > policy.MAX_PAIRS:
+        raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
+    return n_pairs
+
+
 def monte_carlo_cohort(
     spec: GameSpec,
     dist: InterferenceDistribution,
@@ -327,23 +335,16 @@ def monte_carlo_cohort(
     The report aggregates the sampled interference and the cohort-mean
     prospect probabilities.  Fixed seed means reproducible output.
     """
-    qcore._require_size(n_pairs, 1, "n_pairs", "need at least one pair, got {0}")
+    _require_pairs(n_pairs)
     qcore._require_size(seed, 0, "seed", "seed must be nonnegative, got {0}")
     fixed_q = qcore._require_bool(fixed_q, "fixed_q")
-    if n_pairs > policy.MAX_PAIRS:
-        raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
-    if symmetry not in ("broken", "intact"):
-        raise ValidationError(f"symmetry must be 'broken' or 'intact', got {symmetry!r}")
-    if symmetry == "intact" and fixed_q:
+    if qcore._require_choice(symmetry, SYMMETRIES, "symmetry") == "intact" and fixed_q:
         raise ValidationError("fixed_q only makes sense with broken symmetry")
     f1, f2 = classical_prospects(spec)
     rng = np.random.default_rng(seed)
 
     if symmetry == "broken":
-        if favored not in ("cooperate", "defect"):
-            raise ValidationError(
-                f"favored must be 'cooperate' or 'defect', got {favored!r}"
-            )
+        qcore._require_choice(favored, FAVORED, "favored")
         if fixed_q:
             q_plus, _ = quarter_law(dist)
             draws = np.full(n_pairs, q_plus)

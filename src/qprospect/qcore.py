@@ -9,10 +9,12 @@ product basis vector ``|n alpha>`` sits at flat position
 Shapes are decided here too.  :func:`_require_equal` is the one check that
 two dimensions agree, and :func:`_factor_dims` the one parse of a
 composite object's factor dimensions: a tuple or list of exactly two
-integers, never coerced.  So are a caller's numbers: :func:`_require_numbers`
-reads every array and :func:`_require_real` every real scalar.  Two more
-rules have their one home here: :func:`require_event` is the null-event
-guard, and :func:`_set_fields` the one setter of a frozen instance's fields.
+integers, never coerced.  So are a caller's numbers, flags and choices:
+:func:`_require_numbers` reads every array, :func:`_require_real` every
+real scalar, :func:`_require_bool` every flag and :func:`_require_choice`
+every named choice, such as a stage kind.  Two more rules have their one
+home here: :func:`require_event` is the null-event guard, and
+:func:`_set_fields` the one setter of a frozen instance's fields.
 """
 
 import numpy as np
@@ -144,6 +146,15 @@ def _require_bool(flag, name: str) -> bool:
     if not isinstance(flag, (bool, np.bool_)):
         raise ValidationError(f"{name} must be a bool, got {flag!r}")
     return bool(flag)
+
+
+def _require_choice(value, choices: tuple[str, ...], what: str) -> str:
+    """``value`` when it is a ``str`` among ``choices``; anything else, a
+    one-element array of a choice included, is a :class:`ValidationError`."""
+    if not (isinstance(value, str) and value in choices):
+        *head, last = map(repr, choices)
+        raise ValidationError(f"{what} must be {', '.join(head)} or {last}, got {value!r}")
+    return value
 
 
 def _require_instance(value, cls: type, name: str):

@@ -36,7 +36,7 @@ Run directives, each type-checked at parse time::
     format       "table" | "csv" | "json"
     seed         integer >= 0
     normalized   true | false
-    log_base     "natural" | "e" | number > 1
+    log_base     "natural" | "e" | null | number > 1
     tolerance    number in (0, 1)
     index        integer
     observable, first, second     name of a declared observable
@@ -141,16 +141,13 @@ def _name(value, path: str) -> str:
 
 
 def _log_base(value, path: str):
-    if value not in ("natural", "e"):
-        _require(_is_number(value),
-                 f"log base must be \"natural\", \"e\" or a number, got {value!r}", path)
-        _require(_real(value, path) > 1.0, f"log base must exceed 1, got {value!r}", path)
+    from .entangle import _resolve_base
+    _wrap_domain(path, _resolve_base, value)
     return value
 
 
 def _format(value, path: str) -> str:
-    _require(value in FORMATS, f"format must be one of {FORMATS}, got {value!r}", path)
-    return value
+    return _wrap_domain(path, qcore._require_choice, value, FORMATS, "format")
 
 
 def _tolerance(value, path: str) -> float:
@@ -375,7 +372,7 @@ def _parse_times(section, scenario: Scenario):
 
 
 def _parse_game(section, scenario: Scenario):
-    from .game import GameSpec
+    from .game import FAVORED, SYMMETRIES, GameSpec, _require_pairs
     _fields(section, "game", "game", ("joint",),
             ("payoffs", "q", "favored", "empirical", "cohort"))
     joint = _matrix(section["joint"], "game.joint")
@@ -392,9 +389,8 @@ def _parse_game(section, scenario: Scenario):
     if "q" in section:
         q = section["q"]
         options["q"] = q if q == "quarter-law" else _real(q, "game.q")
-    options["favored"] = section.get("favored", "cooperate")
-    _require(options["favored"] in ("cooperate", "defect"),
-             "favored must be 'cooperate' or 'defect'", "game.favored")
+    options["favored"] = _wrap_domain("game.favored", qcore._require_choice,
+                                      section.get("favored", "cooperate"), FAVORED, "favored")
     if "empirical" in section:
         raw = section["empirical"]
         _require(isinstance(raw, list) and len(raw) == 2,
@@ -408,15 +404,11 @@ def _parse_game(section, scenario: Scenario):
     if "cohort" in section:
         body = _fields(section["cohort"], "game.cohort", "cohort",
                        ("n_pairs",), ("symmetry", "fixed_q"))
-        n_pairs = _int(body["n_pairs"], "game.cohort.n_pairs")
-        _require(n_pairs >= 1, f"need at least one pair, got {n_pairs}", "game.cohort.n_pairs")
-        _require(n_pairs <= policy.MAX_PAIRS,
-                 f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}", "game.cohort.n_pairs")
-        symmetry = body.get("symmetry", "broken")
-        _require(symmetry in ("broken", "intact"),
-                 f"symmetry must be 'broken' or 'intact', got {symmetry!r}",
-                 "game.cohort.symmetry")
-        fixed_q = _bool(body.get("fixed_q", False), "game.cohort.fixed_q")
+        n_pairs = _wrap_domain("game.cohort.n_pairs", _require_pairs, body["n_pairs"])
+        symmetry = _wrap_domain("game.cohort.symmetry", qcore._require_choice,
+                                body.get("symmetry", "broken"), SYMMETRIES, "symmetry")
+        fixed_q = _wrap_domain("game.cohort.fixed_q", qcore._require_bool,
+                               body.get("fixed_q", False), "fixed_q")
         _require(not (fixed_q and symmetry == "intact"),
                  "fixed_q only makes sense with broken symmetry", "game.cohort.fixed_q")
         options["cohort"] = {"n_pairs": n_pairs, "symmetry": symmetry, "fixed_q": fixed_q}
@@ -424,17 +416,14 @@ def _parse_game(section, scenario: Scenario):
 
 
 def _parse_interference(section, scenario: Scenario):
-    from .game import InterferenceDistribution
+    from .game import INTERFERENCE_KINDS, InterferenceDistribution
     _fields(section, "interference", "interference", ("kind",), ("grid", "density"))
-    kind = section["kind"]
-    if kind == "uniform":
+    if _wrap_domain("interference.kind", qcore._require_choice, section["kind"],
+                    INTERFERENCE_KINDS, "interference kind") == "uniform":
         _require(len(section) == 1,
                  "uniform interference takes no further fields", "interference")
         scenario.interference = InterferenceDistribution.uniform()
         return
-    _require(kind == "tabulated",
-             f"interference kind must be 'uniform' or 'tabulated', got {kind!r}",
-             "interference.kind")
     _fields(section, "interference", "tabulated interference", ("grid", "density"), ("kind",))
     grid, density = (_reals(section[key], f"interference.{key}") for key in ("grid", "density"))
     scenario.interference = _wrap_domain(
@@ -573,10 +562,6 @@ class ResultTable:
         return json.dumps(body, indent=2, sort_keys=True, default=format_value) + "\n"
 
     def render(self, fmt: str) -> str:
-        if fmt == "table":
+        if _format(fmt, "run.format") == "table":
             return self.to_text()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise ScenarioError(f"unknown output format {fmt!r}", "run.format")
+        return self.to_csv() if fmt == "csv" else self.to_json()

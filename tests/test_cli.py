@@ -104,8 +104,11 @@ class TestDispatch:
         ("teleport", None, "teleport"), ("teleport", "born", "teleport"),
         (None, "teleport", "teleport"), ("born", "teleport", "teleport"),
         ([1, 2], None, [1, 2]), (None, [1, 2], [1, 2]),
+        (None, np.array(["born", "x"]), np.array(["born", "x"])),
+        (None, np.array(["born"]), np.array(["born"])),
     ], ids=["declared", "declared-over-born", "requested", "requested-over-born",
-            "declared-list", "requested-list"])
+            "declared-list", "requested-list", "requested-array",
+            "requested-one-element-array"])
     def test_unknown_op_rejected(self, declared, requested, unknown):
         # one check covers the declared op and the requested one, declared first
         with open(data("born_plus.json"), "rb") as handle:
@@ -825,6 +828,16 @@ class TestLazyLoading:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == ["False ['qprospect']", "True"]
+
+    def test_basis_change_loads_events_alone(self):
+        # basis_change lives in events; reading it must not import channels
+        result = run_cli_python(
+            "import sys, qprospect\n"
+            "qprospect.basis_change\n"
+            "print('qprospect.events' in sys.modules, 'qprospect.channels' in sys.modules)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["True False"]
 
     def test_submodules_stay_reachable(self):
         from qprospect import events

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import pathlib
 import re
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from qprospect import (
     DimensionMismatchError,
     NumericContractError,
+    ScenarioError,
     SizeLimitError,
     ValidationError,
     ZeroProbabilityError,
@@ -25,6 +27,7 @@ from qprospect import (
 )
 import qprospect
 from qprospect import policy, qcore
+from qprospect.scenario import parse_scenario
 from qprospect.qcore import (
     as_amplitude_matrix,
     as_complex_matrix,
@@ -1160,6 +1163,109 @@ class TestFlags:
         for flag in (False, True):
             assert prospect_lattice(state, b, np.bool_(flag)) == prospect_lattice(state, b, flag)
 
+
+
+def _choice_sites():
+    """Each library site that reads a named choice, as ``site: (call, choices,
+    refusal)``: ``call(value)`` passes ``value`` as the choice, and a refused
+    value gets ``refusal`` followed by its repr."""
+    from qprospect import (GameSpec, InterferenceDistribution, PipelineStage,
+                           broken_symmetry_probabilities, monte_carlo_cohort)
+    from qprospect.scenario import ResultTable
+    spec, uniform = GameSpec(np.full((2, 2), 0.25)), InterferenceDistribution.uniform()
+    favored = "favored must be 'cooperate' or 'defect', got "
+    return {
+        "PipelineStage.kind": (
+            lambda v: PipelineStage(v).kind, ("compose", "evolve", "readout", "transform"),
+            "stage kind must be 'compose', 'evolve', 'readout' or 'transform', got "),
+        "InterferenceDistribution.kind": (
+            lambda v: InterferenceDistribution(v).kind, ("uniform", "tabulated"),
+            "interference kind must be 'uniform' or 'tabulated', got "),
+        "broken_symmetry_probabilities.favored": (
+            lambda v: broken_symmetry_probabilities((0.4, 0.6), 0.1, favored=v).p,
+            ("cooperate", "defect"), favored),
+        "monte_carlo_cohort.favored": (
+            lambda v: monte_carlo_cohort(spec, uniform, 10, favored=v, seed=1),
+            ("defect", "cooperate"), favored),
+        "monte_carlo_cohort.symmetry": (
+            lambda v: monte_carlo_cohort(spec, uniform, 10, symmetry=v, seed=1),
+            ("intact", "broken"), "symmetry must be 'broken' or 'intact', got "),
+        "ResultTable.render": (
+            lambda v: ResultTable("t").render(v), ("csv", "table", "json"),
+            "run.format: format must be 'table', 'csv' or 'json', got "),
+    }
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _parser_sites():
+    """Each scenario field that the parser reads by a library rule, as ``path:
+    (scenario, keys, rule)``: ``keys`` lead to the field in the ``tests/data``
+    scenario, and ``rule(value)`` is the library's own reading of ``value``."""
+    from qprospect import (GameSpec, InterferenceDistribution, PipelineStage, bell_state,
+                           broken_symmetry_probabilities, entanglement_production,
+                           monte_carlo_cohort)
+    from qprospect.scenario import FORMATS
+    spec, uniform = GameSpec(np.full((2, 2), 0.25)), InterferenceDistribution.uniform()
+    return {
+        "run.format": ("born_plus", ("run", "format"),
+                       lambda v: qcore._require_choice(v, FORMATS, "format")),
+        "run.log_base": ("bell_entanglement", ("run", "log_base"),
+                         lambda v: entanglement_production(bell_state(2), v)),
+        "game.favored": ("game_cohort", ("game", "favored"),
+                         lambda v: broken_symmetry_probabilities((0.4, 0.6), 0.1, favored=v)),
+        "game.cohort.n_pairs": ("game_cohort", ("game", "cohort", "n_pairs"),
+                                lambda v: monte_carlo_cohort(spec, uniform, v)),
+        "game.cohort.symmetry": ("game_cohort", ("game", "cohort", "symmetry"),
+                                 lambda v: monte_carlo_cohort(spec, uniform, 10, symmetry=v)),
+        "game.cohort.fixed_q": ("game_cohort", ("game", "cohort", "fixed_q"),
+                                lambda v: monte_carlo_cohort(spec, uniform, 10, fixed_q=v)),
+        "interference.kind": ("quarter_law_uniform", ("interference", "kind"),
+                              InterferenceDistribution),
+        "stages[0]": ("pipeline_pointer", ("stages", 0, "kind"), PipelineStage),
+    }
+
+
+class TestChoices:
+    """Every named choice is read by ``qcore._require_choice``: a ``str`` among
+    the choices, never an array or another stand-in that compares equal."""
+
+    @pytest.mark.parametrize("value", [
+        "sideways", None, 1, np.array(["a", "b"]), "one-element array of a choice",
+    ], ids=["str", "None", "int", "array", "one-element-array"])
+    @pytest.mark.parametrize("site", sorted(_choice_sites()))
+    def test_non_choice_is_refused_by_name(self, site, value):
+        call, choices, refusal = _choice_sites()[site]
+        if isinstance(value, str) and value.startswith("one-element"):
+            value = np.array([choices[0]])
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert str(info.value) == refusal + repr(value)
+
+    @pytest.mark.parametrize("site", sorted(_choice_sites()))
+    def test_numpy_str_is_a_choice(self, site):
+        call, choices, _ = _choice_sites()[site]
+        assert call(np.str_(choices[0])) == call(choices[0])
+
+    @pytest.mark.parametrize("value", ["sideways", None, 1, 1.5, True, ["a", "b"], 10 ** 8],
+                             ids=["str", "null", "int", "float", "bool", "list", "large"])
+    @pytest.mark.parametrize("path", sorted(_parser_sites()))
+    def test_parser_refuses_in_the_library_words(self, path, value):
+        name, keys, rule = _parser_sites()[path]
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        field = doc
+        for key in keys[:-1]:
+            field = field[key]
+        field[keys[-1]] = value
+        try:
+            rule(value)
+        except ValidationError as exc:
+            with pytest.raises(ScenarioError) as caught:
+                parse_scenario(json.dumps(doc))
+            assert str(caught.value) == f"{path}: {exc}"
+        else:
+            parse_scenario(json.dumps(doc))
 
 class TestHermiticityDefect:
     def test_argument_is_read_as_a_matrix(self):
