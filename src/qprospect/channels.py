@@ -271,19 +271,15 @@ def run_pipeline(
     dims = (rho.dim, measurer.dim)
     records: list[StageRecord] = []
     clock = 0.0
-    joint = None
-    first_readout: DensityOperator | None = None
-    last_readout: DensityOperator | None = None
 
     for stage in stages:
+        system = meter = None
         if stage.kind == "compose":
             joint = compose(rho, measurer)
-            records.append(StageRecord("compose", clock, joint))
         elif stage.kind == "evolve":
             u = qcore.propagator_from_eigh(measurer._decomposition(), stage.duration)
             joint = _conjugate(joint, u)
             clock += stage.duration
-            records.append(StageRecord("evolve", clock, joint))
         elif stage.kind == "transform":
             t = stage.transform
             if t.shape[0] == dims[0]:
@@ -291,16 +287,13 @@ def run_pipeline(
             qcore._require_equal(t.shape[0], dims[0] * dims[1], "transform dim {0} matches "
                                  "neither the system ({2}) nor the joint space ({1})", dims[0])
             joint = DensityOperator(_conjugated(joint.matrix, _system_blocks(t, dims[0])))
-            records.append(StageRecord("transform", clock, joint))
         else:  # readout
             system, meter = readout(joint, dims)
-            if first_readout is None:
-                first_readout = system
-            last_readout = system
             joint = _product(system, meter)
-            records.append(StageRecord("readout", clock, joint, system, meter))
+        records.append(StageRecord(stage.kind, clock, joint, system, meter))
 
-    return PipelineTrace(tuple(records), last_readout, first_readout)
+    readouts = [r.system for r in records if r.kind == "readout"]
+    return PipelineTrace(tuple(records), readouts[-1], readouts[0])
 
 
 def pointer_measurer() -> MeasurerSpec:

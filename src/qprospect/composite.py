@@ -149,9 +149,15 @@ class CompositeState(DensityOperator):
         )
 
 
+def _dims(state: CompositeState) -> tuple[int, int]:
+    """The factor dimensions of ``state``, which must be a :class:`CompositeState`."""
+    qcore._require_instance(state, CompositeState, "state")
+    return state.dims
+
+
 def joint_probability(state: CompositeState, n: int, alpha: int) -> float:
     """Probability of the elementary composite event ``A_n (x) B_alpha``."""
-    da, db = state.dims
+    da, db = _dims(state)
     qcore._require_indices((n, alpha), (da, db),
                            "event indices ({0}, {1}) out of range for dims ({2}, {3})")
     raw = state.element(n, alpha, n, alpha)
@@ -164,7 +170,7 @@ def joint_table(state: CompositeState) -> np.ndarray:
     The diagonal of the state, window-checked and clamped entrywise like
     :func:`joint_probability`.
     """
-    da, db = state.dims
+    da, db = _dims(state)
     return qcore.real_probabilities(state._diagonal().reshape(da, db), "joint probability")
 
 
@@ -285,7 +291,7 @@ def _components(state: CompositeState, b: MultimodeState, ns) -> tuple[np.ndarra
     Every diagonal block ``<n .| rho |n .>`` is read at once, rewritten in
     the mode basis of ``b`` and split by :func:`qcore.mode_split`.
     """
-    _require_fits(max(ns), b, state.dims)
+    _require_fits(max(ns), b, _dims(state))
     e = b.basis.eigenbasis
     blocks = state._diagonal_blocks(ns)
     raw, f, q = qcore.mode_split(b.coefficients, e.conj().T @ blocks @ e)
@@ -310,7 +316,7 @@ def prospect_lattice(
     zero cannot be normalized and raises a degenerate-lattice error.
     """
     normalize = qcore._require_bool(normalize, "normalize")
-    p, f, q = _components(state, b, np.arange(state.dims[0]))
+    p, f, q = _components(state, b, np.arange(_dims(state)[0]))
     if not normalize:
         return [
             ProspectProbability(float(pn), float(fn), float(qn), normalized=False)
@@ -338,7 +344,7 @@ def prospect_probability(
     prospect equals the corresponding entry of the normalized lattice.
     """
     if qcore._require_bool(normalize, "normalize"):
-        _require_fits(prospect.n, prospect.b, state.dims)
+        _require_fits(prospect.n, prospect.b, _dims(state))
         return prospect_lattice(state, prospect.b, normalize=True)[prospect.n]
     p, f, q = _components(state, prospect.b, [prospect.n])
     return ProspectProbability(float(p[0]), float(f[0]), float(q[0]), normalized=False)

@@ -74,6 +74,7 @@ def entanglement_production(state: CompositeState, log_base="natural") -> Entang
     log_base : "natural", "e", None, or a number > 1
         Base of the logarithm; natural by default, 2 gives bits.
     """
+    qcore._require_instance(state, CompositeState, "state")
     base = _resolve_base(log_base)
     rho_a = state.reduced(0)
     rho_b = state.reduced(1)

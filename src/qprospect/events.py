@@ -85,6 +85,8 @@ def basis_change(obs_a: Observable, obs_b: Observable) -> np.ndarray:
     eigenbasis of ``obs_a``: entry ``[n, alpha]`` is ``<n|alpha>``.  Unitary
     whenever both bases are orthonormal.
     """
+    qcore._require_instance(obs_a, Observable, "obs_a")
+    qcore._require_instance(obs_b, Observable, "obs_b")
     qcore._require_equal(obs_a.dim, obs_b.dim, "observables {2!r} and {3!r} act on different "
                          "spaces", obs_a.label, obs_b.label)
     return obs_a.eigenbasis.conj().T @ obs_b.eigenbasis

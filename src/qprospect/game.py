@@ -7,7 +7,9 @@ interference term ``q`` to each prospect.  Without further information
 ``q`` is treated as a random variable on ``[-1, 1]`` with a normalized
 zero-mean density; the *quarter law* evaluates the typical positive and
 negative contributions as the half-line first moments, which for the
-uniform non-informative density are exactly +1/4 and -1/4.
+uniform non-informative density are exactly +1/4 and -1/4.  That density
+is held as its own piecewise-linear tabulation, so the moments of every
+density are found one way; only the cohort sampler draws it by kind.
 
 Broken symmetry (the empirically observed case) assigns the positive
 interference to one favored prospect and its negative to the other.
@@ -90,11 +92,12 @@ def _piecewise_linear_moments(grid: np.ndarray, density: np.ndarray) -> tuple[fl
 class InterferenceDistribution:
     """Density of the interference term on ``[-1, 1]``.
 
-    Either the uniform non-informative density (1/2 everywhere) or a
-    user-tabulated piecewise-linear density given by a strictly increasing
-    grid and nonnegative values, zero outside the tabulated range.  Both
-    must integrate to one with zero mean, checked exactly for the
-    piecewise-linear case.
+    A piecewise-linear density given by a strictly increasing grid and
+    nonnegative values, zero outside the tabulated range, that integrates
+    to one with zero mean, checked exactly.  The uniform non-informative
+    density is held as its own tabulation, ``grid = [-1, 0, 1]`` and
+    ``density = [1/2, 1/2, 1/2]``; it takes no tabulation from the caller,
+    and its kind only picks its exact sampler.
     """
 
     kind: str
@@ -105,6 +108,7 @@ class InterferenceDistribution:
         if qcore._require_choice(self.kind, INTERFERENCE_KINDS, "interference kind") == "uniform":
             if self.grid is not None or self.density is not None:
                 raise ValidationError("uniform density takes no tabulation")
+            qcore._set_fields(self, grid=np.array([-1.0, 0.0, 1.0]), density=np.full(3, 0.5))
             return
         grid, density = (np.array(qcore._require_numbers(a, name, real=True)).reshape(-1)
                          for a, name in ((self.grid, "tabulated grid"),
@@ -127,10 +131,7 @@ class InterferenceDistribution:
         """Density value(s) at ``q``; zero outside the support, ``±inf``
         included.  A NaN ``q`` is a :class:`ValidationError`."""
         q = qcore._require_numbers(q, "q", real=True, finite=False)
-        if self.kind == "uniform":
-            out = np.where((q >= -1.0) & (q <= 1.0), 0.5, 0.0)
-        else:
-            out = np.interp(q, self.grid, self.density, left=0.0, right=0.0)
+        out = np.interp(q, self.grid, self.density, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
     @classmethod
@@ -145,14 +146,11 @@ class InterferenceDistribution:
 def _half_line(dist: InterferenceDistribution, positive: bool) -> tuple[np.ndarray, np.ndarray]:
     """Grid and density of the piecewise-linear density on one half-line.
 
-    A tabulated grid that straddles 0 gets a knot there, interpolated, so
-    each half is itself piecewise linear.  Outside its grid the density is
-    zero (it jumps at the grid ends), so no knot is added at 0 when the
-    grid only touches or misses that half-line.
+    A grid that straddles 0 gets a knot there, interpolated, so each half
+    is itself piecewise linear.  Outside its grid the density is zero (it
+    jumps at the grid ends), so no knot is added at 0 when the grid only
+    touches or misses that half-line.
     """
-    if dist.kind == "uniform":
-        grid = np.array([0.0, 1.0]) if positive else np.array([-1.0, 0.0])
-        return grid, np.array([0.5, 0.5])
     grid, density = dist.grid, dist.density
     if grid[0] < 0.0 < grid[-1] and 0.0 not in grid:
         cut = int(np.searchsorted(grid, 0.0))
@@ -167,9 +165,9 @@ def quarter_law(dist: InterferenceDistribution) -> tuple[float, float]:
 
     Returns ``(q_plus, q_minus)`` with ``q_plus`` the integral of
     ``q mu(q)`` over [0, 1] and ``q_minus`` over [-1, 0]; for the uniform
-    density these are exactly (+1/4, -1/4).  The moments are exact for the
-    uniform and every piecewise-linear density: the integrand is piecewise
-    quadratic and is integrated in closed form.
+    density these are exactly (+1/4, -1/4).  The moments are exact for
+    every piecewise-linear density, the uniform one included: the integrand
+    is piecewise quadratic and is integrated in closed form.
     """
     return (
         _piecewise_linear_moments(*_half_line(dist, positive=True))[1],
@@ -238,7 +236,7 @@ def broken_symmetry_probabilities(
     message = "interference magnitude must lie in [0, 1], got {x}"
     q = qcore._require_real(q_magnitude, "interference magnitude", message)
     if not 0.0 <= q <= 1.0:
-        raise ValidationError(message.format(x=q_magnitude))
+        raise ValidationError(message.format(x=qcore._shown(q_magnitude)))
     if qcore._require_choice(favored, FAVORED, "favored") == "cooperate":
         q1, q2 = q, -q
     else:
@@ -312,7 +310,7 @@ def _require_pairs(n_pairs) -> int:
     """``n_pairs``, an integer from 1 to ``policy.MAX_PAIRS``."""
     qcore._require_size(n_pairs, 1, "n_pairs", "need at least one pair, got {0}")
     if n_pairs > policy.MAX_PAIRS:
-        raise SizeLimitError(f"{n_pairs} pairs is above the cap {policy.MAX_PAIRS}")
+        raise SizeLimitError(f"{qcore._shown(n_pairs)} pairs is above the cap {policy.MAX_PAIRS}")
     return n_pairs
 
 

@@ -18,11 +18,20 @@ from .events import DensityOperator, Observable, _trusted, basis_change, project
 from .errors import NumericContractError, ValidationError
 
 
-def _check_dims(rho: DensityOperator, obs: Observable):
+def _check_dims(rho: DensityOperator, *observables: Observable):
+    """``rho`` is a ``DensityOperator`` and each observable an ``Observable`` of its dimension.
+
+    The type tests stay inline, not :func:`qcore._require_instance`: the
+    table kernels run this check thousands of times per call chain.
+    """
     if not isinstance(rho, DensityOperator):
         raise ValidationError(f"rho must be a DensityOperator, got {type(rho).__name__}")
-    qcore._require_equal(rho.dim, obs.dim, "density operator dim {0} vs observable {2!r} dim {1}",
-                         obs.label)
+    for k, obs in enumerate(observables):
+        if not isinstance(obs, Observable):
+            name = ("obs_a", "obs_b")[k] if len(observables) > 1 else "obs"
+            raise ValidationError(f"{name} must be an Observable, got {type(obs).__name__}")
+        qcore._require_equal(rho.dim, obs.dim, "density operator dim {0} vs observable {2!r} "
+                             "dim {1}", obs.label)
 
 
 def born_probability(rho: DensityOperator, obs: Observable, n: int) -> float:
@@ -145,8 +154,7 @@ def wigner_distribution(
     ``<alpha| rho P_alpha P_n |alpha>``, contracted right to left with the
     built projectors by matrix-vector products: O(d^2), no d x d product.
     """
-    _check_dims(rho, obs_a)
-    _check_dims(rho, obs_b)
+    _check_dims(rho, obs_a, obs_b)
     a = obs_b.vector(alpha)
     pa = projector_of(obs_b, alpha).matrix
     pn = projector_of(obs_a, n).matrix
@@ -165,8 +173,7 @@ def kirkwood_form(
     ``<alpha| rho P_n P_alpha |alpha>``, contracted like
     :func:`wigner_distribution`'s: O(d^2).
     """
-    _check_dims(rho, obs_a)
-    _check_dims(rho, obs_b)
+    _check_dims(rho, obs_a, obs_b)
     a = obs_b.vector(alpha)
     pn = projector_of(obs_a, n).matrix
     pa = projector_of(obs_b, alpha).matrix
@@ -183,8 +190,7 @@ def wigner_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -> 
     distribution, columns to the first-step Born distribution, and the
     whole table to one.
     """
-    _check_dims(rho, obs_a)
-    _check_dims(rho, obs_b)
+    _check_dims(rho, obs_a, obs_b)
     raw = np.abs(basis_change(obs_a, obs_b)) ** 2 * _diagonal_in(rho, obs_b)[None, :]
     return qcore.real_probabilities(raw, "sequential probability")
 
@@ -196,8 +202,7 @@ def kirkwood_table(rho: DensityOperator, obs_a: Observable, obs_b: Observable) -
     ``<alpha|rho|n><n|alpha>``, so with ``A``, ``B`` the eigenbasis matrices
     the table is ``(B^dag rho A).T * (A^dag B)``.
     """
-    _check_dims(rho, obs_a)
-    _check_dims(rho, obs_b)
+    _check_dims(rho, obs_a, obs_b)
     sandwich = obs_b.eigenbasis.conj().T @ rho.matrix @ obs_a.eigenbasis
     return sandwich.T * basis_change(obs_a, obs_b)
 
@@ -215,8 +220,7 @@ def identity_chain_residual(
     scalar :func:`wigner_distribution`, O(d^2) each, and the cross terms
     one sandwich in ``B``: O(d^3) in all.
     """
-    _check_dims(rho, obs_a)
-    _check_dims(rho, obs_b)
+    _check_dims(rho, obs_a, obs_b)
     lhs = born_probability(rho, obs_a, n)
     diagonal = sum(
         wigner_distribution(rho, obs_a, n, obs_b, alpha) for alpha in range(obs_b.dim)

@@ -12,7 +12,9 @@ composite object's factor dimensions: a tuple or list of exactly two
 integers, never coerced.  So are a caller's numbers, flags and choices:
 :func:`_require_numbers` reads every array, :func:`_require_real` every
 real scalar, :func:`_require_bool` every flag and :func:`_require_choice`
-every named choice, such as a stage kind.  Two more rules have their one
+every named choice, such as a stage kind.  Their refusals, and those of
+the size, index and dimension checks, show an integer too long to print
+by its sign and bit length (:func:`_shown`).  Two more rules have their one
 home here: :func:`require_event` is the null-event guard, and
 :func:`_set_fields` the one setter of a frozen instance's fields.
 """
@@ -72,22 +74,35 @@ def _is_int(n) -> bool:
     return isinstance(n, (int, np.integer)) and type(n) is not bool
 
 
+class _Text(str):
+    """Text that ``repr`` shows unquoted, as ``str`` does."""
+
+    __repr__ = str.__str__
+
+
+def _shown(x):
+    """``x`` as a refusal shows it: a Python int of more than 64 bits, which
+    ``str`` refuses past 4300 digits, as ``<k-bit integer>`` with its sign."""
+    huge = isinstance(x, int) and x.bit_length() > 64
+    return _Text(f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>") if huge else x
+
+
 def _require_indices(indices, bounds, message: str):
     """Raise :class:`ValidationError` unless each index is an integer
     (:func:`_is_int`) in ``range`` of its bound.  ``message`` is a
-    :meth:`str.format` template over the indices, then the bounds."""
+    :meth:`str.format` template over the indices (:func:`_shown`), then the bounds."""
     for n, bound in zip(indices, bounds):
         if not (_is_int(n) and 0 <= n < bound):
-            raise ValidationError(message.format(*indices, *bounds))
+            raise ValidationError(message.format(*map(_shown, indices), *bounds))
 
 
 def _require_size(n, least: int, what: str, message: str):
     """Raise :class:`ValidationError` unless ``n`` is an integer (:func:`_is_int`) of
-    at least ``least``; below it, the error is ``message`` filled with ``n``."""
+    at least ``least``; below it, the error is ``message`` filled with :func:`_shown` ``n``."""
     if not _is_int(n):
         raise ValidationError(f"{what} must be an integer, got {n!r}")
     if n < least:
-        raise ValidationError(message.format(n))
+        raise ValidationError(message.format(_shown(n)))
 
 
 def _require_real(x, what: str, message: str, *,
@@ -95,7 +110,7 @@ def _require_real(x, what: str, message: str, *,
     """``x`` as a finite Python float.  A :class:`ValidationError` unless ``x``
     is a Python or numpy integer or float, never a ``bool`` or a ``str``: a
     refused type gets ``refused``, a non-finite ``x`` gets ``message``; both
-    are templates over ``what``, ``x`` and ``fields``."""
+    are templates over ``what``, ``x`` (:func:`_shown`) and ``fields``."""
     if not (isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool):
         raise ValidationError(refused.format(what=what, x=x, **fields))
     try:
@@ -103,7 +118,7 @@ def _require_real(x, what: str, message: str, *,
     except OverflowError:  # an int beyond the float range
         v = np.inf
     if not np.isfinite(v):
-        raise ValidationError(message.format(what=what, x=x, **fields))
+        raise ValidationError(message.format(what=what, x=_shown(x), **fields))
     return v
 
 
@@ -144,7 +159,7 @@ def _require_numbers(a, name: str, real: bool = False, shape=None,
 def _require_bool(flag, name: str) -> bool:
     """``flag`` as a Python bool; anything but a Python or numpy bool is a ValidationError."""
     if not isinstance(flag, (bool, np.bool_)):
-        raise ValidationError(f"{name} must be a bool, got {flag!r}")
+        raise ValidationError(f"{name} must be a bool, got {_shown(flag)!r}")
     return bool(flag)
 
 
@@ -153,23 +168,26 @@ def _require_choice(value, choices: tuple[str, ...], what: str) -> str:
     one-element array of a choice included, is a :class:`ValidationError`."""
     if not (isinstance(value, str) and value in choices):
         *head, last = map(repr, choices)
-        raise ValidationError(f"{what} must be {', '.join(head)} or {last}, got {value!r}")
+        raise ValidationError(f"{what} must be {', '.join(head)} or {last}, got {_shown(value)!r}")
     return value
 
 
 def _require_instance(value, cls: type, name: str):
     """Raise :class:`ValidationError` unless ``value`` is a ``cls``; the message names its type."""
     if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ValidationError(f"{name} must be {article} {cls.__name__}, "
+                              f"got {type(value).__name__}")
 
 
 def _require_equal(got, want, message: str, *fields):
     """Raise :class:`DimensionMismatchError` unless ``got == want``.  ``message``
-    is a template over ``got``, ``want``, then ``fields``, filled only when
-    raising; a label from a scenario goes in a field, never into the template.
+    is a template over ``got``, ``want``, then ``fields``, each :func:`_shown`,
+    filled only when raising; a label from a scenario goes in a field, never
+    into the template.
     """
     if got != want:
-        raise DimensionMismatchError(message.format(got, want, *fields))
+        raise DimensionMismatchError(message.format(*map(_shown, (got, want, *fields))))
 
 
 def _factor_dims(dims) -> tuple[int, int]:

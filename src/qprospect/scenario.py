@@ -126,7 +126,7 @@ def _int(value, path: str) -> int:
 
 def _seed(value, path: str) -> int:
     seed = _int(value, path)
-    _require(seed >= 0, f"seed must be nonnegative, got {seed}", path)
+    _require(seed >= 0, f"seed must be nonnegative, got {qcore._shown(seed)}", path)
     return seed
 
 
@@ -198,8 +198,6 @@ def _wrap_domain(path: str, build, *args, **kwargs):
     """Run a domain constructor, attaching the scenario path to rejections."""
     try:
         return build(*args, **kwargs)
-    except ScenarioError:
-        raise
     except QProspectError as exc:
         raise ScenarioError(str(exc), path) from exc
 

@@ -93,6 +93,12 @@ class TestStageBuildingBlocks:
         # coordinates of an X eigenvector expressed in the Z basis
         assert np.abs(u @ np.array([1.0, 0.0]) - HADAMARD[:, 0]).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", ["compose", "evolve", "readout"])
+    def test_only_a_transform_stage_carries_a_matrix(self, kind):
+        with pytest.raises(ValidationError) as info:
+            PipelineStage(kind, transform=np.eye(2))
+        assert str(info.value) == f"{kind} stages carry no transform"
+
 
 class TestMeasurerSpec:
     def test_pointer_model_shape(self):

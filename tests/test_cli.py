@@ -128,6 +128,18 @@ class TestDispatch:
         with pytest.raises(ScenarioError, match=r"^--seed: expected an integer"):
             run(scenario, seed=seed)
 
+    def test_run_needs_an_op(self):
+        sc = parse_scenario(json.dumps({"state": {"pure": [1, 0]}}))
+        with pytest.raises(ScenarioError, match=r"^run\.op: no operation: pass a subcommand "
+                           r"or set run\.op$"):
+            run(sc)
+
+    def test_run_refuses_selftest(self):
+        sc = parse_scenario(json.dumps({"state": {"pure": [1, 0]}}))
+        with pytest.raises(ScenarioError, match=r"^run\.op: selftest takes no scenario; "
+                           r"run it directly$"):
+            run(sc, op="selftest")
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):

@@ -137,6 +137,12 @@ class TestCompositeState:
         assert type(rho) is DensityOperator
         assert not hasattr(rho, "dims")
 
+    def test_factor_dimensions_must_be_positive(self):
+        # (-2) * (-2) = 4 passes the dims-product check, so only this guard refuses it
+        with pytest.raises(ValidationError) as info:
+            CompositeState(np.eye(4) / 4.0, (-2, -2))
+        assert str(info.value) == "factor dimensions must be positive, got (-2, -2)"
+
 
 class TestEachStateValidatedOnce:
     """A state is decomposed once when built from outside, never when pure."""
@@ -557,6 +563,21 @@ class TestProspectNormalized:
             ProspectProbability(0.5, 0.3, 0.1)
         with pytest.raises(NumericContractError):
             ProspectProbability(1.2, 1.0, 0.2, normalized=True)
+
+    def test_normalized_interference_outside_the_unit_window(self):
+        with pytest.raises(NumericContractError) as info:
+            ProspectProbability(0.5, 2.0, -1.5, normalized=True)
+        assert str(info.value) == "normalized interference -1.5 outside [-1, 1]"
+
+    def test_raw_prospect_with_an_imaginary_residue(self):
+        # an unvalidated state whose first diagonal block is not Hermitian
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = m[1, 0] = 0.3j
+        state = _trusted(CompositeState, m, np.full(4, 0.25), dims=(2, 2))
+        b = MultimodeState.in_standard_basis([1.0, 1.0])
+        with pytest.raises(NumericContractError) as info:
+            prospect_lattice(state, b, normalize=False)
+        assert str(info.value) == "prospect probability has imaginary residue 6.000e-01"
 
 
 class TestLatticeAtScale:

@@ -169,6 +169,9 @@ class TestProjectors:
         with pytest.raises(ValidationError, match="not idempotent"):
             Projector(np.ones((2, 2)) / 2.0 + np.eye(2) * 1e-3)
 
+    def test_supplied_projector_reports_its_dimension(self):
+        assert Projector(np.diag([0.0, 1.0, 0.0])).dim == 3
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
 class TestFailClosed:
@@ -525,3 +528,12 @@ class TestPovm:
             for k in range(3)
         ]
         assert validate_povm(members).passed
+
+    def test_family_from_states(self):
+        h = np.sqrt(0.5)
+        states = [MultimodeState.in_standard_basis(v) for v in ([h, h], [h, -h])]
+        family = PovmFamily.from_states(states)
+        assert len(family) == 2 and family.dim == 2
+        for member, state in zip(family.members, states):
+            v = state.vector()
+            assert np.array_equal(member.operator, np.outer(v, v.conj()))

@@ -105,6 +105,32 @@ class TestInterferenceDistribution:
                 np.array([0.0, -0.5, 1.0]), np.ones(3)
             )
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: InterferenceDistribution("uniform", [-1.0, 1.0], [0.5, 0.5]),
+         "uniform density takes no tabulation"),
+        (lambda: InterferenceDistribution.tabulated([-1.0, 0.0, 1.0], [0.5, 0.5]),
+         "tabulated density needs matching grid and values"),
+        (lambda: InterferenceDistribution.tabulated([0.0], [1.0]),
+         "tabulated density needs matching grid and values"),
+        (lambda: InterferenceDistribution.tabulated([-1.5, 0.0, 1.5], [0.0, 2 / 3, 0.0]),
+         "tabulated grid must stay within [-1, 1]"),
+    ], ids=["uniform-with-grid", "sizes-differ", "one-knot", "beyond-support"])
+    def test_malformed_tabulation_is_refused(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_uniform_is_held_as_its_tabulation(self):
+        dist = InterferenceDistribution.uniform()
+        assert np.array_equal(dist.grid, [-1.0, 0.0, 1.0])
+        assert np.array_equal(dist.density, [0.5, 0.5, 0.5])
+        assert not dist.grid.flags.writeable and not dist.density.flags.writeable
+        same = InterferenceDistribution.tabulated([-1.0, 0.0, 1.0], [0.5, 0.5, 0.5])
+        q = np.array([-np.inf, -1.0, -1e-300, 0.0, 0.3, 1.0, 1.0 + 1e-16, np.inf])
+        assert np.array_equal(dist.pdf(q), same.pdf(q))
+        assert quarter_law(dist) == quarter_law(same) == (0.25, -0.25)
+        assert _positive_mass(dist) == 0.5
+
 
 class TestQuarterLaw:
     def test_uniform_gives_quarter(self):

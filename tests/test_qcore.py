@@ -411,6 +411,13 @@ class TestConversionGuards:
         with pytest.raises(SizeLimitError):
             as_complex_matrix(np.eye(5000), "m")
 
+    @pytest.mark.parametrize("c", [[0.6, 0.8], np.zeros((1, 0)), np.ones((1, 1, 1))],
+                             ids=["1-d", "empty", "3-d"])
+    def test_amplitude_matrix_must_be_two_dimensional(self, c):
+        with pytest.raises(DimensionMismatchError) as info:
+            as_amplitude_matrix(c, 1e-10)
+        assert str(info.value) == f"amplitude matrix must be 2-d, got shape {np.shape(c)}"
+
     def test_probability_window(self):
         assert real_probability(1.0 + 1e-14, "p") == 1.0
         assert real_probability(-1e-14, "p") == 0.0
@@ -1124,6 +1131,173 @@ class TestDomainArguments:
         }[case]
         with pytest.raises(ValidationError, match=f"^{argument} must be an? [A-Za-z]+, got str$"):
             call()
+
+    @pytest.mark.parametrize("case", ["joint_probability", "joint_table", "marginals",
+                                      "bayes_conditional", "prospect_lattice",
+                                      "prospect_probability", "prospect_probability-raw",
+                                      "conditional_under_uncertainty",
+                                      "entanglement_production"])
+    def test_plain_state_is_not_a_composite_state(self, case):
+        # a CompositeState goes wherever a DensityOperator does, not the reverse
+        from qprospect import (DensityOperator, MultimodeState, Prospect, bayes_conditional,
+                               conditional_under_uncertainty, entanglement_production,
+                               joint_probability, joint_table, marginals, prospect_lattice,
+                               prospect_probability)
+        rho = DensityOperator.maximally_mixed(4)
+        b = MultimodeState.in_standard_basis([1.0, 1.0])
+        call = {
+            "joint_probability": lambda: joint_probability(rho, 0, 0),
+            "joint_table": lambda: joint_table(rho),
+            "marginals": lambda: marginals(rho),
+            "bayes_conditional": lambda: bayes_conditional(rho, 0, 0),
+            "prospect_lattice": lambda: prospect_lattice(rho, b),
+            "prospect_probability": lambda: prospect_probability(rho, Prospect(0, b)),
+            "prospect_probability-raw": lambda: prospect_probability(rho, Prospect(0, b), False),
+            "conditional_under_uncertainty": lambda: conditional_under_uncertainty(
+                rho, Prospect(0, b)),
+            "entanglement_production": lambda: entanglement_production(rho),
+        }[case]
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == "state must be a CompositeState, got DensityOperator"
+
+    @pytest.mark.parametrize("case, argument", [
+        ("born_probability", "obs"), ("born_distribution", "obs"), ("expected_value", "obs"),
+        ("most_probable", "obs"), ("wigner_table", "obs_a"), ("wigner_table", "obs_b"),
+        ("kirkwood_table", "obs_b"), ("wigner_distribution", "obs_a"),
+        ("kirkwood_form", "obs_b"), ("identity_chain_residual", "obs_a"),
+        ("transition_matrix", "obs_a"), ("transition_matrix", "obs_b"),
+        ("basis_change", "obs_a"), ("basis_change", "obs_b"),
+    ])
+    @pytest.mark.parametrize("value", [None, np.eye(2)], ids=["None", "matrix"])
+    def test_non_observable_is_refused_by_name(self, case, argument, value):
+        from qprospect import (DensityOperator, Observable, basis_change, born_distribution,
+                               born_probability, expected_value, identity_chain_residual,
+                               kirkwood_form, kirkwood_table, most_probable, transition_matrix,
+                               wigner_distribution, wigner_table)
+        rho, obs = DensityOperator.maximally_mixed(2), Observable.standard(2)
+        a, b = (value, obs) if argument == "obs_a" else (obs, value)
+        call = {
+            "born_probability": lambda: born_probability(rho, value, 0),
+            "born_distribution": lambda: born_distribution(rho, value),
+            "expected_value": lambda: expected_value(rho, value),
+            "most_probable": lambda: most_probable(rho, value),
+            "wigner_table": lambda: wigner_table(rho, a, b),
+            "kirkwood_table": lambda: kirkwood_table(rho, a, b),
+            "wigner_distribution": lambda: wigner_distribution(rho, a, 0, b, 0),
+            "kirkwood_form": lambda: kirkwood_form(rho, a, 0, b, 0),
+            "identity_chain_residual": lambda: identity_chain_residual(rho, a, 0, b),
+            "transition_matrix": lambda: transition_matrix(a, b),
+            "basis_change": lambda: basis_change(a, b),
+        }[case]
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == (f"{argument} must be an Observable, "
+                                   f"got {type(value).__name__}")
+
+
+BIG = 10 ** 5000  # str() refuses an int past 4300 digits
+SHOWN = {"big": f"<{BIG.bit_length()}-bit integer>", "-big": f"-<{BIG.bit_length()}-bit integer>",
+         "1e400": "<1329-bit integer>", "-1e400": "-<1329-bit integer>",
+         "1e300": "<997-bit integer>"}
+
+
+def _huge_integer_calls():
+    """Each call that once formatted a caller's huge integer whole, or failed
+    to, as ``id: (call, the words its refusal starts with, the integer as shown)``."""
+    from qprospect import (AmplitudeMatrix, DensityOperator, GameSpec, InterferenceDistribution,
+                           MeasurerSpec, MultimodeState, Observable, Prospect, bell_state,
+                           born_probability, broken_symmetry_probabilities,
+                           entanglement_production, joint_probability, monte_carlo_cohort,
+                           two_time_joint)
+    state, obs, rho = bell_state(2), Observable.standard(2), DensityOperator.maximally_mixed(2)
+    amp = AmplitudeMatrix(np.eye(2) / np.sqrt(2.0), (0.0, 1.0))
+    spec, uniform = GameSpec(np.full((2, 2), 0.25)), InterferenceDistribution.uniform()
+    b = MultimodeState.in_standard_basis([1.0, 1.0])
+
+    def directive(name, key, x):
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        doc["run"][key] = x
+        return parse_scenario(json.dumps(doc))
+
+    def magnitude(x):
+        return broken_symmetry_probabilities((0.5, 0.5), x)
+
+    return {
+        "bell_state": (lambda: bell_state(-BIG), "need at least two modes", "-big"),
+        "joint_probability": (lambda: joint_probability(state, BIG, 0), "event indices", "big"),
+        "Observable.vector": (lambda: obs.vector(BIG), "outcome index", "big"),
+        "born_probability": (lambda: born_probability(rho, obs, BIG), "outcome index", "big"),
+        "two_time_joint": (lambda: two_time_joint(amp, BIG, 0), "mode indices", "big"),
+        "Prospect": (lambda: Prospect(-BIG, b), "prospect index", "-big"),
+        "maximally_mixed": (lambda: DensityOperator.maximally_mixed(-BIG), "dim", "-big"),
+        "MeasurerSpec": (lambda: MeasurerSpec(-BIG, rho, np.eye(4)), "measurer dimension",
+                         "-big"),
+        "MeasurerSpec-positive": (lambda: MeasurerSpec(BIG, rho, np.eye(4)),
+                                  "measurer ready state", "big"),
+        "monte_carlo_cohort.n_pairs": (lambda: monte_carlo_cohort(spec, uniform, BIG),
+                                       SHOWN["big"] + " pairs", "big"),
+        "monte_carlo_cohort.seed": (lambda: monte_carlo_cohort(spec, uniform, 10, seed=-BIG),
+                                    "seed", "-big"),
+        "entanglement_production": (lambda: entanglement_production(state, BIG), "log base",
+                                    "big"),
+        "monte_carlo_cohort.symmetry": (lambda: monte_carlo_cohort(spec, uniform, 10,
+                                                                   symmetry=BIG),
+                                        "symmetry must be", "big"),
+        "monte_carlo_cohort.fixed_q": (lambda: monte_carlo_cohort(spec, uniform, 10,
+                                                                  fixed_q=-BIG),
+                                       "fixed_q must be a bool", "-big"),
+        "broken_symmetry_probabilities": (lambda: magnitude(BIG), "interference magnitude",
+                                          "big"),
+        "entanglement_production-1e400": (lambda: entanglement_production(state, 10 ** 400),
+                                          "log base", "1e400"),
+        "entanglement_production--1e400": (lambda: entanglement_production(state, -10 ** 400),
+                                           "log base", "-1e400"),
+        "broken_symmetry_probabilities-1e400": (lambda: magnitude(10 ** 400),
+                                                "interference magnitude", "1e400"),
+        "broken_symmetry_probabilities--1e400": (lambda: magnitude(-10 ** 400),
+                                                 "interference magnitude", "-1e400"),
+        "broken_symmetry_probabilities-1e300": (lambda: magnitude(10 ** 300),
+                                                "interference magnitude", "1e300"),
+        "run.log_base-1e400": (lambda: directive("bell_entanglement", "log_base", 10 ** 400),
+                               "run.log_base: log base", "1e400"),
+        "run.log_base--1e400": (lambda: directive("bell_entanglement", "log_base", -10 ** 400),
+                                "run.log_base: log base", "-1e400"),
+        "run.seed--1e400": (lambda: directive("game_cohort", "seed", -10 ** 400),
+                            "run.seed: seed", "-1e400"),
+    }
+
+
+class TestHugeIntegers:
+    """A caller's integer too long to show is refused with its sign and bit
+    length, never echoed whole nor failing in ``str()``."""
+
+    @pytest.mark.parametrize("case", sorted(_huge_integer_calls()))
+    def test_refusal_is_short_and_typed(self, case):
+        call, start, shown = _huge_integer_calls()[case]
+        with pytest.raises(ValidationError) as info:
+            call()
+        text = str(info.value)
+        assert text.startswith(start) and len(text) <= 200
+        assert re.search(f"(^|[ (]){re.escape(SHOWN[shown])}", text)
+        if case == "monte_carlo_cohort.n_pairs":
+            assert type(info.value) is SizeLimitError
+
+    @pytest.mark.parametrize("x", [2, -3, 2 ** 64 - 1, -(2 ** 64 - 1), np.int64(-5), 1.5, "a",
+                                   True, None])
+    def test_ordinary_values_show_as_they_are(self, x):
+        assert qcore._shown(x) is x
+
+    def test_bounded_form_shows_unquoted(self):
+        for x, text in ((2 ** 64, "<65-bit integer>"), (-(2 ** 64), "-<65-bit integer>")):
+            got = qcore._shown(x)
+            assert str(got) == repr(got) == f"{got}" == f"{got!r}" == text
+
+    def test_overflowing_integer_keeps_its_sign(self):
+        for x in (10 ** 400, -10 ** 400):
+            with pytest.raises(ValidationError) as info:
+                qcore._require_real(x, "x", "{x} is not finite")
+            assert str(info.value) == f"{'-' if x < 0 else ''}<1329-bit integer> is not finite"
 
 
 class TestFlags:

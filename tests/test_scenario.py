@@ -399,3 +399,48 @@ class TestResultTable:
         t = ResultTable("demo")
         with pytest.raises(ScenarioError, match="format"):
             t.render("yaml")
+
+
+def _pairs(m):
+    """A complex matrix as JSON ``[re, im]`` pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+class TestTransformStages:
+    """A transform stage is parsed with its matrix and runs as the library's own stage."""
+
+    U = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+
+    def doc(self, matrix):
+        return json.dumps({"run": {"op": "pipeline"}, "state": {"pure": [0.6, 0.8]},
+                           "stages": [{"kind": "compose"}, {"kind": "evolve", "duration": 0.5},
+                                      {"kind": "transform", "matrix": _pairs(matrix)},
+                                      {"kind": "readout"}]})
+
+    @pytest.mark.parametrize("space", ["system", "joint"])
+    def test_parsed_transform_runs_as_the_library_stage(self, space):
+        from qprospect import DensityOperator, PipelineStage, pointer_measurer, run_pipeline
+        t = self.U if space == "system" else np.kron(self.U, np.eye(2))
+        sc = parse_scenario(self.doc(t))
+        assert sc.stages[2].kind == "transform"
+        assert np.array_equal(sc.stages[2].transform, t)
+        stages = [PipelineStage("compose"), PipelineStage("evolve", 0.5),
+                  PipelineStage("transform", transform=t), PipelineStage("readout")]
+        want = run_pipeline(DensityOperator.from_pure([0.6, 0.8]), pointer_measurer(), stages)
+        got = run_pipeline(sc.need_density(), pointer_measurer(), sc.stages)
+        assert [(r.kind, r.time) for r in got.records] == [(r.kind, r.time) for r in want.records]
+        for g, w in zip(got.records, want.records):
+            assert np.array_equal(g.state.matrix, w.state.matrix)
+        assert np.array_equal(got.rho_a.matrix, want.rho_a.matrix)
+        assert np.array_equal(got.rho_b.matrix, want.rho_b.matrix)
+
+    def test_non_unitary_matrix_is_refused_at_its_stage(self):
+        with pytest.raises(ScenarioError, match=r"^stages\[2\]: basis transform is not unitary"):
+            parse_scenario(self.doc(np.diag([1.0, 2.0])))
+
+    def test_composite_op_on_a_plain_state_is_refused(self):
+        from qprospect.cli import run
+        sc = parse_scenario(json.dumps({"run": {"op": "joint"}, "state": {"pure": [S2, S2]}}))
+        with pytest.raises(ScenarioError, match="^state: this operation needs a 'state' "
+                           "section with a composite matrix or an amplitude matrix$"):
+            run(sc)
