@@ -36,6 +36,7 @@ the one-block case.  A ``MeasurerSpec`` decomposes its coupling once, at
 the first evolve stage of the first pipeline it runs, and keeps the ``eigh``.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -249,6 +250,7 @@ def run_pipeline(
     """
     qcore._require_instance(rho, DensityOperator, "rho")
     qcore._require_instance(measurer, MeasurerSpec, "measurer")
+    qcore._require_instance(stages, Iterable, "stages")
     stages = list(stages)
     if not stages:
         raise ProtocolError("empty pipeline")

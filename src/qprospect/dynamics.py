@@ -14,6 +14,7 @@ multimode combinations of its rows carry interference exactly like
 composite prospects.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         h0 = np.array(qcore.require_hermitian(self.h0, "static generator"))
+        qcore._require_instance(self.pieces, Iterable, "pieces")
         cleaned = []
         previous = -np.inf
         pair = "piece {k} must be a (start, matrix) pair"
@@ -146,6 +148,8 @@ def evolve_state(psi: WaveState, h: HamiltonianSpec, t: float) -> WaveState:
     The coefficients are carried through the segments in O(d^2) each, and
     no ``d x d`` matrix is formed.
     """
+    qcore._require_instance(psi, WaveState, "psi")
+    qcore._require_instance(h, HamiltonianSpec, "h")
     qcore._require_equal(psi.dim, h.dim, "state dim {0} vs generator dim {1}")
     return WaveState(_propagate(h, psi.time, t, psi.coefficients), t)
 
@@ -225,6 +229,7 @@ def two_time_prospect(amp: AmplitudeMatrix, n: int, b) -> ProspectProbability:
     Values are raw, matching the unnormalized composite-prospect route on
     the state built from the same amplitudes.
     """
+    qcore._require_instance(amp, AmplitudeMatrix, "amp")
     rows, cols = amp.dims
     qcore._require_indices((n,), (rows,), "mode index {0} out of range for {1} modes")
     if not isinstance(b, MultimodeState):

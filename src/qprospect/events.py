@@ -10,6 +10,7 @@ that resolve the identity form a positive operator-valued measure.
 
 import dataclasses
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -32,11 +33,16 @@ class Observable:
         same order as ``eigenvalues``.
     label : str
         Short name used in diagnostics and result tables.
+
+    The idempotence defects of the eigenvector projectors
+    (:func:`projector_of`) depend on the eigenbasis alone: all ``d`` are
+    found in one O(d^2) pass on the first projector built, and kept.
     """
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
     label: str = "A"
+    _projector_defects: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(qcore.as_complex_matrix(self.eigenbasis, "eigenbasis"))
@@ -56,6 +62,13 @@ class Observable:
         qcore.require_unitary(basis, f"eigenbasis of {self.label!r}")
         qcore._set_fields(self, eigenvalues=values, eigenbasis=basis)
 
+    def __getattr__(self, name):
+        # reached only for an unset attribute: the defects before the first projector
+        if name != "_projector_defects":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return qcore._set_fields(
+            self, _projector_defects=_idempotence_defects(self.eigenbasis))._projector_defects
+
     @property
     def dim(self) -> int:
         return self.eigenbasis.shape[0]
@@ -73,6 +86,7 @@ class Observable:
     def standard(cls, dim: int, label: str = "N", eigenvalues=None) -> "Observable":
         """Observable diagonal in the computational basis (values 0..dim-1)."""
         qcore._require_size(dim, 0, "dim", "dim must be nonnegative, got {0}")
+        qcore._require_cap(dim, "eigenbasis")
         if eigenvalues is None:
             eigenvalues = np.arange(dim, dtype=float)
         return cls(eigenvalues, np.eye(dim, dtype=complex), label)
@@ -178,6 +192,7 @@ class DensityOperator:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         qcore._require_size(dim, 0, "dim", "dim must be nonnegative, got {0}")
+        qcore._require_cap(dim, "density operator")
         return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
@@ -186,7 +201,8 @@ class Projector:
     """Rank-one projector testing a single event, tagged with its origin.
 
     A supplied matrix is checked for hermiticity and idempotence, in
-    O(d^3); :func:`projector_of` checks an eigenvector's in O(d).
+    O(d^3); :func:`projector_of` holds an eigenvector's to the tolerance
+    in O(1), from a defect its observable keeps.
     """
 
     matrix: np.ndarray
@@ -207,15 +223,27 @@ def projector_of(obs: Observable, n: int) -> Projector:
 
     Hermitian by construction (see :func:`qcore.pure_state`), finite and
     within the cap as the validated eigenbasis is.  Idempotence is checked
-    exactly in O(d): ``P^2 - P = (<v|v> - 1) P``, so ``max |P^2 - P|`` is
-    ``|<v|v> - 1| max_i |v_i|^2``, read from the diagonal.  An observable
+    exactly: ``P^2 - P = (<v|v> - 1) P``, so ``max |P^2 - P|`` is
+    ``|<v|v> - 1| max_i |v_i|^2``, the diagonal of ``P`` read
+    (:func:`_idempotence_defects`).  That defect is kept on ``obs`` and held
+    to the current :func:`policy.tolerance` on every call, so an observable
     built under a looser :func:`policy.tolerance_scope` may break it.
     """
     v = obs.vector(n)
-    m = np.outer(v, v.conj())
-    w = m.diagonal().real
-    _require_idempotent(abs(w.sum() - 1.0) * w.max())
-    return _trusted(Projector, m, (obs.label, n))
+    _require_idempotent(obs._projector_defects[n])
+    return _trusted(Projector, v[:, None] * v.conj()[None, :], (obs.label, n))
+
+
+def _idempotence_defects(basis: np.ndarray) -> np.ndarray:
+    """``|<v|v> - 1| max_i |v_i|^2`` for every column ``v`` of ``basis``, in O(d^2).
+
+    Bit for bit the per-projector value read from the diagonal of
+    ``np.outer(v, v.conj())``: ``|v_i|^2`` is the real part of ``v_i conj(v_i)``,
+    and each contiguous row of the transpose is summed pairwise as that
+    diagonal is.
+    """
+    w = np.ascontiguousarray((basis * basis.conj()).real.T)
+    return np.abs(w.sum(axis=1) - 1.0) * w.max(axis=1)
 
 
 def _require_idempotent(defect: float):
@@ -296,6 +324,7 @@ class GeneralizedProposition:
 
         Checked: finite entries (``|b_a|^2`` may overflow) and a nonzero weight.
         """
+        qcore._require_instance(state, MultimodeState, "state")
         m, w = qcore.rank_one(state.vector())
         qcore.as_complex_matrix(m, "generalized proposition")
         _require_weight(w)
@@ -361,13 +390,15 @@ def validate_povm(
     by :func:`qcore.real_probabilities`, and their total, which approaches
     1 exactly as well as the family resolves unity.
     """
+    qcore._require_instance(members, Iterable, "members")
     members = tuple(members)
     if not members:
         raise ValidationError("empty proposition family")
-    dim = members[0].dim
     for k, member in enumerate(members):
-        qcore._require_equal(member.dim, dim, "family member {2} has dimension {0}, expected {1}",
-                             k)
+        qcore._require_instance(member, GeneralizedProposition, f"family member {k}")
+        qcore._require_equal(member.dim, members[0].dim,
+                             "family member {2} has dimension {0}, expected {1}", k)
+    dim = members[0].dim
     total = sum(member.operator for member in members)
     residual = float(np.abs(total - np.eye(dim)).max())
     passed = residual <= policy.POVM_TOL
@@ -375,6 +406,7 @@ def validate_povm(
     probabilities = None
     total_probability = None
     if rho is not None:
+        qcore._require_instance(rho, DensityOperator, "rho")
         qcore._require_equal(rho.dim, dim, "density operator dim {0} vs family dimension {1}")
         raw = [complex(np.einsum("ij,ji->", rho.matrix, member.operator)) for member in members]
         probabilities = tuple(qcore.real_probabilities(raw, "member probability").tolist())
@@ -404,4 +436,5 @@ class PovmFamily:
 
     @classmethod
     def from_states(cls, states: Sequence[MultimodeState]) -> "PovmFamily":
+        qcore._require_instance(states, Iterable, "states")
         return cls(tuple(GeneralizedProposition.from_state(s) for s in states))

@@ -169,6 +169,7 @@ def quarter_law(dist: InterferenceDistribution) -> tuple[float, float]:
     every piecewise-linear density, the uniform one included: the integrand
     is piecewise quadratic and is integrated in closed form.
     """
+    qcore._require_instance(dist, InterferenceDistribution, "dist")
     return (
         _piecewise_linear_moments(*_half_line(dist, positive=True))[1],
         _piecewise_linear_moments(*_half_line(dist, positive=False))[1],
@@ -333,6 +334,8 @@ def monte_carlo_cohort(
     The report aggregates the sampled interference and the cohort-mean
     prospect probabilities.  Fixed seed means reproducible output.
     """
+    qcore._require_instance(spec, GameSpec, "spec")
+    qcore._require_instance(dist, InterferenceDistribution, "dist")
     _require_pairs(n_pairs)
     qcore._require_size(seed, 0, "seed", "seed must be nonnegative, got {0}")
     fixed_q = qcore._require_bool(fixed_q, "fixed_q")

@@ -8,6 +8,7 @@ complex-valued time-ordered form whose imaginary part witnesses the
 incompatibility of the two observables.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,9 +86,13 @@ def disjoint_union_probability(
     deduplicated: the union of an event with itself is that event, and a
     caller passing duplicates has a bookkeeping bug worth surfacing.
     """
+    _check_dims(rho, obs)
+    qcore._require_instance(indices, Iterable, "indices")
     indices = list(indices)
     if not indices:
         raise ValidationError("union of no events")
+    for n in indices:
+        qcore._require_indices((n,), (obs.dim,), "outcome index {0} out of range for dim {1}")
     if len(set(indices)) != len(indices):
         raise ValidationError(f"duplicate event indices in union: {sorted(indices)}")
     total = sum(born_probability(rho, obs, n) for n in indices)

@@ -82,9 +82,22 @@ class _Text(str):
 
 def _shown(x):
     """``x`` as a refusal shows it: a Python int of more than 64 bits, which
-    ``str`` refuses past 4300 digits, as ``<k-bit integer>`` with its sign."""
+    ``str`` refuses past 4300 digits, as ``<k-bit integer>`` with its sign.
+    A tuple or list that ``repr`` refuses for such an entry is shown with
+    each entry so."""
+    if isinstance(x, (tuple, list)):
+        try:
+            repr(x)
+        except ValueError:
+            items = [_shown(e) for e in x]
+            return _Text(repr(tuple(items) if isinstance(x, tuple) else items))
+        return x
     huge = isinstance(x, int) and x.bit_length() > 64
     return _Text(f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>") if huge else x
+
+
+def _shown_fields(fields: dict) -> dict:
+    return {k: _shown(v) for k, v in fields.items()}
 
 
 def _require_indices(indices, bounds, message: str):
@@ -100,7 +113,7 @@ def _require_size(n, least: int, what: str, message: str):
     """Raise :class:`ValidationError` unless ``n`` is an integer (:func:`_is_int`) of
     at least ``least``; below it, the error is ``message`` filled with :func:`_shown` ``n``."""
     if not _is_int(n):
-        raise ValidationError(f"{what} must be an integer, got {n!r}")
+        raise ValidationError(f"{what} must be an integer, got {_shown(n)!r}")
     if n < least:
         raise ValidationError(message.format(_shown(n)))
 
@@ -112,22 +125,23 @@ def _require_real(x, what: str, message: str, *,
     refused type gets ``refused``, a non-finite ``x`` gets ``message``; both
     are templates over ``what``, ``x`` (:func:`_shown`) and ``fields``."""
     if not (isinstance(x, (int, float, np.integer, np.floating)) and type(x) is not bool):
-        raise ValidationError(refused.format(what=what, x=x, **fields))
+        raise ValidationError(refused.format(what=what, x=_shown(x), **_shown_fields(fields)))
     try:
         v = float(x)
     except OverflowError:  # an int beyond the float range
         v = np.inf
     if not np.isfinite(v):
-        raise ValidationError(message.format(what=what, x=_shown(x), **fields))
+        raise ValidationError(message.format(what=what, x=_shown(x), **_shown_fields(fields)))
     return v
 
 
 def _require_reals(xs, n: int, what: str, message: str, **fields) -> tuple[float, ...]:
     """``xs``, a tuple, list or 1-d array of ``n`` numbers, each read by
-    :func:`_require_real`; any other ``xs`` gets ``message`` too."""
+    :func:`_require_real`; any other ``xs`` gets ``message`` too.  Both fill
+    ``fields`` through :func:`_shown`."""
     sequence = isinstance(xs, (tuple, list)) or isinstance(xs, np.ndarray) and xs.ndim == 1
     if not (sequence and len(xs) == n):
-        raise ValidationError(message.format(what=what, x=xs, **fields))
+        raise ValidationError(message.format(what=what, x=_shown(xs), **_shown_fields(fields)))
     return tuple(_require_real(x, what, message, **fields) for x in xs)
 
 
@@ -194,7 +208,7 @@ def _factor_dims(dims) -> tuple[int, int]:
     """``dims`` as two Python ints; a :class:`ValidationError` unless it is a
     tuple or list of exactly two integers (:func:`_is_int`)."""
     if not (isinstance(dims, (tuple, list)) and len(dims) == 2 and all(map(_is_int, dims))):
-        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
+        raise ValidationError(f"dims must be a pair of integers, got {_shown(dims)!r}")
     return int(dims[0]), int(dims[1])
 
 
@@ -205,11 +219,15 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
             raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
         if a.shape[0] == 0:
             raise ValidationError(f"{name} is empty")
-        if a.shape[0] > policy.MAX_DIM:
-            raise SizeLimitError(
-                f"{name} has dimension {a.shape[0]}, above the cap {policy.MAX_DIM}"
-            )
+        _require_cap(a.shape[0], name)
     return _require_numbers(m, name, shape=square)
+
+
+def _require_cap(dim: int, name: str):
+    """Raise :class:`SizeLimitError` when a ``dim x dim`` operator would exceed
+    ``policy.MAX_DIM``; a caller building one checks this before allocating."""
+    if dim > policy.MAX_DIM:
+        raise SizeLimitError(f"{name} has dimension {_shown(dim)}, above the cap {policy.MAX_DIM}")
 
 
 def as_complex_vector(v, name: str = "vector") -> np.ndarray:
@@ -288,7 +306,15 @@ def real_probabilities(values, name: str = "probability", scale: float = 1.0) ->
 
 
 def real_probability(value: complex, name: str = "probability", scale: float = 1.0) -> float:
-    """Scalar case of :func:`real_probabilities`."""
+    """Scalar case of :func:`real_probabilities`, bit for bit, in Python floats.
+
+    A value inside the window is clamped as ``clip`` clamps it; any other,
+    a NaN part included, goes to :func:`real_probabilities` for its refusal.
+    """
+    z = complex(value)
+    w = policy.PROBABILITY_TOL * max(1.0, scale)
+    if abs(z.imag) <= w and -w <= z.real <= scale + w:
+        return float(min(max(z.real, 0.0), scale))
     return float(real_probabilities(value, name, scale))
 
 

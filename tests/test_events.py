@@ -19,12 +19,15 @@ from qprospect import (
     PovmFamily,
     Projector,
     ValidationError,
+    identity_chain_residual,
     multimode_probability,
     policy,
     projector_of,
     validate_povm,
+    wigner_distribution,
 )
 
+from qprospect import events
 from qprospect.events import _trusted
 
 from helpers import (
@@ -199,6 +202,110 @@ class TestFailClosed:
             for n in range(obs.dim):
                 got = returns_or_refuses(projector_of, obs, n)
                 assert got is None or np.abs(got.matrix).max() <= 1.0 + policy.tolerance()
+
+
+def outer_defect(v):
+    """The idempotence defect as read per projector from ``np.outer``'s diagonal."""
+    w = np.outer(v, v.conj()).diagonal().real
+    return abs(w.sum() - 1.0) * w.max()
+
+
+class TestKeptProjectorDefects:
+    """An observable finds its eigenvector projectors' idempotence defects once,
+    and :func:`projector_of` holds the kept value to the current tolerance."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 19, 31, 32, 33, 64, 100, 128, 129, 256])
+    def test_kept_defects_are_the_per_projector_formula(self, d):
+        rng = np.random.default_rng(d)
+        for off_unit in (0.0, 1e-11):  # columns of norm 1 to rounding, or off it
+            basis = random_unitary(d, rng) * (1.0 + off_unit * rng.normal(size=d))
+            obs = Observable(np.arange(d, dtype=float), basis)
+            kept = obs._projector_defects
+            assert not kept.flags.writeable and obs._projector_defects is kept
+            for n in range(d):
+                want = outer_defect(obs.vector(n))
+                assert type(kept[n]) is type(want) and kept[n].tobytes() == want.tobytes()
+            for n in {0, d // 2, d - 1}:
+                v = obs.vector(n)
+                assert projector_of(obs, n).matrix.tobytes() == np.outer(v, v.conj()).tobytes()
+
+    @pytest.mark.parametrize("first", ["loose", "default"])
+    def test_current_tolerance_decides(self, first):
+        # unitary within 1e-6, but |v><v| with <v|v> = (1 + 1e-7)^2 is not
+        # idempotent within 1e-10: whichever scope finds the defects, each
+        # call's scope decides, with the same message and fields
+        basis = np.eye(3)
+        basis[:, 1] *= 1.0 + 1e-7
+        with policy.tolerance_scope(1e-6):
+            obs = Observable(np.array([0.0, 1.0, 2.0]), basis)
+        want = outer_defect(obs.vector(1))
+
+        def refused():
+            with pytest.raises(ValidationError) as info:
+                projector_of(obs, 1)
+            assert str(info.value) == "not idempotent: max |P^2 - P| = 2.000e-07"
+            assert (info.value.measured, info.value.bound) == (want, policy.DEFAULT_TOLERANCE)
+
+        def accepted():
+            with policy.tolerance_scope(1e-6):
+                assert projector_of(obs, 1).source == ("A", 1)
+
+        steps = (accepted, refused) if first == "loose" else (refused, accepted)
+        for step in steps + steps:
+            step()
+
+    def test_a_tighter_scope_refuses_a_kept_defect(self, rng):
+        obs = random_observable(16, rng)
+        defects = [outer_defect(obs.vector(n)) for n in range(16)]
+        n = int(np.argmax(defects))
+        assert defects[n] > 0
+        projector_of(obs, n)  # found and passed under the default tolerance
+        with policy.tolerance_scope(defects[n] / 2):
+            with pytest.raises(ValidationError) as info:
+                projector_of(obs, n)
+        assert (info.value.measured, info.value.bound) == (defects[n], defects[n] / 2)
+        assert projector_of(obs, n).source == ("A", n)
+
+    def test_survives_copy_deepcopy_and_pickle(self, rng):
+        obs = random_observable(12, rng, "Q")
+        want = events._idempotence_defects(obs.eigenbasis)
+        for read in (False, True):  # before, then after the first projector
+            if read:
+                assert np.array_equal(projector_of(obs, 3).matrix,
+                                      np.outer(obs.vector(3), obs.vector(3).conj()))
+            for clone in (copy.copy(obs), copy.deepcopy(obs), pickle.loads(pickle.dumps(obs))):
+                assert type(clone) is Observable
+                assert ("_projector_defects" in vars(clone)) == read
+                assert np.array_equal(clone.eigenbasis, obs.eigenbasis) and clone.label == "Q"
+                assert np.array_equal(clone._projector_defects, want)
+                v = clone.vector(3)
+                assert np.array_equal(projector_of(clone, 3).matrix, np.outer(v, v.conj()))
+
+    def test_half_built_instance_raises_attribute_error(self):
+        # as copy and pickle see an instance before its fields are restored:
+        # every read is an AttributeError, none recurses
+        bare = object.__new__(Observable)
+        for name in ("_projector_defects", "eigenbasis", "eigenvalues", "other"):
+            with pytest.raises(AttributeError, match=repr(name) if name != "_projector_defects"
+                               else "'eigenbasis'"):
+                getattr(bare, name)
+
+    def test_a_residual_finds_each_observables_defects_once(self, monkeypatch, rng):
+        found = []
+
+        def counting(basis, _original=events._idempotence_defects):
+            found.append(basis.shape)
+            return _original(basis)
+
+        monkeypatch.setattr(events, "_idempotence_defects", counting)
+        a, b, rho = random_observable(16, rng, "A"), random_observable(16, rng, "B"), \
+            random_density(16, rng)
+        identity_chain_residual(rho, a, 3, b)
+        assert found == [(16, 16), (16, 16)]
+        for n in range(16):
+            identity_chain_residual(rho, a, n, b)
+            wigner_distribution(rho, a, n, b, 15 - n)
+        assert found == [(16, 16), (16, 16)]
 
 
 class TestDensityOperator:

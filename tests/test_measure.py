@@ -28,7 +28,7 @@ from qprospect import (
     wigner_distribution,
     wigner_table,
 )
-from qprospect import events, measure
+from qprospect import events, measure, qcore
 
 from helpers import random_density, random_observable, traced_peak
 
@@ -453,6 +453,50 @@ class TestScalarRoutes:
             assert abs(wigner_distribution(rho, a, n, b, alpha)
                        - np.trace(m @ pa @ pn @ pa).real) <= 1e-14
             assert abs(kirkwood_form(rho, a, n, b, alpha) - np.trace(m @ pn @ pa)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 7, 16, 64])
+    def test_values_are_the_outer_product_and_array_window_formulas(self, d):
+        # the scalar routes as first written, projectors by np.outer and every
+        # probability through real_probabilities: equal to the last bit
+        rng = np.random.default_rng(700 + d)
+        rho = random_density(d, rng)
+        a, b = random_observable(d, rng, "A"), random_observable(d, rng, "B")
+        m = rho.matrix
+
+        def window(raw, name):
+            return float(qcore.real_probabilities(raw, name))
+
+        def outer(obs, n):
+            v = obs.vector(n)
+            return np.outer(v, v.conj())
+
+        def born(n):
+            v = a.vector(n)
+            return window(complex(np.vdot(v, m @ v)), f"p(A_{n})")
+
+        def wigner(n, alpha):
+            v = b.vector(alpha)
+            return window(complex(np.vdot(v, m @ (outer(b, alpha) @ (outer(a, n) @ v)))),
+                          "sequential probability")
+
+        def kirkwood(n, alpha):
+            v = b.vector(alpha)
+            return complex(np.vdot(v, m @ (outer(a, n) @ (outer(b, alpha) @ v))))
+
+        def residual(n):
+            diagonal = sum(wigner(n, alpha) for alpha in range(d))
+            sandwich = b.eigenbasis.conj().T @ m @ b.eigenbasis
+            w = b.eigenbasis.conj().T @ a.vector(n)
+            table = sandwich.T * np.outer(w, w.conj())
+            return float(abs(born(n) - diagonal - complex(table.sum() - np.trace(table))))
+
+        pairs = [(n, alpha) for n in range(d) for alpha in range(d)][:: max(1, d * d // 64)]
+        for n, alpha in pairs:
+            assert wigner_distribution(rho, a, n, b, alpha) == wigner(n, alpha)
+            assert kirkwood_form(rho, a, n, b, alpha) == kirkwood(n, alpha)
+        for n in sorted({0, d // 2, d - 1}):
+            assert born_probability(rho, a, n) == born(n)
+            assert identity_chain_residual(rho, a, n, b) == residual(n)
 
     def test_peak_is_below_three_matrices_at_d256(self):
         d = 256

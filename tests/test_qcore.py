@@ -5,6 +5,7 @@ import inspect
 import json
 import pathlib
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -52,6 +53,7 @@ from helpers import (
     random_density,
     random_unitary,
     returns_or_refuses,
+    traced_peak,
 )
 
 
@@ -471,6 +473,36 @@ class TestConversionGuards:
             assert type(got) is float
             assert repr(got) == repr(min(max(x, 0.0), 1.0))
         pytest.raises(NumericContractError, real_probability, float("nan"), "p")
+
+    def test_scalar_window_is_the_array_window_bit_for_bit(self):
+        # the float path and real_probabilities: the same value, or the same refusal
+        def outcome(window, value, scale):
+            try:
+                got = window(value, "p", scale)
+            except NumericContractError as exc:
+                fields = (exc.measured, exc.bound)
+                return type(exc), str(exc), [(type(f), repr(f)) for f in fields]
+            return type(got), struct.pack("<d", got)
+
+        def array_path(value, name, scale):
+            return float(real_probabilities(value, name, scale))
+
+        checked = 0
+        for scale in (1, 2.5):
+            w = policy.PROBABILITY_TOL * max(1.0, scale)
+            beyond = (np.nextafter(-w, -1.0), np.nextafter(scale + w, 3.0), -1.5 * w,
+                      scale + 1.5 * w)
+            reals = (0.0, -0.0, 1.0, 0.5, w, -w, scale, scale - w / 2, scale + w / 2,
+                     scale + w, *beyond, np.nan, np.inf, -np.inf)
+            imags = (0.0, -0.0, w / 2, -w / 2, w, -w, np.nextafter(w, 1.0),
+                     -np.nextafter(w, 1.0), 1.5 * w, np.nan, np.inf, -np.inf)
+            values = [complex(x, y) for x in reals for y in imags]
+            values += [np.complex128(v) for v in values] + list(reals) + [0, 1, 2, -1, 3]
+            for value in values:
+                assert outcome(real_probability, value, scale) == outcome(array_path, value,
+                                                                           scale), value
+                checked += 1
+        assert checked == 2 * (17 * 12 * 2 + 17 + 5)
 
     def test_table_window_names_the_first_offending_entry(self):
         table = np.array([[0.5, 1e-14j], [-1e-13, 1.0 + 1e-13]])
@@ -1195,6 +1227,91 @@ class TestDomainArguments:
         assert str(info.value) == (f"{argument} must be an Observable, "
                                    f"got {type(value).__name__}")
 
+    @pytest.mark.parametrize("case", [
+        "validate_povm", "validate_povm.member", "validate_povm.rho", "PovmFamily.from_states",
+        "PovmFamily.from_states.state", "disjoint_union_probability",
+        "disjoint_union_probability.index", "HamiltonianSpec", "quarter_law", "evolve_state.psi",
+        "evolve_state.h", "run_pipeline", "monte_carlo_cohort.spec", "monte_carlo_cohort.dist",
+        "two_time_prospect"])
+    def test_wrong_type_is_refused_before_it_is_used(self, case):
+        # each of these once ended in a bare TypeError or AttributeError
+        from qprospect import (DensityOperator, GameSpec, GeneralizedProposition,
+                               HamiltonianSpec, InterferenceDistribution, MultimodeState,
+                               Observable, PovmFamily, WaveState, disjoint_union_probability,
+                               evolve_state, monte_carlo_cohort, pointer_measurer, quarter_law,
+                               run_pipeline, two_time_prospect, validate_povm)
+        rho, obs = DensityOperator.maximally_mixed(2), Observable.standard(2)
+        b = MultimodeState.in_standard_basis([1.0, 1.0])
+        spec, uniform = GameSpec(np.full((2, 2), 0.25)), InterferenceDistribution.uniform()
+        call, message = {
+            "validate_povm": (lambda: validate_povm(None),
+                              "members must be an Iterable, got NoneType"),
+            "validate_povm.member": (lambda: validate_povm(["a"]),
+                                     "family member 0 must be a GeneralizedProposition, got str"),
+            "validate_povm.rho": (lambda: validate_povm([GeneralizedProposition.from_state(b)],
+                                                        "x"),
+                                  "rho must be a DensityOperator, got str"),
+            "PovmFamily.from_states": (lambda: PovmFamily.from_states(None),
+                                       "states must be an Iterable, got NoneType"),
+            "PovmFamily.from_states.state": (lambda: PovmFamily.from_states([1]),
+                                             "state must be a MultimodeState, got int"),
+            "disjoint_union_probability": (lambda: disjoint_union_probability(rho, obs, None),
+                                           "indices must be an Iterable, got NoneType"),
+            "disjoint_union_probability.index": (
+                lambda: disjoint_union_probability(rho, obs, [[0]]),
+                "outcome index [0] out of range for dim 2"),
+            "HamiltonianSpec": (lambda: HamiltonianSpec(np.eye(2), None),
+                                "pieces must be an Iterable, got NoneType"),
+            "quarter_law": (lambda: quarter_law(None),
+                            "dist must be an InterferenceDistribution, got NoneType"),
+            "evolve_state.psi": (lambda: evolve_state(None, HamiltonianSpec(np.eye(2)), 1.0),
+                                 "psi must be a WaveState, got NoneType"),
+            "evolve_state.h": (lambda: evolve_state(WaveState([1.0, 0.0]), None, 1.0),
+                               "h must be a HamiltonianSpec, got NoneType"),
+            "run_pipeline": (lambda: run_pipeline(rho, pointer_measurer(), None),
+                             "stages must be an Iterable, got NoneType"),
+            "monte_carlo_cohort.spec": (lambda: monte_carlo_cohort(None, uniform, 10),
+                                        "spec must be a GameSpec, got NoneType"),
+            "monte_carlo_cohort.dist": (lambda: monte_carlo_cohort(spec, None, 10),
+                                        "dist must be an InterferenceDistribution, got NoneType"),
+            "two_time_prospect": (lambda: two_time_prospect(None, 0, b),
+                                  "amp must be an AmplitudeMatrix, got NoneType"),
+        }[case]
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert type(info.value) is ValidationError and str(info.value) == message
+
+
+class TestCapBeforeAllocation:
+    """A dimension above ``MAX_DIM`` is refused before any matrix is built,
+    in the words of :func:`qcore.as_complex_matrix`."""
+
+    @pytest.mark.parametrize("dim", [policy.MAX_DIM + 1, 10 ** 20], ids=["cap+1", "1e20"])
+    @pytest.mark.parametrize("build, name", [
+        ("DensityOperator.maximally_mixed", "density operator"),
+        ("Observable.standard", "eigenbasis"),
+    ])
+    def test_refused_before_allocation(self, build, name, dim):
+        from qprospect import DensityOperator, Observable
+        call = {"DensityOperator.maximally_mixed": DensityOperator.maximally_mixed,
+                "Observable.standard": Observable.standard}[build]
+        refusals = []
+
+        def attempt():
+            with pytest.raises(SizeLimitError) as info:
+                call(dim)
+            refusals.append(str(info.value))
+
+        assert traced_peak(attempt) < 2 ** 20
+        assert refusals == [f"{name} has dimension {qcore._shown(dim)}, above the cap "
+                            f"{policy.MAX_DIM}"]
+
+    def test_a_built_matrix_above_the_cap_gets_the_same_words(self):
+        big = np.broadcast_to(np.eye(1, dtype=complex), (policy.MAX_DIM + 1,) * 2)  # no copy
+        with pytest.raises(SizeLimitError, match=r"^eigenbasis has dimension 4097, above the "
+                                                 r"cap 4096$"):
+            as_complex_matrix(big, "eigenbasis")
+
 
 BIG = 10 ** 5000  # str() refuses an int past 4300 digits
 SHOWN = {"big": f"<{BIG.bit_length()}-bit integer>", "-big": f"-<{BIG.bit_length()}-bit integer>",
@@ -1205,9 +1322,9 @@ SHOWN = {"big": f"<{BIG.bit_length()}-bit integer>", "-big": f"-<{BIG.bit_length
 def _huge_integer_calls():
     """Each call that once formatted a caller's huge integer whole, or failed
     to, as ``id: (call, the words its refusal starts with, the integer as shown)``."""
-    from qprospect import (AmplitudeMatrix, DensityOperator, GameSpec, InterferenceDistribution,
-                           MeasurerSpec, MultimodeState, Observable, Prospect, bell_state,
-                           born_probability, broken_symmetry_probabilities,
+    from qprospect import (AmplitudeMatrix, CompositeState, DensityOperator, GameSpec,
+                           InterferenceDistribution, MeasurerSpec, MultimodeState, Observable,
+                           Prospect, bell_state, born_probability, broken_symmetry_probabilities,
                            entanglement_production, joint_probability, monte_carlo_cohort,
                            two_time_joint)
     state, obs, rho = bell_state(2), Observable.standard(2), DensityOperator.maximally_mixed(2)
@@ -1249,6 +1366,16 @@ def _huge_integer_calls():
                                        "fixed_q must be a bool", "-big"),
         "broken_symmetry_probabilities": (lambda: magnitude(BIG), "interference magnitude",
                                           "big"),
+        "broken_symmetry_probabilities.f": (
+            lambda: broken_symmetry_probabilities((BIG, 0.5), 0.2), "classical weights", "big"),
+        "GameSpec.payoffs": (lambda: GameSpec(np.full((2, 2), 0.25), payoffs=BIG), "payoffs",
+                             "big"),
+        "GameSpec.payoffs-entry": (lambda: GameSpec(np.full((2, 2), 0.25), payoffs=(BIG, 0, 5)),
+                                   "payoffs", "big"),
+        "CompositeState.dims": (lambda: CompositeState(np.eye(4) / 4.0, (BIG, 2, 3)), "dims",
+                                "big"),
+        "maximally_mixed.cap": (lambda: DensityOperator.maximally_mixed(BIG),
+                                "density operator has dimension", "big"),
         "entanglement_production-1e400": (lambda: entanglement_production(state, 10 ** 400),
                                           "log base", "1e400"),
         "entanglement_production--1e400": (lambda: entanglement_production(state, -10 ** 400),
