@@ -12,15 +12,21 @@ preceding evolution or transform, and the chain must end with a readout.
 Reading out replaces the joint state by the product of its reductions,
 which is exactly the decoherence step of a nonselective measurement.
 
-Every state a stage builds gets every ``DensityOperator`` check, but
-only the readout reductions decompose their matrix for positivity, and
-the transform stage is factored, not decomposed.  A product of two
-validated states (compose, and the joint re-composed at each readout)
-reads positivity from the sorted products of their kept spectra
-(:func:`qcore.product_state`).  An evolved state ``U rho U+`` reads it
-from the spectrum of ``rho``: ``U`` comes from ``eigh`` and is unitary to
-machine precision, so the eigenvalues move by a small multiple of
-``eps * dim``.  A transform ``T`` is checked unitary only entrywise within
+Every state a stage builds passes every ``DensityOperator`` decision,
+and a check that holds by construction is not run again.  The transform
+stage and the readout reductions get the full check
+(:func:`qcore.validate_state`); only the reductions decompose their
+matrix for positivity, and the transform stage is factored, not
+decomposed.  A product of two validated states (compose, and the joint
+re-composed at each readout) bounds its Hermiticity from its factors'
+defects and reads positivity from the sorted products of their kept
+spectra: no scan of the product, no finiteness pass and no copy
+(:func:`qcore.product_state`).  An evolved state ``U rho U+`` is fresh: it
+keeps its Hermiticity scan, which proves it finite too, with no
+finiteness pass and no copy (:func:`qcore._built_state`), and reads
+positivity from the spectrum of ``rho``: ``U`` comes from ``eigh`` and is
+unitary to machine precision, so the eigenvalues move by a small multiple
+of ``eps * dim``.  A transform ``T`` is checked unitary only entrywise within
 the tolerance, which may move the eigenvalues of ``T rho T+`` by ``dim``
 times the tolerance, so that state is proved positive by one Cholesky
 factorization (:func:`qcore.validate_state`), and its spectrum is found
@@ -176,9 +182,13 @@ def _conjugated(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _conjugate(rho: DensityOperator, u: np.ndarray) -> DensityOperator:
-    """``U rho U+`` for a stack ``u`` of blocks unitary to machine precision; keeps the spectrum."""
-    return _trusted(DensityOperator, *qcore.validate_state(
-        _conjugated(rho.matrix, u), "density operator", spectrum=rho.spectrum))
+    """``U rho U+`` for a stack ``u`` of blocks unitary to machine precision; keeps the spectrum.
+
+    The fresh matrix is checked by :func:`qcore._built_state`: its
+    Hermiticity scan, then the trace, with no finiteness pass and no copy.
+    """
+    return _trusted(DensityOperator, *qcore._built_state(
+        _conjugated(rho.matrix, u), "density operator", rho.spectrum))
 
 
 def compose(rho: DensityOperator, measurer: MeasurerSpec) -> DensityOperator:

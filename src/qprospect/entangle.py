@@ -103,4 +103,5 @@ def bell_state(m: int) -> CompositeState:
     exactly ``log m``.
     """
     qcore._require_size(m, 2, "mode count", "need at least two modes, got {0}")
+    qcore._require_size_cap(m * m, "composite state")
     return CompositeState.from_amplitudes(np.eye(m, dtype=complex) / math.sqrt(m))

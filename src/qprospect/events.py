@@ -229,6 +229,8 @@ def projector_of(obs: Observable, n: int) -> Projector:
     to the current :func:`policy.tolerance` on every call, so an observable
     built under a looser :func:`policy.tolerance_scope` may break it.
     """
+    if not isinstance(obs, Observable):  # inline: the sequential route calls this per entry
+        raise ValidationError(f"obs must be an Observable, got {type(obs).__name__}")
     v = obs.vector(n)
     _require_idempotent(obs._projector_defects[n])
     return _trusted(Projector, v[:, None] * v.conj()[None, :], (obs.label, n))
@@ -353,6 +355,8 @@ def multimode_probability(rho: DensityOperator, state: MultimodeState) -> Multim
     direct expectation within 1e-12, and the total must lie within the
     window ``[0, <B|B>]`` set by the state's squared norm.
     """
+    qcore._require_instance(rho, DensityOperator, "rho")
+    qcore._require_instance(state, MultimodeState, "state")
     qcore._require_equal(rho.dim, state.dim, "density operator dim {0} vs multimode state dim {1}")
     e = state.basis.eigenbasis
     m = e.conj().T @ rho.matrix @ e  # <a|rho|b> in the mode basis
@@ -421,6 +425,7 @@ class PovmFamily:
     members: tuple[GeneralizedProposition, ...]
 
     def __post_init__(self):
+        qcore._require_instance(self.members, Iterable, "members")
         members = tuple(self.members)
         qcore.require_within(validate_povm(members).residual, policy.POVM_TOL,
                              "family breaks the resolution of unity: residual {measured:.3e} "

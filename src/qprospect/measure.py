@@ -128,7 +128,8 @@ class MeasurementOutcome:
 
 def apply_measurement(rho: DensityOperator, obs: Observable, n: int) -> MeasurementOutcome:
     """Observe event ``A_n``: bundle its probability with the reduced state."""
-    return MeasurementOutcome((obs.label, n), *_reduce(rho, obs, n))
+    p, post_state = _reduce(rho, obs, n)  # checks obs before its label is read
+    return MeasurementOutcome((obs.label, n), p, post_state)
 
 
 def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) -> float:
@@ -137,6 +138,8 @@ def luders_transition(obs_a: Observable, n: int, obs_b: Observable, alpha: int) 
     State-independent and symmetric in its two events; rows and columns of
     the full table each sum to one.
     """
+    qcore._require_instance(obs_a, Observable, "obs_a")
+    qcore._require_instance(obs_b, Observable, "obs_b")
     qcore._require_equal(obs_a.dim, obs_b.dim, "observables {2!r} ({0}) and {3!r} ({1}) act on "
                          "different spaces", obs_a.label, obs_b.label)
     amp = complex(np.vdot(obs_a.vector(n), obs_b.vector(alpha)))

@@ -235,9 +235,15 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     def flat(a):
         if a.ndim != 1 or a.size == 0:
             raise DimensionMismatchError(f"{name} must be a nonempty 1-d array")
-        if a.size > policy.MAX_DIM:
-            raise SizeLimitError(f"{name} has size {a.size}, above the cap {policy.MAX_DIM}")
+        _require_size_cap(a.size, name)
     return _require_numbers(v, name, shape=flat)
+
+
+def _require_size_cap(size: int, name: str):
+    """Raise :class:`SizeLimitError` when a vector of ``size`` entries would exceed
+    ``policy.MAX_DIM``; a caller building one checks this before allocating."""
+    if size > policy.MAX_DIM:
+        raise SizeLimitError(f"{name} has size {_shown(size)}, above the cap {policy.MAX_DIM}")
 
 
 def as_amplitude_matrix(c, tol: float) -> np.ndarray:
@@ -257,15 +263,37 @@ def hermiticity_defect(m) -> float:
     return _hermiticity_defect(as_complex_matrix(m))
 
 
+_TILE = 64
+
+
 def _hermiticity_defect(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max())
+    """``max |a - a^H|``; above ``d = 2 * _TILE``, taken over the ``_TILE``-square
+    tiles of the upper triangle, each with its mirror, with no full-size temporary.
+
+    Entry ``(j, i)`` of ``|a - a^H|`` is entry ``(i, j)`` bit for bit, and a
+    maximum does not depend on the order of its terms, so the tiled value
+    is the untiled one.  ``np.maximum`` keeps a NaN in any tile.
+    """
+    d = a.shape[0]
+    if d <= 2 * _TILE:
+        return float(np.abs(a - a.conj().T).max())
+    worst = 0.0
+    for i in range(0, d, _TILE):
+        for j in range(i, d, _TILE):
+            tile = a[i:i + _TILE, j:j + _TILE] - a[j:j + _TILE, i:i + _TILE].conj().T
+            worst = np.maximum(worst, np.abs(tile).max())
+    return float(worst)
+
+
+def _require_hermitian(a: np.ndarray, name: str):
+    require_within(_hermiticity_defect(a), policy.tolerance(),
+                   "{name} is not Hermitian: max deviation {measured:.3e} exceeds {bound:.1e}",
+                   name=name)
 
 
 def require_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_complex_matrix(m, name)
-    require_within(_hermiticity_defect(a), policy.tolerance(),
-                   "{name} is not Hermitian: max deviation {measured:.3e} exceeds {bound:.1e}",
-                   name=name)
+    _require_hermitian(a, name)
     return a
 
 
@@ -319,14 +347,20 @@ def real_probability(value: complex, name: str = "probability", scale: float = 1
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow index."""
-    a = as_complex_matrix(a, "first factor")
-    b = as_complex_matrix(b, "second factor")
-    if a.shape[0] * b.shape[0] > policy.MAX_DIM:
-        raise SizeLimitError(
-            f"product dimension {a.shape[0] * b.shape[0]} exceeds the cap {policy.MAX_DIM}"
-        )
-    return np.kron(a, b)
+    """Kronecker product with the first factor as the slow index.
+
+    Each entry ``a_ij b_kl`` is one rounded complex product, as in
+    ``np.kron``, and so is bit for bit ``np.kron``'s.
+    """
+    return _kron(as_complex_matrix(a, "first factor"), as_complex_matrix(b, "second factor"))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`tensor_product` of two checked matrices; checks the product's cap."""
+    dim = a.shape[0] * b.shape[0]
+    if dim > policy.MAX_DIM:
+        raise SizeLimitError(f"product dimension {dim} exceeds the cap {policy.MAX_DIM}")
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(dim, dim)
 
 
 def partial_trace(m, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -428,9 +462,29 @@ def validate_state(
     ascending ``spectrum`` known in closed form (:func:`product_state`,
     ``channels.evolve``), bounded far inside the tolerance, or one it
     computed and reads next; positivity is then read from it and no
-    factorization runs.
+    factorization runs.  Checks that hold by construction are skipped, with
+    every decision and refusal kept, by :func:`product_state` and
+    :func:`_built_state`.
     """
-    a = np.array(require_hermitian(m, name))
+    return _checked_state(np.array(require_hermitian(m, name)), name, dims, spectrum)
+
+
+def _built_state(a: np.ndarray, name: str, spectrum: np.ndarray):
+    """:func:`validate_state` of a matrix ``a`` the caller just built, without its copy.
+
+    A non-finite entry makes its term of the Hermiticity scan NaN or
+    ``inf``, so a scan within the tolerance proves ``a`` finite, and no
+    finiteness pass runs; any other scan hands ``a`` to
+    :func:`validate_state`, whose full check refuses in its own words.
+    """
+    if not _hermiticity_defect(a) <= policy.tolerance():
+        return validate_state(a, name, spectrum=spectrum)
+    return _checked_state(a, name, None, spectrum)
+
+
+def _checked_state(a: np.ndarray, name: str, dims: tuple[int, int] | None,
+                   spectrum: np.ndarray | None):
+    """The checks of :func:`validate_state` after Hermiticity, on the matrix ``a`` it returns."""
     _require_dims(a.shape[0], dims)
     _require_unit_trace(a.trace(), name, composite=dims is not None)
     tol = policy.tolerance()
@@ -552,15 +606,43 @@ def product_state(a, wa, b, wb, name: str, dims: tuple[int, int] | None = None):
     ``a`` and ``b`` are validated states and ``wa``, ``wb`` their kept
     ascending spectra.  The eigenvalues of a Kronecker product are the
     pairwise products of the factors', so positivity is read from the
-    sorted outer product of ``wa`` and ``wb``; every other check of
-    :func:`validate_state` runs on the built matrix.  The kept spectra are
-    within a small multiple of ``eps * dim`` of exact (``eigvalsh`` is
-    backward stable), and each entry ``a_ij b_kl`` is one rounded product,
-    which moves the eigenvalues by at most ``eps`` for unit-trace positive
+    sorted outer product of ``wa`` and ``wb``.  The kept spectra are within
+    a small multiple of ``eps * dim`` of exact (``eigvalsh`` is backward
+    stable), and each entry ``a_ij b_kl`` is one rounded product, which
+    moves the eigenvalues by at most ``eps`` for unit-trace positive
     factors: orders of magnitude inside the tolerance up to ``MAX_DIM``.
+
+    The factors are checked as :func:`tensor_product` checks them, then
+    the cap, the Hermiticity, ``dims``, the unit trace of the built matrix
+    and positivity, in :func:`validate_state`'s order.  Hermiticity is
+    bounded from the factors, with no scan of the ``D x D`` product and no
+    finiteness pass or copy.  With ``da = max |a - a^H|``, found by the
+    O(d^2) scan of ``a``, and ``Ma = max |a_ij|`` (likewise for ``b``), write
+    ``conj(a_ji) = a_ij - ea`` and ``conj(b_lk) = b_kl - eb``, so
+    ``a_ij b_kl - conj(a_ji b_lk) = ea b_kl + a_ij eb - ea eb``: at most
+    ``da Mb + Ma db + da db`` exactly.  The two entries are each one rounded
+    complex product, off by at most ``sqrt(2) gamma_2 Ma Mb``; the scan
+    rounds the difference and its modulus, and the factors' scans, their
+    maxima and the bound itself are rounded too, each a few ``u = 2^-53``
+    relative.  All of it lies within ``16 u (Ma + da)(Mb + db)``, so a bound
+
+        ``da Mb + Ma db + da db + 16 u (Ma + da)(Mb + db)``
+
+    at most the tolerance means the product's scan would accept, and the
+    bound's finiteness means every entry is finite.  A bound above the
+    tolerance, or NaN, sends the product to :func:`validate_state`, whose
+    full check decides with its own message and ``measured``.
     """
     spectrum = np.sort(np.multiply.outer(wa, wb), axis=None)
-    return validate_state(tensor_product(a, b), name, dims, spectrum=spectrum)
+    a = as_complex_matrix(a, "first factor")
+    b = as_complex_matrix(b, "second factor")
+    m = _kron(a, b)
+    da, db = _hermiticity_defect(a), _hermiticity_defect(b)
+    ma, mb = float(np.abs(a).max()), float(np.abs(b).max())
+    bound = da * mb + ma * db + da * db + 16 * 2.0 ** -53 * (ma + da) * (mb + db)
+    if not bound <= policy.tolerance():
+        return validate_state(m, name, dims, spectrum=spectrum)
+    return _checked_state(m, name, dims, spectrum)
 
 
 def mode_split(coeff: np.ndarray, m: np.ndarray):

@@ -28,3 +28,18 @@ def decomposed_sizes(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     return sizes
+
+
+@pytest.fixture
+def scanned_sizes(monkeypatch):
+    """The dimension of each Hermiticity scan (``qcore._hermiticity_defect``) the test makes."""
+    from qprospect import qcore
+
+    sizes, original = [], qcore._hermiticity_defect
+
+    def counting(a):
+        sizes.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(qcore, "_hermiticity_defect", counting)
+    return sizes

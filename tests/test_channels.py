@@ -370,6 +370,15 @@ class TestKeptSpectra:
         run_pipeline(rho, measurer, stages)  # the coupling and the inputs' spectra are kept
         assert decomposed_sizes == {"eigh": [], "eigvalsh": [16, 16, 16, 16], "cholesky": [256]}
 
+    def test_only_the_evolved_and_transformed_joints_are_scanned(self, scanned_sizes, rng):
+        rho, measurer, stages = six_stage_pipeline(16, 16, rng)
+        scanned_sizes.clear()
+        run_pipeline(rho, measurer, stages)
+        # 256: the two evolves and the transform.  16: each product is bounded
+        # by its two factors (three products), and each readout validates its
+        # two reductions
+        assert sorted(scanned_sizes) == [16] * 10 + [256] * 3
+
     def test_second_pipeline_decomposes_nothing(self, decomposed_sizes, rng):
         rho, measurer, stages = six_stage_pipeline(4, 3, rng)
         run_pipeline(rho, measurer, stages)

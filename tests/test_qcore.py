@@ -95,6 +95,17 @@ class TestTensorProduct:
         with pytest.raises(SizeLimitError):
             tensor_product(big, big)
 
+    @pytest.mark.parametrize("da, db", [(8, 8), (16, 16), (3, 5), (1, 4), (4, 1), (64, 1),
+                                        (1, 1)])
+    def test_is_np_kron_bit_for_bit(self, da, db, rng):
+        a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
+        b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
+        a.real[0, 0], b.imag[-1, 0] = -0.0, -0.0  # signed zeros stay signed
+        a.imag[:, -1] = 0.0
+        got, want = tensor_product(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestPartialTrace:
     def test_maximally_entangled_reduces_to_mixed(self):
@@ -1232,14 +1243,17 @@ class TestDomainArguments:
         "PovmFamily.from_states.state", "disjoint_union_probability",
         "disjoint_union_probability.index", "HamiltonianSpec", "quarter_law", "evolve_state.psi",
         "evolve_state.h", "run_pipeline", "monte_carlo_cohort.spec", "monte_carlo_cohort.dist",
-        "two_time_prospect"])
+        "two_time_prospect", "PovmFamily", "projector_of", "projector_of.multimode",
+        "apply_measurement", "luders_transition", "multimode_probability"])
     def test_wrong_type_is_refused_before_it_is_used(self, case):
         # each of these once ended in a bare TypeError or AttributeError
         from qprospect import (DensityOperator, GameSpec, GeneralizedProposition,
                                HamiltonianSpec, InterferenceDistribution, MultimodeState,
-                               Observable, PovmFamily, WaveState, disjoint_union_probability,
-                               evolve_state, monte_carlo_cohort, pointer_measurer, quarter_law,
-                               run_pipeline, two_time_prospect, validate_povm)
+                               Observable, PovmFamily, WaveState, apply_measurement,
+                               disjoint_union_probability, evolve_state, luders_transition,
+                               monte_carlo_cohort, multimode_probability, pointer_measurer,
+                               projector_of, quarter_law, run_pipeline, two_time_prospect,
+                               validate_povm)
         rho, obs = DensityOperator.maximally_mixed(2), Observable.standard(2)
         b = MultimodeState.in_standard_basis([1.0, 1.0])
         spec, uniform = GameSpec(np.full((2, 2), 0.25)), InterferenceDistribution.uniform()
@@ -1276,6 +1290,17 @@ class TestDomainArguments:
                                         "dist must be an InterferenceDistribution, got NoneType"),
             "two_time_prospect": (lambda: two_time_prospect(None, 0, b),
                                   "amp must be an AmplitudeMatrix, got NoneType"),
+            "PovmFamily": (lambda: PovmFamily(None), "members must be an Iterable, got NoneType"),
+            "projector_of": (lambda: projector_of(None, 0),
+                             "obs must be an Observable, got NoneType"),
+            "projector_of.multimode": (lambda: projector_of(b, 0),
+                                       "obs must be an Observable, got MultimodeState"),
+            "apply_measurement": (lambda: apply_measurement(rho, None, 0),
+                                  "obs must be an Observable, got NoneType"),
+            "luders_transition": (lambda: luders_transition(None, 0, obs, 0),
+                                  "obs_a must be an Observable, got NoneType"),
+            "multimode_probability": (lambda: multimode_probability(None, b),
+                                      "rho must be a DensityOperator, got NoneType"),
         }[case]
         with pytest.raises(ValidationError) as info:
             call()
@@ -1304,6 +1329,20 @@ class TestCapBeforeAllocation:
 
         assert traced_peak(attempt) < 2 ** 20
         assert refusals == [f"{name} has dimension {qcore._shown(dim)}, above the cap "
+                            f"{policy.MAX_DIM}"]
+
+    @pytest.mark.parametrize("m", [65, 5000, 10 ** 20])
+    def test_bell_state_is_refused_before_allocation(self, m):
+        from qprospect import bell_state
+        refusals = []
+
+        def attempt():
+            with pytest.raises(SizeLimitError) as info:
+                bell_state(m)
+            refusals.append(str(info.value))
+
+        assert traced_peak(attempt) < 2 ** 20
+        assert refusals == [f"composite state has size {qcore._shown(m * m)}, above the cap "
                             f"{policy.MAX_DIM}"]
 
     def test_a_built_matrix_above_the_cap_gets_the_same_words(self):
@@ -1578,3 +1617,125 @@ class TestHermiticityDefect:
             hermiticity_defect(np.zeros((0, 0)))
         with pytest.raises(ValidationError, match=r"^matrix has non-finite entries$"):
             hermiticity_defect([[np.nan, 0], [0, 1]])
+
+
+def _untiled_defect(a):
+    return float(np.abs(a - a.conj().T).max())
+
+
+class TestTiledHermiticityScan:
+    """Above ``d = 128`` the scan takes its maximum tile by tile, bit for bit
+    the untiled maximum, and a NaN in any tile is still refused."""
+
+    @pytest.mark.parametrize("d", [129, 200, 256, 300, 512])
+    def test_is_the_untiled_maximum_bit_for_bit(self, d, rng):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for a in (m, random_density(d, rng).matrix, (m + m.conj().T) / 2.0):
+            assert qcore._hermiticity_defect(a) == _untiled_defect(a)
+
+    @pytest.mark.parametrize("d", [129, 200, 300])
+    def test_planted_defects_are_found(self, d, rng):
+        a = np.array(random_density(d, rng).matrix)
+        a[d - 1, d - 3] += 3e-9  # in the last, partial tile
+        assert qcore._hermiticity_defect(a) == _untiled_defect(a) == abs(
+            a[d - 1, d - 3] - a[d - 3, d - 1].conj())
+        a[70, 70] += 2e-8j  # an imaginary diagonal entry
+        assert qcore._hermiticity_defect(a) == _untiled_defect(a) == abs(
+            a[70, 70] - a[70, 70].conj())
+
+    def test_a_nan_in_any_tile_is_refused(self, rng):
+        d = 200  # 4 x 4 tiles, the last of 8 rows and columns
+        base = np.array(random_density(d, rng).matrix)
+        for i in range(0, d, qcore._TILE):
+            for j in range(0, d, qcore._TILE):
+                for i0, j0 in ((i, j), (min(i + 7, d - 1), min(j + 5, d - 1))):
+                    a = base.copy()
+                    a[i0, j0] = complex(np.nan, 0.0) if (i + j) % 2 else complex(0.0, np.nan)
+                    assert np.isnan(qcore._hermiticity_defect(a))
+                    with pytest.raises(ValidationError, match="max deviation nan"):
+                        qcore._require_hermitian(a, "m")
+
+
+def _refusal(call):
+    """``(type, message, measured)`` of the refusal ``call()`` raises."""
+    with pytest.raises(ValidationError) as info:
+        call()
+    return type(info.value), str(info.value), getattr(info.value, "measured", None)
+
+
+def _unchecked_state(m):
+    """A ``DensityOperator`` holding ``m`` and its ``eigvalsh``, with no check run."""
+    from qprospect import DensityOperator
+    return qcore._set_fields(object.__new__(DensityOperator), matrix=np.array(m, dtype=complex),
+                             spectrum=np.linalg.eigvalsh(m))
+
+
+class TestProductHermiticityBound:
+    """``product_state`` bounds the product's Hermiticity defect from its
+    factors; where the bound does not decide, the full check of the
+    built product does, as it did before the bound."""
+
+    @staticmethod
+    def full_check(a, b, name, dims=None):
+        spectrum = np.sort(np.multiply.outer(a.spectrum, b.spectrum), axis=None)
+        return validate_state(np.kron(a.matrix, b.matrix), name, dims, spectrum=spectrum)
+
+    @pytest.mark.parametrize("case", ["imaginary diagonal", "off-diagonal", "overflow"])
+    def test_a_refusal_is_the_full_checks(self, case):
+        from qprospect import CompositeState, MeasurerSpec, compose
+        tol = policy.tolerance()
+        a = {"imaginary diagonal": [[1 + 0.45j * tol, 0], [0, 0]],
+             "off-diagonal": [[0.5, 1 + 0.6 * tol], [1, 0.5]],
+             "overflow": [[1e200, 0], [0, 0]]}[case]
+        a = _unchecked_state(a)
+        b = _unchecked_state(a.matrix.T if case == "off-diagonal" else a.matrix)
+        assert qcore._hermiticity_defect(a.matrix) <= tol  # each factor passes alone
+        meter = qcore._set_fields(object.__new__(MeasurerSpec), dim=2, initial_state=b)
+        # the overflow warns on both routes, before the same refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _refusal(lambda: self.full_check(a, b, "composite state", (2, 2)))
+            assert _refusal(lambda: CompositeState.product(a, b)) == want
+            want = _refusal(lambda: self.full_check(a, b, "density operator"))
+            assert _refusal(lambda: compose(a, meter)) == want
+        assert want[1].startswith("density operator " + (
+            "has non-finite entries" if case == "overflow" else "is not Hermitian"))
+
+    def test_a_bound_above_the_tolerance_leaves_the_decision_to_the_scan(self, scanned_sizes):
+        from qprospect import CompositeState
+        # defect e off the largest entry of each factor: the bound is 2e + e^2,
+        # the product's defect e
+        a = _unchecked_state([[1, 0.6 * policy.tolerance()], [0, 0]])
+        state = CompositeState.product(a, a)
+        assert scanned_sizes == [2, 2, 4]  # the factors, then the product
+        m, w = self.full_check(a, a, "composite state", (2, 2))
+        assert np.array_equal(state.matrix, m) and np.array_equal(state.spectrum, w)
+
+    def test_an_accepted_product_is_the_full_checks_result(self, scanned_sizes, rng):
+        from qprospect import CompositeState
+        a, b = random_density(8, rng), random_density(16, rng)
+        scanned_sizes.clear()
+        state = CompositeState.product(a, b)
+        assert scanned_sizes == [8, 16]  # the factors only
+        m, w = self.full_check(a, b, "composite state", (8, 16))
+        assert np.array_equal(state.matrix, m) and np.array_equal(state.spectrum, w)
+
+
+class TestBuiltState:
+    """A matrix the caller just built skips the finiteness pass and the copy;
+    its Hermiticity scan refuses every non-finite entry, and every refusal is
+    :func:`validate_state`'s."""
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf), 1e-6j],
+                             ids=["nan", "inf", "-inf imaginary", "not Hermitian"])
+    def test_a_refusal_is_validate_states(self, entry, rng):
+        m = np.array(random_density(6, rng).matrix)
+        m[2, 4] = entry
+        w = np.linalg.eigvalsh(random_density(6, rng).matrix)
+        want = _refusal(lambda: validate_state(m, "density operator", spectrum=w))
+        assert _refusal(lambda: qcore._built_state(m, "density operator", w)) == want
+
+    def test_an_accepted_matrix_is_kept_uncopied(self, rng):
+        m = np.array(random_density(6, rng).matrix)
+        w = np.linalg.eigvalsh(m)
+        got, spectrum = qcore._built_state(m, "density operator", w)
+        assert got is m and spectrum is w
